@@ -2,8 +2,9 @@
 the per-type adjoint table, and foliation checks, in text or JSON.
 
 All output is deterministic: randomness flows from --seed only, JSON is
-emitted with sorted keys and a schema marker, and exit status 0 means every
-requested check passed.
+emitted with sorted keys and a schema marker.  Exit status is 0 when every
+requested check passed, 1 when a check failed, and 2 for a usage or input
+error.
 """
 
 from __future__ import annotations
@@ -31,14 +32,20 @@ def _emit(data: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
+def _input_error(message: str) -> SystemExit:
+    """Print a usage or input error; the returned SystemExit exits with 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _parse_weight(text: str, rank: int):
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
     if len(parts) != rank:
-        raise SystemExit(f"error: weight needs {rank} comma-separated integers")
+        raise ValueError(f"weight needs {rank} comma-separated integers")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise SystemExit(f"error: weight coordinates must be integers: {text!r}")
+        raise ValueError(f"weight coordinates must be integers: {text!r}") from None
 
 
 def cmd_roots(args) -> int:
@@ -72,11 +79,11 @@ def cmd_roots(args) -> int:
 def cmd_bbw(args) -> int:
     try:
         datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
-    except InvalidTypeError as exc:
+        weight = _parse_weight(args.weight, datum.rank)
+        md = MarkedDatum(ambient=datum, marked_node=args.node)
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    weight = _parse_weight(args.weight, datum.rank)
-    md = MarkedDatum(ambient=datum, marked_node=args.node)
     if not is_bundle_weight(md, weight):
         print(
             f"error: {list(weight)} is not a bundle weight at node {args.node}",
@@ -147,19 +154,19 @@ _BUILTIN_FORMS = {
 def _load_form(args) -> ff.PolyOneForm:
     if args.builtin:
         if args.builtin not in _BUILTIN_FORMS:
-            raise SystemExit(
-                f"error: unknown builtin {args.builtin!r}; "
+            raise _input_error(
+                f"unknown builtin {args.builtin!r}; "
                 f"choices: {', '.join(sorted(_BUILTIN_FORMS))}"
             )
         return _BUILTIN_FORMS[args.builtin](args.n, args.seed)
     if not args.input:
-        raise SystemExit("error: provide --builtin NAME or --input FILE")
+        raise _input_error("provide --builtin NAME or --input FILE")
     try:
         with open(args.input) as fh:
             data = json.load(fh)
         return ff.PolyOneForm.from_json(data)
     except (OSError, KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(f"error: cannot read form from {args.input}: {exc}")
+        raise _input_error(f"cannot read form from {args.input}: {exc}")
 
 
 def _deg_json(val):
@@ -232,12 +239,12 @@ def cmd_fol(args) -> int:
         _emit(data, args.json, [f"invariant: {ok}"])
         return 0 if ok else 1
 
-    raise SystemExit(f"error: unknown fol subcommand {args.fol_command!r}")
+    raise _input_error(f"unknown fol subcommand {args.fol_command!r}")
 
 
 def _parse_surface(args) -> ff.BiPoly:
     if not args.surface:
-        raise SystemExit("error: provide --surface conic-x|conic-y|FILE")
+        raise _input_error("provide --surface conic-x|conic-y|FILE")
     if args.surface == "conic-x":
         _, f1, _ = ff.builtin_affine(args.n)
         return f1
@@ -248,7 +255,7 @@ def _parse_surface(args) -> ff.BiPoly:
         with open(args.surface) as fh:
             return ff.BiPoly.from_json(json.load(fh))
     except (OSError, KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(f"error: cannot read surface {args.surface!r}: {exc}")
+        raise _input_error(f"cannot read surface {args.surface!r}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,28 +2,27 @@
 
 Provides the Weyl dimension formula, full weight systems with Freudenthal
 multiplicities, and decomposition of exterior/symmetric squares of irreducible
-parabolic representations by iterated highest-weight stripping.
+parabolic representations by the Brauer-Klimyk formula over the Levi Weyl
+group W_L (Humphreys, Introduction to Lie Algebras and Representation Theory,
+section 24; Klimyk 1968): only the weights of V_lam itself are needed, each
+constituent is read off a signed dot-reduction, and no constituent weight
+system is ever built.
 
 For squares of bundle weights the whole computation is done in the *ambient*
 weight lattice: the weights of an irreducible P-representation are obtained by
-subtracting unmarked simple roots from its highest weight, so the marked-node
-coordinate of every constituent (and hence its twist) falls out of the
-bookkeeping with no separate first-Chern-class matching step.
+subtracting unmarked simple roots from its highest weight, and W_L only
+reflects at unmarked nodes, so the marked-node coordinate of every constituent
+(and hence its twist) falls out of the bookkeeping with no separate
+first-Chern-class matching step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .parabolic import (
-    MarkedDatum,
-    branch_to_levi,
-    is_bundle_weight,
-    levi_diagram,
-)
+from .parabolic import MarkedDatum, branch_to_levi, levi_diagram
 from .rootsystem import RootDatum, Weight, highest_root
+from .weylgroup import simple_reflection
 
 DEFAULT_DIM_CEILING = 5000
 
@@ -183,50 +182,72 @@ def weight_system(
     return WeightSystem(highest=lam, entries=mult, offsets=offsets, total_dim=dim)
 
 
-def _square_multiset(items, kind):
-    """Weight multiset of the exterior or symmetric square of a multiset."""
+def _square_pieces(datum: RootDatum, nodes, lam: Weight, weights: dict, kind: str, dim):
+    """Brauer-Klimyk decomposition of the exterior/symmetric square of the
+    irreducible V_lam with weight multiset ``weights``, over the Weyl group W_L
+    generated by the simple reflections at ``nodes``:
+
+        S^2 / wedge^2 V_lam = 1/2 sum_{mu in wt(lam)} m(mu) (chi_{lam+mu} +- chi_{2 mu})
+
+    chi_w is the signed dot-reduction of w: reflect v = w + delta at a node
+    where it is negative until it is dominant on ``nodes`` (chi_w = sign *
+    [v - delta]) or has a zero there (chi_w = 0).  Each reflection at node i
+    adds v_i to the height of 2 lam - w, which starts at the height of
+    lam - mu (or twice it).  Returns (height, weight, mult, dim) tuples.
+    """
     if kind not in (EXTERIOR, SYMMETRIC):
         raise ValueError(f"kind must be {EXTERIOR!r} or {SYMMETRIC!r}")
-    items = sorted(items)
-    out: dict = {}
-    for a in range(len(items)):
-        wa, ma = items[a]
-        diag = ma * (ma - 1) // 2 if kind == EXTERIOR else ma * (ma + 1) // 2
-        if diag:
-            key = tuple(2 * x for x in wa)
-            out[key] = out.get(key, 0) + diag
-        for b in range(a + 1, len(items)):
-            wb, mb = items[b]
-            key = tuple(x + y for x, y in zip(wa, wb))
-            out[key] = out.get(key, 0) + ma * mb
-    return out
+    sign = -1 if kind == EXTERIOR else 1
+    # every weight below lam is reached from lam by subtracting simple roots
+    height = {lam: 0}
+    stack = [lam]
+    while stack:
+        w = stack.pop()
+        for i in nodes:
+            down = tuple(a - b for a, b in zip(w, datum.simple_root_weight(i)))
+            if down in weights and down not in height:
+                height[down] = height[w] + 1
+                stack.append(down)
+    coeff: dict = {}
+    heights: dict = {}
+    for mu, m in weights.items():
+        terms = (
+            (tuple(a + b for a, b in zip(lam, mu)), height[mu], m),
+            (tuple(2 * a for a in mu), 2 * height[mu], sign * m),
+        )
+        for w, h, c in terms:
+            v = tuple(a + 1 for a in w)
+            while c:
+                i = next((i for i in nodes if v[i - 1] <= 0), None)
+                if i is None:
+                    break
+                if v[i - 1] == 0:
+                    c = 0
+                else:
+                    h += v[i - 1]
+                    v = simple_reflection(datum, i, v)
+                    c = -c
+            if c:
+                top = tuple(a - 1 for a in v)
+                coeff[top] = coeff.get(top, 0) + c
+                heights[top] = h
 
-
-@lru_cache(maxsize=None)
-def _height_vector(datum: RootDatum):
-    """Vector h with h . w = total height of w (sum of simple-root coords).
-
-    Solves C h = (1,...,1) exactly; total_height(w) = sum_i c_i where
-    C^T c = w.  Every simple root has height one, so this is the monotone
-    level function used to order constituent stripping.
-    """
-    n = datum.rank
-    a = [[Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(1)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def total_height(datum: RootDatum, w: Weight) -> Fraction:
-    h = _height_vector(datum)
-    return sum(hi * wi for hi, wi in zip(h, w))
+    pieces = []
+    for w, c in coeff.items():
+        if c < 0 or c % 2:
+            raise InternalConsistencyError(
+                f"Brauer-Klimyk coefficient {c} at {w} is not a non-negative even number"
+            )
+        if c:
+            pieces.append((heights[w], w, c // 2, dim(w)))
+    d = sum(weights.values())
+    expected = d * (d - 1) // 2 if kind == EXTERIOR else d * (d + 1) // 2
+    total = sum(mult * size for _, _, mult, size in pieces)
+    if total != expected:
+        raise InternalConsistencyError(
+            f"square decomposition dims sum to {total}, expected {expected}"
+        )
+    return pieces
 
 
 def square_decompose_simple(
@@ -235,36 +256,18 @@ def square_decompose_simple(
     """Decompose the exterior/symmetric square of V_lam for a single simple
     type; returns a list of Piece with twist = 0.
 
-    Stripping loop: among weights still present, the one of maximal total
-    height (ties broken lexicographically) is a highest weight of a
-    constituent; subtract its full weight system and repeat.
+    Brauer-Klimyk over the whole Weyl group, from the weight system of V_lam
+    alone.  Pieces are ordered by height below 2 lam, then by weight.
     """
     ws = weight_system(datum, lam, ceiling)
-    remaining = _square_multiset(list(ws.entries.items()), kind)
-    pieces = []
-    while remaining:
-        best = max(
-            remaining, key=lambda w: (total_height(datum, w), w)
-        )
-        mult = remaining[best]
-        if mult < 0 or any(x < 0 for x in best):
-            raise InternalConsistencyError(
-                f"stripping selected an invalid highest weight {best}"
-            )
-        bws = weight_system(datum, best, ceiling)
-        for w2, m2 in bws.entries.items():
-            val = remaining.get(w2, 0) - mult * m2
-            if val < 0:
-                raise InternalConsistencyError(
-                    f"negative multiplicity at {w2} while stripping {best}"
-                )
-            if val == 0:
-                remaining.pop(w2, None)
-            else:
-                remaining[w2] = val
-        pieces.append(Piece(weight=best, twist=0, mult=mult, dim=bws.total_dim))
-    pieces.sort(key=lambda p: (-total_height(datum, p.weight), p.weight))
-    return pieces
+    nodes = range(1, datum.rank + 1)
+    pieces = _square_pieces(
+        datum, nodes, lam, ws.entries, kind, lambda w: weyl_dim(datum, w)
+    )
+    return [
+        Piece(weight=w, twist=0, mult=mult, dim=size)
+        for _, w, mult, size in sorted(pieces)
+    ]
 
 
 def bundle_rank(md: MarkedDatum, w: Weight) -> int:
@@ -340,41 +343,26 @@ def square_decompose(
 ) -> Decomposition:
     """Decompose the exterior/symmetric square of the bundle E_lam into
     irreducible pieces E_{w}(t), twists read off the marked-node bookkeeping.
+
+    Brauer-Klimyk over the Levi Weyl group W_L (reflections at the unmarked
+    nodes), from the ambient weights of E_lam alone.  Pieces are ordered by
+    height below 2 lam, then by ambient weight descending.
     """
     ambient = md.ambient
     lambda0 = highest_root(ambient)
-    aws = ambient_weight_system(md, lam, ceiling)
-    d = sum(aws.values())
-    expected = d * (d - 1) // 2 if kind == EXTERIOR else d * (d + 1) // 2
-    remaining = _square_multiset(list(aws.items()), kind)
-    pieces = []
-    while remaining:
-        best = max(
-            remaining, key=lambda w: (total_height(ambient, w), w)
+    nodes = [i for i in range(1, ambient.rank + 1) if i != md.marked_node]
+    pieces = _square_pieces(
+        ambient,
+        nodes,
+        lam,
+        ambient_weight_system(md, lam, ceiling),
+        kind,
+        lambda w: bundle_rank(md, w),
+    )
+    pieces.sort(key=lambda p: (p[0], tuple(-a for a in p[1])))
+    return Decomposition(
+        pieces=tuple(
+            Piece(*_fold_twist(md, w, lambda0), mult=mult, dim=size)
+            for _, w, mult, size in pieces
         )
-        mult = remaining[best]
-        if mult < 0 or not is_bundle_weight(md, best):
-            raise InternalConsistencyError(
-                f"stripping selected an invalid bundle weight {best}"
-            )
-        bws = ambient_weight_system(md, best, max(ceiling, expected))
-        for w2, m2 in bws.items():
-            val = remaining.get(w2, 0) - mult * m2
-            if val < 0:
-                raise InternalConsistencyError(
-                    f"negative multiplicity at {w2} while stripping {best}"
-                )
-            if val == 0:
-                remaining.pop(w2, None)
-            else:
-                remaining[w2] = val
-        weight, twist = _fold_twist(md, best, lambda0)
-        pieces.append(
-            Piece(weight=weight, twist=twist, mult=mult, dim=bundle_rank(md, best))
-        )
-    dec = Decomposition(pieces=tuple(pieces))
-    if dec.total_dim != expected:
-        raise InternalConsistencyError(
-            f"square decomposition dims sum to {dec.total_dim}, expected {expected}"
-        )
-    return dec
+    )

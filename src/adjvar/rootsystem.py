@@ -25,7 +25,7 @@ simple-root coordinates with explicit conversion through the Cartan matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -78,12 +78,18 @@ class RootDatum:
     cartan: tuple[tuple[int, ...], ...]
     symmetrizers: tuple[int, ...]
     positive_roots: tuple[RootCoords, ...]
+    _half_norms: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        big = lcm(*self.symmetrizers)
+        object.__setattr__(
+            self, "_half_norms", tuple(big // d for d in self.symmetrizers)
+        )
 
     @property
     def root_half_norms(self) -> tuple[int, ...]:
         """(alpha_i, alpha_i)/2 scaled to coprime integers (short roots = 1)."""
-        big = lcm(*self.symmetrizers)
-        return tuple(big // d for d in self.symmetrizers)
+        return self._half_norms
 
     def simple_root_weight(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (1-indexed node)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .rootsystem import RootDatum, Weight, weyl_vector
+from .rootsystem import RootDatum, Weight
 
 SINGULAR = "singular"
 REGULAR = "regular"
@@ -101,11 +101,3 @@ def regular_index_oracle(datum: RootDatum, lam: Weight) -> int | None:
         if value < 0:
             count += 1
     return count
-
-
-def is_dominant(w: Weight) -> bool:
-    return all(a >= 0 for a in w)
-
-
-def delta(datum: RootDatum) -> Weight:
-    return weyl_vector(datum)

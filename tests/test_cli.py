@@ -65,6 +65,24 @@ def test_bbw_rejects_non_bundle_weight(capsys):
     assert code == 2 and "bundle weight" in err
 
 
+@pytest.mark.parametrize("node", ["0", "4"])
+def test_bbw_rejects_node_out_of_range(capsys, node):
+    code, _, err = run(
+        capsys, "bbw", "--type", "A", "--rank", "3", "--node", node,
+        "--weight", "1,0,0",
+    )
+    assert code == 2 and err.startswith("error:") and "out of range" in err
+
+
+@pytest.mark.parametrize("weight", ["1,0", "1,0,0,0", "1,x,0", "1.5,0,0"])
+def test_bbw_rejects_malformed_weight(capsys, weight):
+    code, _, err = run(
+        capsys, "bbw", "--type", "A", "--rank", "3", "--node", "1",
+        "--weight", weight,
+    )
+    assert code == 2 and err.startswith("error:") and "weight" in err
+
+
 def test_bbw_p3_serre_dual(capsys):
     code, out, _ = run(
         capsys, "bbw", "--type", "A", "--rank", "3", "--node", "1",
@@ -108,6 +126,22 @@ def test_fol_corrupted_input(tmp_path, capsys):
     bad.write_text("{not valid json")
     with pytest.raises(SystemExit):
         main(["fol", "check-integrable", "--input", str(bad)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fol", "check-integrable"],
+        ["fol", "check-integrable", "--builtin", "nosuch"],
+        ["fol", "invariant", "--builtin", "affine"],
+        ["fol", "invariant", "--builtin", "affine", "--surface", "no/such/dir.json"],
+    ],
+)
+def test_fol_input_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fol_build_roundtrip(tmp_path, capsys):

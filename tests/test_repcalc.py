@@ -1,12 +1,18 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from adjvar.adjoint import adjoint_data, section4_types
 from adjvar.parabolic import MarkedDatum
 from adjvar.repcalc import (
     EXTERIOR,
     SYMMETRIC,
+    Decomposition,
     DimensionCeilingError,
+    Piece,
+    _fold_twist,
     ambient_weight_system,
     bundle_rank,
     square_decompose,
@@ -16,6 +22,56 @@ from adjvar.repcalc import (
 )
 from adjvar.rootsystem import build_datum
 from adjvar.weylgroup import simple_reflection
+
+
+@lru_cache(maxsize=None)
+def height_vector(datum):
+    """h with h . w = sum of the simple-root coordinates of w: solves C h = 1."""
+    n = datum.rank
+    a = [[Fraction(x) for x in row] + [Fraction(1)] for row in datum.cartan]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def total_height(datum, w):
+    return sum(h * x for h, x in zip(height_vector(datum), w))
+
+
+def strip_square(datum, lam, kind, weights_of):
+    """Reference decomposition of the exterior/symmetric square of the
+    irreducible with highest weight lam, whose weights are weights_of(lam):
+    the highest remaining weight (by height, then lexicographically) heads a
+    constituent, whose whole weight system is subtracted.  Returns
+    (highest weight, multiplicity) in stripping order."""
+    items = sorted(weights_of(lam).items())
+    remaining = {}
+    for a, (wa, ma) in enumerate(items):
+        diag = ma * (ma - 1) // 2 if kind == EXTERIOR else ma * (ma + 1) // 2
+        if diag:
+            key = tuple(2 * x for x in wa)
+            remaining[key] = remaining.get(key, 0) + diag
+        for wb, mb in items[a + 1:]:
+            key = tuple(x + y for x, y in zip(wa, wb))
+            remaining[key] = remaining.get(key, 0) + ma * mb
+    out = []
+    while remaining:
+        best = max(remaining, key=lambda w: (total_height(datum, w), w))
+        mult = remaining[best]
+        for w, m in weights_of(best).items():
+            val = remaining.get(w, 0) - mult * m
+            assert val >= 0, f"negative multiplicity at {w} while stripping {best}"
+            if val:
+                remaining[w] = val
+            else:
+                remaining.pop(w, None)
+        out.append((best, mult))
+    return out
 
 
 def test_weyl_dim_a1():
@@ -165,6 +221,47 @@ def test_bundle_rank_and_ambient_weights():
     assert sum(aws.values()) == 20
     # every weight differs from lam4 by unmarked simple roots: the marked
     # root coordinate is constant across the system
-    from adjvar.repcalc import total_height
-
     assert max(aws, key=lambda w: total_height(md.ambient, w)) == lam4
+
+
+@pytest.mark.parametrize("letter,rank", section4_types(10))
+def test_square_decompose_matches_stripping(letter, rank):
+    ad = adjoint_data(letter, rank)
+    md = ad.md
+    for kind in (EXTERIOR, SYMMETRIC):
+        for lam in (ad.D_weight, ad.Ddual_weight):
+            stripped = strip_square(
+                md.ambient, lam, kind, lambda w: ambient_weight_system(md, w, 10**6)
+            )
+            expected = Decomposition(
+                pieces=tuple(
+                    Piece(*_fold_twist(md, w, ad.lambda0), mult=m, dim=bundle_rank(md, w))
+                    for w, m in stripped
+                )
+            )
+            assert square_decompose(md, lam, kind).to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize(
+    "letter,rank,lam",
+    [
+        ("A", 3, (1, 0, 1)),
+        ("A", 5, (1, 0, 0, 0, 1)),
+        ("B", 3, (1, 0, 1)),
+        ("B", 4, (0, 0, 0, 1)),
+        ("C", 3, (0, 1, 0)),
+        ("D", 5, (0, 0, 0, 0, 1)),
+        ("E", 6, (1, 0, 0, 0, 0, 0)),
+        ("F", 4, (0, 0, 0, 1)),
+        ("G", 2, (1, 1)),
+    ],
+)
+def test_square_decompose_simple_matches_stripping(letter, rank, lam):
+    d = build_datum(letter, rank)
+    for kind in (EXTERIOR, SYMMETRIC):
+        stripped = strip_square(d, lam, kind, lambda w: weight_system(d, w, 10**6).entries)
+        stripped.sort(key=lambda p: (-total_height(d, p[0]), p[0]))
+        got = square_decompose_simple(d, lam, kind)
+        assert [(p.weight, p.mult, p.dim) for p in got] == [
+            (w, m, weyl_dim(d, w)) for w, m in stripped
+        ]

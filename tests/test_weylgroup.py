@@ -105,9 +105,3 @@ def test_serialization():
     assert dot_classify(d, (-1, -1)).to_json() == {"status": "singular"}
     out = dot_classify(d, (1, 1)).to_json()
     assert out == {"status": "regular", "p": 0, "dominant": [1, 1]}
-
-
-def test_delta_helper():
-    from adjvar.weylgroup import delta
-
-    assert delta(build_datum("G", 2)) == (1, 1)
