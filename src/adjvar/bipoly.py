@@ -215,22 +215,12 @@ class BiPoly:
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"x": list(xe), "y": list(ye), "c": str(c)}
-                for (xe, ye), c in sorted(self.terms.items())
-            ],
-        }
+        return {"n": self.n, "terms": terms_to_json(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
         n = int(data["n"])
-        terms = {}
-        for t in data["terms"]:
-            key = (tuple(int(e) for e in t["x"]), tuple(int(e) for e in t["y"]))
-            terms[key] = Fraction(t["c"])
-        return cls(n, terms)
+        return terms_from_json(n, data["terms"])
 
     # -- content -----------------------------------------------------------
     def content(self) -> Fraction:
@@ -250,6 +240,41 @@ class BiPoly:
         if lead < 0:
             c = -c
         return self * (Fraction(1) / c) if c != 1 else self
+
+
+# -- JSON term encoding --------------------------------------------------------
+
+
+def terms_to_json(p: BiPoly) -> list:
+    """The terms of p as sorted {"x": exponents, "y": exponents, "c": "p/q"}
+    records; the one encoding used by every JSON output."""
+    return [
+        {"x": list(xe), "y": list(ye), "c": str(c)}
+        for (xe, ye), c in sorted(p.terms.items())
+    ]
+
+
+def _exponents_from_json(values, n: int) -> tuple[int, ...]:
+    if (
+        not isinstance(values, list)
+        or len(values) != n + 1
+        or any(type(e) is not int or e < 0 for e in values)
+    ):
+        raise ValueError(
+            f"exponents must be a list of {n + 1} non-negative integers, "
+            f"got {values!r}"
+        )
+    return tuple(values)
+
+
+def terms_from_json(n: int, items) -> BiPoly:
+    """Inverse of terms_to_json; raises ValueError on an exponent list of the
+    wrong length or a negative or non-integer exponent."""
+    terms = {}
+    for t in items:
+        key = (_exponents_from_json(t["x"], n), _exponents_from_json(t["y"], n))
+        terms[key] = Fraction(t["c"])
+    return BiPoly(n, terms)
 
 
 # -- flat-variable helpers used by gcd/division ------------------------------

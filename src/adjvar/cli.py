@@ -185,6 +185,8 @@ def cmd_fol(args) -> int:
             print(json.dumps(payload, sort_keys=True))
         return 0
 
+    if args.fol_command == "degree" and min(args.samples, args.height_bound) < 1:
+        raise _input_error("--samples and --height-bound must be at least 1")
     form = _load_form(args)
     if args.fol_command == "check-integrable":
         ok = ff.integrable(form)
@@ -204,7 +206,7 @@ def cmd_fol(args) -> int:
         return 0 if ok else 1
 
     if args.fol_command == "degree":
-        sampler = ff.FolSampler(args.n, seed=args.seed, height=args.height_bound)
+        sampler = ff.FolSampler(form.n, seed=args.seed, height=args.height_bound)
         degs = []
         for family in (1, 2):
             trials = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .bipoly import (
     BiPoly,
@@ -27,6 +28,12 @@ from .bipoly import (
     poly_divexact,
     poly_gcd_list,
     reduce_mod_quadric,
+    terms_from_json,
+    terms_to_json,
+    used_vars,
+    var_coefficient,
+    var_degree,
+    var_shift,
 )
 
 
@@ -114,42 +121,25 @@ class PolyOneForm:
     def dy_coeff(self, j: int) -> BiPoly:
         return self.coeffs[self.n + 1 + j]
 
-    def scaled(self, c) -> "PolyOneForm":
-        return PolyOneForm(self.n, [p * c for p in self.coeffs])
-
     def as_dict(self) -> dict:
         return {(v,): c for v, c in enumerate(self.coeffs) if not c.is_zero}
 
     def to_json(self) -> dict:
-        def poly_json(p: BiPoly):
-            return [
-                {"x": list(xe), "y": list(ye), "c": str(c)}
-                for (xe, ye), c in sorted(p.terms.items())
-            ]
-
         return {
             "schema": "1",
             "n": self.n,
             "bidegree": list(self.bidegree),
-            "dx": [poly_json(self.coeffs[i]) for i in range(self.n + 1)],
-            "dy": [
-                poly_json(self.coeffs[self.n + 1 + j]) for j in range(self.n + 1)
-            ],
+            "dx": [terms_to_json(c) for c in self.coeffs[: self.n + 1]],
+            "dy": [terms_to_json(c) for c in self.coeffs[self.n + 1 :]],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyOneForm":
         n = int(data["n"])
-
-        def poly(items):
-            terms = {}
-            for t in items:
-                key = (tuple(int(e) for e in t["x"]), tuple(int(e) for e in t["y"]))
-                terms[key] = Fraction(t["c"])
-            return BiPoly(n, terms)
-
-        coeffs = [poly(p) for p in data["dx"]] + [poly(p) for p in data["dy"]]
-        return cls(n, coeffs)
+        blocks = data["dx"], data["dy"]
+        if any(len(block) != n + 1 for block in blocks):
+            raise ValueError(f"dx and dy need {n + 1} coefficients each")
+        return cls(n, [terms_from_json(n, t) for block in blocks for t in block])
 
 
 # generic exterior algebra on dicts {sorted var tuple: BiPoly}
@@ -356,8 +346,6 @@ def _member_saturated(g: BiPoly, f_chart: BiPoly, n: int, chart: int) -> bool:
 
 def _strip_var(p: BiPoly, v: int) -> BiPoly:
     """Divide out the highest power of a coordinate dividing every term."""
-    from .bipoly import var_coefficient, var_degree, var_shift
-
     if p.is_zero:
         return p
     val = min(
@@ -421,8 +409,6 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
         if quo is None:
             break
         g = quo
-    from .bipoly import used_vars
-
     if used_vars(g):
         return True
     for v in _charts(n):
@@ -595,45 +581,25 @@ def field_apply(field, f: BiPoly) -> BiPoly:
     return out
 
 
-def _linear_reduce_monomial(key, n: int, power: int):
-    """x_0^power * (monomial) rewritten modulo q into y_0-free terms.
+def _normal_form_mod_q(p: BiPoly) -> BiPoly:
+    """The remainder of p modulo q with no term divisible by x_0 y_0.
 
-    Each y_0^k is traded for (-(x_1 y_1 + ... + x_n y_n))^k x_0^{-k}, using up
-    k of the supplied x_0 powers; the map is linear over monomials, which the
-    equation assembly below relies on (pseudo-division is not linear)."""
-    xe, ye = key
-    k = ye[0]
-    if k > power:
-        raise ValueError("insufficient x_0 power for linear reduction")
-    base_x = list(xe)
-    base_x[0] += power - k
-    base_y = list(ye)
-    base_y[0] = 0
-    out = {}
-    qbar_pow = {((0,) * (n + 1), (0,) * (n + 1)): Fraction(1)}
-    qbar = {}
-    for i in range(1, n + 1):
-        xx = [0] * (n + 1)
-        yy = [0] * (n + 1)
-        xx[i] = 1
-        yy[i] = 1
-        qbar[(tuple(xx), tuple(yy))] = Fraction(-1)
-    for _ in range(k):
-        nxt = {}
-        for (xa, ya), ca in qbar_pow.items():
-            for (xb, yb), cb in qbar.items():
-                kk = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ya, yb)),
-                )
-                nxt[kk] = nxt.get(kk, Fraction(0)) + ca * cb
-        qbar_pow = nxt
-    for (xa, ya), ca in qbar_pow.items():
-        kk = (
-            tuple(a + b for a, b in zip(base_x, xa)),
-            tuple(a + b for a, b in zip(base_y, ya)),
-        )
-        out[kk] = out.get(kk, Fraction(0)) + ca
+    Each x_0 y_0 is rewritten as -(x_1 y_1 + ... + x_n y_n) until none is
+    left.  x_0 y_0 is the lex-leading monomial of q, so {q} is a Groebner
+    basis and the remainder is zero iff p lies in (q); unlike pseudo-division
+    the map is linear, which the equation assembly below relies on."""
+    n = p.n
+    tail = BiPoly.x(n, 0) * BiPoly.y(n, 0) - BiPoly.incidence_quadric(n)
+    out = BiPoly.zero(n)
+    while not p.is_zero:
+        done, lifted = {}, {}
+        for (xe, ye), c in p.terms.items():
+            if xe[0] and ye[0]:
+                lifted[((xe[0] - 1,) + xe[1:], (ye[0] - 1,) + ye[1:])] = c
+            else:
+                done[(xe, ye)] = c
+        out = out + BiPoly(n, done)
+        p = BiPoly(n, lifted) * tail
     return out
 
 
@@ -655,7 +621,7 @@ def _nullspace(rows, ncols):
         for i in range(len(dense)):
             if i != r and dense[i][c]:
                 f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+                dense[i] = [a - f * b if b else a for a, b in zip(dense[i], dense[r])]
         pivots.append(c)
         r += 1
         if r == len(dense):
@@ -671,16 +637,31 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def foliation_from_fields(v1, v2, normal_bidegree=(2, 2)) -> PolyOneForm:
+def foliation_from_fields(v1, v2) -> PolyOneForm:
     """The 1-form of the codimension-one foliation spanned by two vector
     fields tangent to X (n = 2 only, so X is a 3-fold).
 
-    Solves exactly for a form of the given bidegree with vanishing Euler
+    Solves exactly for a form of bidegree (2, 2) with vanishing Euler
     contractions that annihilates both fields modulo q; this is the ambient
     realization of contracting the local volume form of X by the two fields.
-    For an honest foliation the solution space is one-dimensional; dimension
-    zero means no foliation of that bidegree (raise), higher dimension means
-    the fields are dependent along X (raise).
+
+    The forms q*alpha - alpha(E_x)*dq restrict to zero on X and solve the
+    same equations: at (2, 2) they make up an 8-dimensional junk space.  A
+    junk form is determined by its dx_0 coefficient, and these coefficients
+    fill the (1, 2) part of the ideal (x_1 y_1 + x_2 y_2, x_1 y_0, x_2 y_0).
+    That generating set is a Groebner basis, and in the ``_exponents`` order
+    (x_2 before x_1 before x_0, likewise for y) its leading monomials are
+    x_2 y_2, x_1 y_0 and x_2 y_0.  The representative returned is therefore
+    the one whose dx_0 coefficient has no monomial divisible by any of the
+    three: those 8 coefficients are not unknowns.  It is the representative
+    that reducing a solution against an echelon basis of the junk yields,
+    because the junk's pivot columns are exactly these monomials.  The
+    output is then made primitive, so it does not depend on the scale the
+    solver returns.
+
+    A one-dimensional solution space is the foliation; dimension zero means
+    no foliation of bidegree (2, 2) (raise), higher dimension means the
+    fields are dependent along X (raise).
     """
     n = v1[0].n
     if n != 2:
@@ -692,199 +673,39 @@ def foliation_from_fields(v1, v2, normal_bidegree=(2, 2)) -> PolyOneForm:
     if not _fields_independent(v1, v2):
         raise ValueError("the two vector fields are dependent on X")
 
-    a, b = normal_bidegree
-    nvars = 2 * (n + 1)
-    blocks = []  # (var index, list of monomial keys)
-    columns = []
-    for v in range(nvars):
-        deg = (a - 1, b) if v <= n else (a, b - 1)
-        if deg[0] < 0 or deg[1] < 0:
-            blocks.append((v, []))
-            continue
-        monos = [
-            (xe, ye)
-            for xe in _exponents(n + 1, deg[0])
-            for ye in _exponents(n + 1, deg[1])
-        ]
-        blocks.append((v, monos))
-        for m in monos:
-            columns.append((v, m))
-    col_index = {vm: i for i, vm in enumerate(columns)}
+    columns = []  # (var index, monomial key), one per unknown coefficient
+    for v in range(2 * (n + 1)):
+        xdeg, ydeg = (1, 2) if v <= n else (2, 1)
+        for xe in _exponents(n + 1, xdeg):
+            for ye in _exponents(n + 1, ydeg):
+                # the junk's pivots: dx_0 monomials divisible by x_1 y_0,
+                # x_2 y_0 or x_2 y_2
+                if v == 0 and ((ye[0] and not xe[0]) or (xe[2] and ye[2])):
+                    continue
+                columns.append((v, (xe, ye)))
 
     equations: dict = {}
+    for col, (v, m) in enumerate(columns):
+        mono = BiPoly(n, {m: 1})
+        euler = BiPoly.x(n, v) if v <= n else BiPoly.y(n, v - n - 1)
+        # the Euler contractions vanish identically, and omega(v_k) = 0 mod q
+        for tag, poly in (
+            ("ex" if v <= n else "ey", mono * euler),
+            ("v1", _normal_form_mod_q(mono * v1[v])),
+            ("v2", _normal_form_mod_q(mono * v2[v])),
+        ):
+            for key, c in poly.terms.items():
+                equations.setdefault((tag, key), {})[col] = c
 
-    def add_equation(tag, key, col, value):
-        row = equations.setdefault((tag, key), {})
-        row[col] = row.get(col, Fraction(0)) + value
-
-    # Euler contractions vanish identically (exact linear constraints)
-    for v, monos in blocks:
-        mult = v if v <= n else v - n - 1
-        tag = "ex" if v <= n else "ey"
-        for m in monos:
-            xe, ye = m
-            if v <= n:
-                t = list(xe)
-                t[mult] += 1
-                key = (tuple(t), ye)
-            else:
-                t = list(ye)
-                t[mult] += 1
-                key = (xe, tuple(t))
-            add_equation(tag, key, col_index[(v, m)], Fraction(1))
-
-    # omega(v_k) = 0 modulo q, via the linear y_0-elimination normal form
-    for tag, field in (("v1", v1), ("v2", v2)):
-        # the y_0-degree of coefficient * field component is bounded by the
-        # total y-degree of the product
-        power = 0
-        for v, comp in enumerate(field):
-            if comp.is_zero:
-                continue
-            block_ydeg = b if v <= n else b - 1
-            power = max(power, block_ydeg + comp.bidegree()[1])
-        for v, monos in blocks:
-            comp = field[v]
-            if comp.is_zero:
-                continue
-            for m in monos:
-                prod = BiPoly(n, {m: Fraction(1)}) * comp
-                for key, cc in prod.terms.items():
-                    for rkey, rv in _linear_reduce_monomial(key, n, power).items():
-                        add_equation(tag, rkey, col_index[(v, m)], cc * rv)
-
-    rows = list(equations.values())
-    kernel = _nullspace(rows, len(columns))
-    junk = _zero_restriction_basis(n, (a, b), col_index)
-    reps = _quotient_by(kernel, junk, len(columns))
-    if not reps:
-        raise ValueError(
-            f"no foliation form of bidegree {normal_bidegree} annihilates the fields"
-        )
-    if len(reps) > 1:
+    kernel = _nullspace(list(equations.values()), len(columns))
+    if not kernel:
+        raise ValueError("no foliation form of bidegree (2, 2) annihilates the fields")
+    if len(kernel) > 1:
         raise ValueError("the two vector fields are dependent on X")
-    vec = reps[0]
-    coeffs = []
-    for v, monos in blocks:
-        terms = {}
-        for m in monos:
-            c = vec[col_index[(v, m)]]
-            if c:
-                terms[m] = c
-        coeffs.append(BiPoly(n, terms))
-    coeffs = _saturate(coeffs, n, mod_q=False)
-    return PolyOneForm(n, coeffs)
-
-
-def _zero_restriction_basis(n, bidegree, col_index):
-    """Coordinate vectors of the Euler-compliant ambient forms restricting to
-    zero on X: q*alpha - alpha(E_x)*dq over alphas with alpha(E_x) = alpha(E_y).
-
-    These always solve the annihilation equations, so the honest solution
-    space is the quotient by this junk."""
-    a, b = bidegree
-    q = BiPoly.incidence_quadric(n)
-    alpha_blocks = []
-    alpha_cols = []
-    for v in range(2 * (n + 1)):
-        deg = (a - 2, b - 1) if v <= n else (a - 1, b - 2)
-        if deg[0] < 0 or deg[1] < 0:
-            alpha_blocks.append((v, []))
-            continue
-        monos = [
-            (xe, ye)
-            for xe in _exponents(n + 1, deg[0])
-            for ye in _exponents(n + 1, deg[1])
-        ]
-        alpha_blocks.append((v, monos))
-        for m in monos:
-            alpha_cols.append((v, m))
-    if not alpha_cols:
-        return []
-    acol = {vm: i for i, vm in enumerate(alpha_cols)}
-    # constraint alpha(E_x) - alpha(E_y) = 0
-    rows: dict = {}
-    for v, monos in alpha_blocks:
-        mult = v if v <= n else v - n - 1
-        sign = 1 if v <= n else -1
-        for m in monos:
-            xe, ye = m
-            if v <= n:
-                t = list(xe)
-                t[mult] += 1
-                key = (tuple(t), ye)
-            else:
-                t = list(ye)
-                t[mult] += 1
-                key = (xe, tuple(t))
-            row = rows.setdefault(key, {})
-            row[acol[(v, m)]] = row.get(acol[(v, m)], Fraction(0)) + sign
-    alphas = _nullspace(list(rows.values()), len(alpha_cols))
-    out = []
-    for avec in alphas:
-        acoeffs = []
-        for v, monos in alpha_blocks:
-            terms = {}
-            for m in monos:
-                c = avec[acol[(v, m)]]
-                if c:
-                    terms[m] = c
-            acoeffs.append(BiPoly(n, terms))
-        g = BiPoly.zero(n)
-        for i in range(n + 1):
-            g = g + BiPoly.x(n, i) * acoeffs[i]
-        vec = [Fraction(0)] * len(col_index)
-        ok = True
-        for v in range(2 * (n + 1)):
-            dq_v = BiPoly.y(n, v) if v <= n else BiPoly.x(n, v - n - 1)
-            comp = q * acoeffs[v] - g * dq_v
-            for m, c in comp.terms.items():
-                idx = col_index.get((v, m))
-                if idx is None:
-                    ok = False
-                    break
-                vec[idx] = c
-            if not ok:
-                break
-        if ok and any(vec):
-            out.append(vec)
-    return out
-
-
-def _quotient_by(kernel, junk, ncols):
-    """Representatives of kernel modulo span(junk): reduce each kernel vector
-    against an echelon form of the junk space and keep one per direction."""
-    echelon = []
-    pivots = []
-
-    def reduce_vec(vec):
-        vec = list(vec)
-        for row, piv in zip(echelon, pivots):
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    for j in junk:
-        r = reduce_vec(j)
-        piv = next((i for i, v in enumerate(r) if v), None)
-        if piv is not None:
-            echelon.append(r)
-            pivots.append(piv)
-    reps = []
-    for k in kernel:
-        r = reduce_vec(k)
-        piv = next((i for i, v in enumerate(r) if v), None)
-        if piv is None:
-            continue
-        scaled = [v / r[piv] for v in r]
-        if not any(_vec_eq(scaled, other) for other in reps):
-            reps.append(scaled)
-    return reps
-
-
-def _vec_eq(u, v):
-    return all(a == b for a, b in zip(u, v))
+    terms = [{} for _ in range(2 * (n + 1))]
+    for (v, m), c in zip(columns, kernel[0]):
+        terms[v][m] = c
+    return PolyOneForm(n, _saturate([BiPoly(n, t) for t in terms]))
 
 
 def _fields_independent(v1, v2) -> bool:
@@ -897,47 +718,25 @@ def _fields_independent(v1, v2) -> bool:
     return False
 
 
-def _saturate(coeffs, n: int, mod_q: bool = True):
-    """Divide out the polynomial content and (optionally) any coordinate
-    factor mod q.  The mod-q division only preserves Euler contractions up to
-    multiples of q, so callers that need exact Euler identities disable it."""
+def _saturate(coeffs):
+    """Divide the nonzero coefficient list by its polynomial content, then
+    scale it to coprime integers with a positive leading coefficient, for
+    reproducible output."""
     nonzero = [c for c in coeffs if not c.is_zero]
     g = poly_gcd_list(nonzero)
-    if g is not None:
-        from .bipoly import used_vars
-
-        if used_vars(g):
-            coeffs = [
-                poly_divexact(c, g) if not c.is_zero else c for c in coeffs
-            ]
-            if any(c is None for c in coeffs):
-                raise ArithmeticError("content division failed")
-    changed = mod_q
-    while changed:
-        changed = False
-        for v in range(2 * (n + 1)):
-            divided = [divide_by_var_mod_quadric(c, v) for c in coeffs]
-            if all(d is not None for d in divided) and any(
-                not d.is_zero for d in divided
-            ):
-                coeffs = divided
-                changed = True
-    # normalize the rational content for reproducible output
-    nonzero = [c for c in coeffs if not c.is_zero]
-    if nonzero:
-        from math import gcd, lcm
-
-        num = 0
-        den = 1
-        for c in nonzero:
-            cc = c.content()
-            num = gcd(num, cc.numerator)
-            den = lcm(den, cc.denominator)
-        content = Fraction(num, den)
-        if nonzero[0].terms[max(nonzero[0].terms)] < 0:
-            content = -content
-        if content not in (0, 1):
-            coeffs = [c * (Fraction(1) / content) for c in coeffs]
+    if used_vars(g):
+        coeffs = [poly_divexact(c, g) if not c.is_zero else c for c in coeffs]
+        if any(c is None for c in coeffs):
+            raise ArithmeticError("content division failed")
+        nonzero = [c for c in coeffs if not c.is_zero]
+    contents = [c.content() for c in nonzero]
+    content = Fraction(
+        gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents))
+    )
+    if nonzero[0].terms[max(nonzero[0].terms)] < 0:
+        content = -content
+    if content != 1:
+        coeffs = [c * (Fraction(1) / content) for c in coeffs]
     return list(coeffs)
 
 
@@ -1045,6 +844,10 @@ class FolSampler:
         return tuple(self.fraction(nonzero=True) for _ in range(self.n + 1))
 
     def line(self, family: int) -> LineInFamily:
+        if self.n < 2:
+            raise ValueError(
+                f"at n = {self.n} the fibres of X are points, so they hold no lines"
+            )
         base = self.point()
         for _ in range(100):
             p0 = self._in_hyperplane(base)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .rootsystem import RootDatum, Weight, build_datum
 
@@ -114,8 +115,6 @@ def _candidate_orderings(cartan, comp):
     b = branch[0]
     arms = [walk(b, first)[1:] for first in adj[b]]  # each from near to far
     orderings = []
-    from itertools import permutations
-
     for arm1, arm2, arm3 in permutations(arms):
         # D shape: arm1 is the long tail (locals 1..r-3 far to near),
         # arm2/arm3 the two fork nodes (locals r-1, r)

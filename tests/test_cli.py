@@ -174,3 +174,31 @@ def test_fol_invariant_surface_from_file(tmp_path, capsys):
         capsys, "fol", "invariant", "--builtin", "affine", "--surface", str(path)
     )
     assert code == 0 and "invariant: True" in out
+
+
+@pytest.mark.parametrize(
+    "extra", [["--samples", "0"], ["--height-bound", "0"], ["--n", "1"]]
+)
+def test_fol_degree_rejects_bad_input(capsys, extra):
+    argv = ["fol", "degree", "--builtin", "log4", *extra]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("exps", [[-1, 1, 1], [1, 1]])
+def test_fol_invariant_rejects_bad_surface_exponents(tmp_path, capsys, exps):
+    # a negative exponent used to answer "invariant: False", a short list
+    # raised an IndexError
+    surface = {"n": 2, "terms": [{"x": exps, "y": [0, 0, 0], "c": "1"},
+                                 {"x": [0, 1, 0], "y": [0, 0, 0], "c": "1"}]}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    with pytest.raises(SystemExit) as info:
+        main(["fol", "invariant", "--builtin", "affine", "--surface", str(path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-negative integers" in err

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +129,20 @@ def test_two_factor_log_is_the_pencil():
 def test_bipoly_json_roundtrip():
     h1, _ = h_pair()
     assert BiPoly.from_json(h1.to_json()) == h1
+
+
+@pytest.mark.parametrize(
+    "exps", [[1, 0], [1, 0, 0, 0], [-1, 1, 1], [1.5, 0, 0], ["1", 0, 0], [True, 0, 0]]
+)
+def test_bipoly_from_json_rejects_bad_exponents(exps):
+    good = {"x": [0, 1, 0], "y": [0, 0, 1], "c": "1"}
+    for bad in ({**good, "x": exps}, {**good, "y": exps}):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            BiPoly.from_json({"n": 2, "terms": [good, bad]})
+        form = builtin_pencil(2).to_json()
+        form["dy"][1] = [bad]
+        with pytest.raises(ValueError, match="non-negative integers"):
+            PolyOneForm.from_json(form)
 
 
 def test_log4_integrable_bidegree_22():
@@ -278,6 +295,104 @@ def test_torus_matches_monomial_pencil():
     assert tangency_degree(w, s.line(2)) == 0
 
 
+AFFINE_FIELDS = (
+    [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+    [[0, 1, 0], [0, 0, 2], [0, 0, 0]],
+)
+TORUS_FIELDS = (
+    [[-1, 0, 0], [0, -1, 0], [0, 0, 2]],
+    [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
+)
+
+
+def tracefree(rng):
+    m = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+    m[2][2] = -m[0][0] - m[1][1]
+    return m
+
+
+def random_pairs():
+    rng = random.Random(2024)
+    return [(tracefree(rng), tracefree(rng)) for _ in range(4)]
+
+
+def fixed_zero(key):
+    """dx_0 monomials divisible by x_1 y_0, x_2 y_0 or x_2 y_2."""
+    xe, ye = key
+    return bool((xe[1] or xe[2]) and ye[0]) or bool(xe[2] and ye[2])
+
+
+def contract(w, field):
+    return sum((c * comp for c, comp in zip(w.coeffs, field)), BiPoly.zero(w.n))
+
+
+def digest(w):
+    text = json.dumps(w.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "index, expected",
+    [(0, "379ca8a5155c90a8"), (1, "5e760baff2a874d0"),
+     (2, "741a8ccc26dea149"), (3, "74b998bee38af113")],
+)
+def test_random_pair_foliation_pinned(index, expected):
+    a, b = random_pairs()[index]
+    w = foliation_from_fields(linear_field(a, 2), linear_field(b, 2))
+    assert digest(w) == expected
+
+
+@pytest.mark.parametrize(
+    "mats", [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()[:2]],
+    ids=["affine", "torus", "random0", "random1"],
+)
+def test_foliation_from_fields_properties(mats):
+    n = 2
+    fields = [linear_field(m, n) for m in mats]
+    w = foliation_from_fields(*fields)
+    assert w.bidegree == (2, 2)
+    ex = sum((x(i) * w.dx_coeff(i) for i in range(n + 1)), BiPoly.zero(n))
+    ey = sum((y(j) * w.dy_coeff(j) for j in range(n + 1)), BiPoly.zero(n))
+    assert ex.is_zero and ey.is_zero
+    assert all(is_zero_mod_quadric(contract(w, field)) for field in fields)
+    assert not any(fixed_zero(key) for key in w.dx_coeff(0).terms)
+
+
+def test_foliation_from_fields_is_canonical():
+    # another basis of the same span gives byte-identical output
+    v1, v2 = (linear_field(m, 2) for m in AFFINE_FIELDS)
+    other = tuple(a + b * 2 for a, b in zip(v1, v2))
+    assert digest(foliation_from_fields(v2, other)) == digest(builtin_affine()[0])
+
+
+def test_junk_pivots_are_the_fixed_dx0_monomials():
+    # the forms q dh - h dq, h of bidegree (1,1), vanish on X and satisfy
+    # every equation foliation_from_fields solves; their dx_0 coefficients
+    # must have exactly the fixed-zero monomials as leading monomials in
+    # the solver's column order (ascending exponent tuples)
+    n = 2
+    q = BiPoly.incidence_quadric(n)
+    fields = [linear_field(m, n) for m in AFFINE_FIELDS]
+    rows = []  # (pivot key, reduced dx_0 coefficient)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            h = x(a) * y(b)
+            junk = PolyOneForm(
+                n, [q * h.dvar(v) - h * q.dvar(v) for v in range(2 * (n + 1))]
+            )
+            assert all(is_zero_mod_quadric(contract(junk, f)) for f in fields)
+            p = junk.dx_coeff(0)
+            for piv, row in rows:
+                if piv in p.terms:
+                    p = p - row * (p.terms[piv] / row.terms[piv])
+            if not p.is_zero:
+                rows.append((min(p.terms), p))
+    xs, ys = x(0) + x(1) + x(2), y(0) + y(1) + y(2)
+    dx0_monomials = (xs * ys * ys).terms
+    assert len(rows) == 8
+    assert {piv for piv, _ in rows} == {k for k in dx0_monomials if fixed_zero(k)}
+
+
 def test_fields_must_be_tangent():
     t = linear_field([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
     broken = list(linear_field([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 2))
@@ -317,6 +432,13 @@ def test_form_json_roundtrip():
     back = PolyOneForm.from_json(data)
     assert back.bidegree == w.bidegree
     assert all(a == b for a, b in zip(back.coeffs, w.coeffs))
+
+
+def test_form_from_json_rejects_misplaced_blocks():
+    data = builtin_pencil(2).to_json()
+    data["dx"].append(data["dy"].pop())
+    with pytest.raises(ValueError, match="3 coefficients each"):
+        PolyOneForm.from_json(data)
 
 
 def test_euler_checked_on_construction():
