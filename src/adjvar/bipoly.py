@@ -43,12 +43,12 @@ class BiPoly:
 
     @classmethod
     def x(cls, n: int, i: int) -> "BiPoly":
-        xe = tuple(1 if k == i else 0 for k in range(n + 1))
+        xe = _unit_exponent(n, i, "x")
         return cls(n, {(xe, (0,) * (n + 1)): Fraction(1)})
 
     @classmethod
     def y(cls, n: int, j: int) -> "BiPoly":
-        ye = tuple(1 if k == j else 0 for k in range(n + 1))
+        ye = _unit_exponent(n, j, "y")
         return cls(n, {((0,) * (n + 1), ye): Fraction(1)})
 
     @classmethod
@@ -240,6 +240,14 @@ class BiPoly:
         if lead < 0:
             c = -c
         return self * (Fraction(1) / c) if c != 1 else self
+
+
+def _unit_exponent(n: int, index: int, name: str) -> tuple[int, ...]:
+    """The exponent tuple of the coordinate name_index on P^n; raises
+    ValueError outside 0..n."""
+    if not 0 <= index <= n:
+        raise ValueError(f"coordinate {name}_{index} does not exist on P^{n}")
+    return tuple(1 if k == index else 0 for k in range(n + 1))
 
 
 # -- JSON term encoding --------------------------------------------------------

@@ -141,13 +141,14 @@ def cmd_adjoint_table(args) -> int:
     return 0
 
 
+# name: (smallest n, constructor)
 _BUILTIN_FORMS = {
-    "pencil": lambda n, seed: ff.builtin_pencil(n),
-    "log4": lambda n, seed: ff.builtin_log4(n),
-    "pullback-d0": lambda n, seed: ff.builtin_pullback(0, n),
-    "pullback-d1": lambda n, seed: ff.builtin_pullback(1, n),
-    "affine": lambda n, seed: ff.builtin_affine(n)[0],
-    "torus": lambda n, seed: ff.builtin_torus(n),
+    "pencil": (1, lambda n, seed: ff.builtin_pencil(n)),
+    "log4": (1, lambda n, seed: ff.builtin_log4(n)),
+    "pullback-d0": (1, lambda n, seed: ff.builtin_pullback(0, n)),
+    "pullback-d1": (2, lambda n, seed: ff.builtin_pullback(1, n)),
+    "affine": (2, lambda n, seed: ff.builtin_affine(n)[0]),
+    "torus": (2, lambda n, seed: ff.builtin_torus(n)),
 }
 
 
@@ -158,7 +159,13 @@ def _load_form(args) -> ff.PolyOneForm:
                 f"unknown builtin {args.builtin!r}; "
                 f"choices: {', '.join(sorted(_BUILTIN_FORMS))}"
             )
-        return _BUILTIN_FORMS[args.builtin](args.n, args.seed)
+        min_n, make = _BUILTIN_FORMS[args.builtin]
+        if args.n < min_n:
+            raise _input_error(
+                f"--n {args.n} is too small: builtin {args.builtin!r} "
+                f"needs --n >= {min_n}"
+            )
+        return make(args.n, args.seed)
     if not args.input:
         raise _input_error("provide --builtin NAME or --input FILE")
     try:

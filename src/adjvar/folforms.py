@@ -11,7 +11,10 @@ in (q) after wedging with dq where the conormal direction matters, i.e.
 
 each of which is implied by the corresponding ambient identity.  Ideal
 membership uses only pseudo-division by q and exact single-divisor division in
-a polynomial ring, chart by chart.
+a polynomial ring, chart by chart.  ``integrable``, ``is_invariant`` and
+``same_foliation`` first evaluate their form at an integer point of X
+(``witness``): a nonzero value proves False exactly, and every True answer
+comes from the symbolic test.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .bipoly import (
     var_degree,
     var_shift,
 )
+from . import witness
 
 
 class _MinusInfinity:
@@ -146,26 +150,13 @@ class PolyOneForm:
 
 
 def _merge_wedge(i_tuple, j_tuple):
-    """Merge two strictly increasing index tuples; returns (sign, merged) or
-    None on a repeated index."""
-    merged = []
-    sign = 1
-    a, b = list(i_tuple), list(j_tuple)
-    ai = bi = 0
-    while ai < len(a) and bi < len(b):
-        if a[ai] == b[bi]:
-            return None
-        if a[ai] < b[bi]:
-            merged.append(a[ai])
-            ai += 1
-        else:
-            # b[bi] jumps over the remaining entries of a
-            sign *= (-1) ** (len(a) - ai)
-            merged.append(b[bi])
-            bi += 1
-    merged.extend(a[ai:])
-    merged.extend(b[bi:])
-    return sign, tuple(merged)
+    """Sign and sorted merge of two strictly increasing index tuples, or None
+    on a repeated index; each pair a > b with a in i, b in j is one swap."""
+    merged = i_tuple + j_tuple
+    if len(set(merged)) < len(merged):
+        return None
+    swaps = sum(a > b for a in i_tuple for b in j_tuple)
+    return (-1) ** swaps, tuple(sorted(merged))
 
 
 def form_wedge(f: dict, g: dict, n: int) -> dict:
@@ -183,19 +174,24 @@ def form_wedge(f: dict, g: dict, n: int) -> dict:
 
 
 def form_d(f: dict, n: int) -> dict:
-    out: dict = {}
+    """Exterior derivative in one pass over each coefficient's terms: c z^e
+    in the dz_K coefficient gives c e_v z^(e - 1_v) to dz_v ^ dz_K."""
+    acc: dict = {}  # key of dz_v ^ dz_K -> {monomial: coefficient}
     for key, c in f.items():
-        for v in range(2 * (n + 1)):
-            dv = c.dvar(v)
-            if dv.is_zero:
-                continue
-            m = _merge_wedge((v,), key)
-            if m is None:
-                continue
-            sign, nkey = m
-            term = dv * sign
-            cur = out.get(nkey)
-            out[nkey] = term if cur is None else cur + term
+        for (xe, ye), coef in c.terms.items():
+            for v, e in enumerate(xe + ye):
+                target = _merge_wedge((v,), key) if e else None
+                if target is None:
+                    continue
+                sign, nkey = target
+                if v <= n:
+                    mono = (xe[:v] + (e - 1,) + xe[v + 1 :], ye)
+                else:
+                    j = v - n - 1
+                    mono = (xe, ye[:j] + (e - 1,) + ye[j + 1 :])
+                terms = acc.setdefault(nkey, {})
+                terms[mono] = terms.get(mono, 0) + coef * (e * sign)
+    out = {k: BiPoly(n, terms) for k, terms in acc.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -204,16 +200,6 @@ def dq_form(n: int) -> dict:
     for i in range(n + 1):
         out[(i,)] = BiPoly.y(n, i)
         out[(n + 1 + i,)] = BiPoly.x(n, i)
-    return out
-
-
-def d_of_poly(f: BiPoly) -> dict:
-    n = f.n
-    out = {}
-    for v in range(2 * (n + 1)):
-        dv = f.dvar(v)
-        if not dv.is_zero:
-            out[(v,)] = dv
     return out
 
 
@@ -315,6 +301,11 @@ def integrable(omega: PolyOneForm) -> bool:
     reducing modulo q (the two coincide for forms defined on all of
     P^n x P^n; the dq factor accounts for forms only defined along X).
     """
+    refuted = witness.integrability_witness(omega) is not None
+    return not refuted and _integrable_symbolic(omega)
+
+
+def _integrable_symbolic(omega: PolyOneForm) -> bool:
     n = omega.n
     w = omega.as_dict()
     gamma = form_wedge(w, form_d(w, n), n)
@@ -324,10 +315,6 @@ def integrable(omega: PolyOneForm) -> bool:
         return True
     four = form_wedge(dq_form(n), gamma, n)
     return all(is_zero_mod_quadric(c) for c in four.values())
-
-
-def _charts(n: int):
-    return list(range(2 * (n + 1)))
 
 
 def _member_saturated(g: BiPoly, f_chart: BiPoly, n: int, chart: int) -> bool:
@@ -368,22 +355,27 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     omega ^ dF = 0 (mod F, q) implies this.  Each chart contributes an exact
     divisibility test; all charts together cover every component.
     """
-    n = omega.n
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
+    refuted = witness.invariance_witness(omega, f) is not None
+    return not refuted and _is_invariant_symbolic(omega, f)
+
+
+def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
+    n = omega.n
     three = form_wedge(
-        form_wedge(dq_form(n), d_of_poly(f), n), omega.as_dict(), n
+        form_wedge(dq_form(n), form_d({(): f}, n), n), omega.as_dict(), n
     )
     if not three:
         return True
     f_reduced = {}
-    for chart in _charts(n):
+    for chart in range(2 * (n + 1)):
         elim = chart + n + 1 if chart <= n else chart - n - 1
         fr = _strip_var(reduce_mod_quadric(f, elim), chart)
         if fr.is_zero:
             raise ValueError("F lies in the ideal of X")
         f_reduced[chart] = fr
-    for chart in _charts(n):
+    for chart in range(2 * (n + 1)):
         for g in three.values():
             if not _member_saturated(g, f_reduced[chart], n, chart):
                 return False
@@ -411,7 +403,7 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
         g = quo
     if used_vars(g):
         return True
-    for v in _charts(n):
+    for v in range(2 * (n + 1)):
         if all(
             divide_by_var_mod_quadric(c, v) is not None for c in omega.coeffs
         ):
@@ -743,6 +735,11 @@ def _saturate(coeffs):
 def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:
     """Do two forms cut out the same foliation on X?  True iff
     dq ^ w1 ^ w2 = 0 mod q (proportionality along X up to the conormal)."""
+    refuted = witness.proportionality_witness(w1, w2) is not None
+    return not refuted and _same_foliation_symbolic(w1, w2)
+
+
+def _same_foliation_symbolic(w1: PolyOneForm, w2: PolyOneForm) -> bool:
     n = w1.n
     three = form_wedge(
         form_wedge(dq_form(n), w1.as_dict(), n), w2.as_dict(), n

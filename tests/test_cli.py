@@ -202,3 +202,26 @@ def test_fol_invariant_rejects_bad_surface_exponents(tmp_path, capsys, exps):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-negative integers" in err
+
+
+@pytest.mark.parametrize(
+    "builtin,n",
+    [("pullback-d1", 1), ("pullback-d1", 0), ("pullback-d0", 0), ("log4", 0),
+     ("pencil", 0), ("pencil", -1), ("affine", 1), ("torus", 1)],
+)
+@pytest.mark.parametrize("command", ["check-integrable", "degree", "build"])
+def test_fol_builtin_below_its_smallest_n_exits_2(capsys, builtin, n, command):
+    # pullback-d1 at --n 1 used to report "Euler contraction does not
+    # vanish" and log4 at --n 0 "not bihomogeneous"
+    with pytest.raises(SystemExit) as info:
+        main(["fol", command, "--builtin", builtin, "--n", str(n)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--n" in err
+
+
+@pytest.mark.parametrize("builtin", ["pencil", "log4", "pullback-d0"])
+def test_fol_builtin_at_n_1_is_accepted(capsys, builtin):
+    code, out, _ = run(capsys, "fol", "check-integrable", "--builtin", builtin,
+                       "--n", "1", "--json")
+    assert code == 0 and json.loads(out)["integrable"] is True

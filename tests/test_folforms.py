@@ -54,6 +54,23 @@ def test_bidegree_and_homogeneity():
         (f + x(0)).bidegree()
 
 
+@pytest.mark.parametrize("n,index", [(2, 3), (2, -1), (0, 1), (1, 2)])
+def test_coordinate_out_of_range_raises(n, index):
+    # an index above n used to give the constant 1
+    with pytest.raises(ValueError, match="does not exist"):
+        BiPoly.x(n, index)
+    with pytest.raises(ValueError, match="does not exist"):
+        BiPoly.y(n, index)
+
+
+def test_builtins_below_their_smallest_n_raise():
+    # pullback-d1 needs x_2; the others need x_1
+    for make in (lambda: builtin_pullback(1, 1), lambda: builtin_pullback(0, 0),
+                 lambda: builtin_log4(0)):
+        with pytest.raises(ValueError, match="does not exist"):
+            make()
+
+
 def test_gcd_and_exact_division():
     f = (x(0) + x(1)) * (y(0) + y(1)) * 6
     g = (x(0) + x(1)) * (x(0) - x(1)) * 4
