@@ -83,7 +83,3 @@ def cohomology_of_decomposition(
         if not res.is_zero:
             table[res.degree] = table.get(res.degree, 0) + piece.mult * res.dim
     return dict(sorted(table.items()))
-
-
-def table_to_json(table: dict[int, int]) -> dict:
-    return {"h": [{"i": i, "dim": d} for i, d in sorted(table.items())]}

@@ -1,7 +1,11 @@
 """Exact bihomogeneous polynomial arithmetic on P^n x P^n.
 
 Polynomials live in Q[x_0..x_n, y_0..y_n] with terms stored sparsely as
-(x-exponent tuple, y-exponent tuple) -> Fraction.  Everything downstream
+exponent tuple -> Fraction, one tuple of 2n+2 exponents per monomial in the
+flat variable order x_0..x_n, y_0..y_n; flat index v names x_v for v <= n
+and y_{v-n-1} otherwise.  Lexicographic order on these tuples is the order
+of the (x-exponents, y-exponents) pairs, so the leading terms and the sorted
+JSON encoding do not depend on the split.  Everything downstream
 needs only four primitives, all implemented here with no dependencies:
 multivariate gcd by recursive content extraction, exact single-divisor
 division, pseudo-reduction modulo the incidence quadric q = sum x_i y_i,
@@ -12,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, sub
 
-Term = tuple[tuple[int, ...], tuple[int, ...]]
+Term = tuple[int, ...]
 
 
 class BiPoly:
@@ -38,18 +43,15 @@ class BiPoly:
 
     @classmethod
     def const(cls, n: int, c) -> "BiPoly":
-        e = (0,) * (n + 1)
-        return cls(n, {(e, e): Fraction(c)})
+        return cls(n, {(0,) * (2 * n + 2): Fraction(c)})
 
     @classmethod
     def x(cls, n: int, i: int) -> "BiPoly":
-        xe = _unit_exponent(n, i, "x")
-        return cls(n, {(xe, (0,) * (n + 1)): Fraction(1)})
+        return cls(n, {_unit_exponent(n, i, "x"): Fraction(1)})
 
     @classmethod
     def y(cls, n: int, j: int) -> "BiPoly":
-        ye = _unit_exponent(n, j, "y")
-        return cls(n, {((0,) * (n + 1), ye): Fraction(1)})
+        return cls(n, {_unit_exponent(n, j, "y"): Fraction(1)})
 
     @classmethod
     def incidence_quadric(cls, n: int) -> "BiPoly":
@@ -84,12 +86,9 @@ class BiPoly:
                 self.n, {k: c * other for k, c in self.terms.items()}
             )
         out: dict[Term, Fraction] = {}
-        for (xa, ya), ca in self.terms.items():
-            for (xb, yb), cb in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ya, yb)),
-                )
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = tuple(map(add, ka, kb))
                 v = out.get(key, Fraction(0)) + ca * cb
                 if v:
                     out[key] = v
@@ -112,14 +111,12 @@ class BiPoly:
     def __repr__(self):
         if self.is_zero:
             return "BiPoly(0)"
+        names = [f"x{i}" for i in range(self.n + 1)]
+        names += [f"y{j}" for j in range(self.n + 1)]
         bits = []
-        for (xe, ye), c in sorted(self.terms.items()):
+        for key, c in sorted(self.terms.items()):
             mono = "".join(
-                f"x{i}^{e}" if e > 1 else (f"x{i}" if e else "")
-                for i, e in enumerate(xe)
-            ) + "".join(
-                f"y{j}^{e}" if e > 1 else (f"y{j}" if e else "")
-                for j, e in enumerate(ye)
+                f"{z}^{e}" if e > 1 else (z if e else "") for z, e in zip(names, key)
             )
             bits.append(f"{c}*{mono or '1'}")
         return " + ".join(bits)
@@ -129,45 +126,28 @@ class BiPoly:
         """The (x-degree, y-degree) pair; raises unless bihomogeneous."""
         if self.is_zero:
             return None
-        degs = {(sum(xe), sum(ye)) for xe, ye in self.terms}
+        n1 = self.n + 1
+        degs = {(sum(key[:n1]), sum(key[n1:])) for key in self.terms}
         if len(degs) != 1:
             raise ValueError(f"polynomial is not bihomogeneous: degrees {degs}")
         return degs.pop()
 
     # -- calculus ----------------------------------------------------------
-    def dx(self, i: int) -> "BiPoly":
-        out: dict[Term, Fraction] = {}
-        for (xe, ye), c in self.terms.items():
-            if xe[i]:
-                nxe = list(xe)
-                nxe[i] -= 1
-                key = (tuple(nxe), ye)
-                out[key] = out.get(key, Fraction(0)) + c * xe[i]
-        return BiPoly(self.n, out)
-
-    def dy(self, j: int) -> "BiPoly":
-        out: dict[Term, Fraction] = {}
-        for (xe, ye), c in self.terms.items():
-            if ye[j]:
-                nye = list(ye)
-                nye[j] -= 1
-                key = (xe, tuple(nye))
-                out[key] = out.get(key, Fraction(0)) + c * ye[j]
-        return BiPoly(self.n, out)
-
     def dvar(self, v: int) -> "BiPoly":
         """Partial derivative by flat variable index (x_0..x_n, y_0..y_n)."""
-        return self.dx(v) if v <= self.n else self.dy(v - self.n - 1)
+        return BiPoly(
+            self.n,
+            {_set_exp(key, v, key[v] - 1): c * key[v]
+             for key, c in self.terms.items() if key[v]},
+        )
 
     # -- evaluation --------------------------------------------------------
     def eval_point(self, xs, ys) -> Fraction:
+        point = tuple(xs) + tuple(ys)
         total = Fraction(0)
-        for (xe, ye), c in self.terms.items():
+        for key, c in self.terms.items():
             v = c
-            for b, e in zip(xs, xe):
-                if e:
-                    v *= b**e
-            for b, e in zip(ys, ye):
+            for b, e in zip(point, key):
                 if e:
                     v *= b**e
             total += v
@@ -183,7 +163,9 @@ class BiPoly:
         """
         coeffs: dict[int, Fraction] = {}
         maxdeg = 0
-        for (xe, ye), c in self.terms.items():
+        n1 = self.n + 1
+        for key, c in self.terms.items():
+            xe, ye = key[:n1], key[n1:]
             move_exp = ye if family == 1 else xe
             fix_exp = xe if family == 1 else ye
             v = c
@@ -242,12 +224,13 @@ class BiPoly:
         return self * (Fraction(1) / c) if c != 1 else self
 
 
-def _unit_exponent(n: int, index: int, name: str) -> tuple[int, ...]:
-    """The exponent tuple of the coordinate name_index on P^n; raises
-    ValueError outside 0..n."""
+def _unit_exponent(n: int, index: int, name: str) -> Term:
+    """The exponent tuple of the coordinate name_index (name "x" or "y") on
+    P^n x P^n; raises ValueError outside 0..n."""
     if not 0 <= index <= n:
         raise ValueError(f"coordinate {name}_{index} does not exist on P^{n}")
-    return tuple(1 if k == index else 0 for k in range(n + 1))
+    v = index if name == "x" else n + 1 + index
+    return tuple(1 if k == v else 0 for k in range(2 * n + 2))
 
 
 # -- JSON term encoding --------------------------------------------------------
@@ -256,9 +239,10 @@ def _unit_exponent(n: int, index: int, name: str) -> tuple[int, ...]:
 def terms_to_json(p: BiPoly) -> list:
     """The terms of p as sorted {"x": exponents, "y": exponents, "c": "p/q"}
     records; the one encoding used by every JSON output."""
+    n1 = p.n + 1
     return [
-        {"x": list(xe), "y": list(ye), "c": str(c)}
-        for (xe, ye), c in sorted(p.terms.items())
+        {"x": list(key[:n1]), "y": list(key[n1:]), "c": str(c)}
+        for key, c in sorted(p.terms.items())
     ]
 
 
@@ -280,7 +264,7 @@ def terms_from_json(n: int, items) -> BiPoly:
     wrong length or a negative or non-integer exponent."""
     terms = {}
     for t in items:
-        key = (_exponents_from_json(t["x"], n), _exponents_from_json(t["y"], n))
+        key = _exponents_from_json(t["x"], n) + _exponents_from_json(t["y"], n)
         terms[key] = Fraction(t["c"])
     return BiPoly(n, terms)
 
@@ -288,54 +272,31 @@ def terms_from_json(n: int, items) -> BiPoly:
 # -- flat-variable helpers used by gcd/division ------------------------------
 
 
-def _exp(key: Term, v: int, n: int) -> int:
-    return key[0][v] if v <= n else key[1][v - n - 1]
-
-
-def _set_exp(key: Term, v: int, n: int, value: int) -> Term:
-    xe, ye = key
-    if v <= n:
-        t = list(xe)
-        t[v] = value
-        return (tuple(t), ye)
-    t = list(ye)
-    t[v - n - 1] = value
-    return (xe, tuple(t))
+def _set_exp(key: Term, v: int, value: int) -> Term:
+    return key[:v] + (value,) + key[v + 1 :]
 
 
 def used_vars(f: BiPoly):
-    out = set()
-    for xe, ye in f.terms:
-        for i, e in enumerate(xe):
-            if e:
-                out.add(i)
-        for j, e in enumerate(ye):
-            if e:
-                out.add(f.n + 1 + j)
-    return out
+    return {v for key in f.terms for v, e in enumerate(key) if e}
 
 
 def var_degree(f: BiPoly, v: int) -> int:
     if f.is_zero:
         return -1
-    return max(_exp(key, v, f.n) for key in f.terms)
+    return max(key[v] for key in f.terms)
 
 
 def var_coefficient(f: BiPoly, v: int, k: int) -> BiPoly:
     """Coefficient of (flat var v)^k, with that variable's exponent zeroed."""
-    out = {}
-    for key, c in f.terms.items():
-        if _exp(key, v, f.n) == k:
-            out[_set_exp(key, v, f.n, 0)] = c
-    return BiPoly(f.n, out)
+    return BiPoly(
+        f.n, {_set_exp(key, v, 0): c for key, c in f.terms.items() if key[v] == k}
+    )
 
 
 def var_shift(f: BiPoly, v: int, k: int) -> BiPoly:
-    """Multiply by (flat var v)^k."""
-    out = {}
-    for key, c in f.terms.items():
-        out[_set_exp(key, v, f.n, _exp(key, v, f.n) + k)] = c
-    return BiPoly(f.n, out)
+    """Multiply by (flat var v)^k; a negative k divides, and needs every
+    term's exponent of v to be at least -k."""
+    return BiPoly(f.n, {_set_exp(key, v, key[v] + k): c for key, c in f.terms.items()})
 
 
 def poly_divexact(f: BiPoly, g: BiPoly):
@@ -350,13 +311,12 @@ def poly_divexact(f: BiPoly, g: BiPoly):
     r = f
     while not r.is_zero:
         rkey = max(r.terms)
-        xq = tuple(a - b for a, b in zip(rkey[0], gkey[0]))
-        yq = tuple(a - b for a, b in zip(rkey[1], gkey[1]))
-        if any(e < 0 for e in xq) or any(e < 0 for e in yq):
+        qkey = tuple(map(sub, rkey, gkey))
+        if min(qkey) < 0:
             return None
         c = r.terms[rkey] / gc
-        q[(xq, yq)] = c
-        r = r - BiPoly(f.n, {(xq, yq): c}) * g
+        q[qkey] = c
+        r = r - BiPoly(f.n, {qkey: c}) * g
     return BiPoly(f.n, q)
 
 
@@ -459,12 +419,8 @@ def divide_by_var_mod_quadric(f: BiPoly, v: int):
     """
     n = f.n
     a = v if v <= n else v - n - 1
-    deg = var_degree(f, v)
-    if deg < 0:
-        return BiPoly.zero(n)
-    big_a = BiPoly.zero(n)
-    for k in range(1, deg + 1):
-        big_a = big_a + var_shift(var_coefficient(f, v, k), v, k - 1)
+    big_a = BiPoly(n, {_set_exp(key, v, key[v] - 1): c
+                       for key, c in f.terms.items() if key[v]})
     b = var_coefficient(f, v, 0)
     if b.is_zero:
         return big_a

@@ -16,7 +16,7 @@ import sys
 from .adjoint import adjoint_data, section4_table
 from .bbw import cohomology
 from .parabolic import MarkedDatum, is_bundle_weight
-from .rootsystem import InvalidTypeError, build_datum, dim_g
+from .rootsystem import build_datum, dim_g
 from . import folforms as ff
 
 SCHEMA = "1"
@@ -49,11 +49,7 @@ def _parse_weight(text: str, rank: int):
 
 
 def cmd_roots(args) -> int:
-    try:
-        datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
-    except InvalidTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
     roots = [
         {"simple_coords": list(c), "weight": list(datum.root_weight(c))}
         for c in datum.positive_roots
@@ -105,13 +101,9 @@ def cmd_bbw(args) -> int:
 
 
 def cmd_adjoint_table(args) -> int:
-    try:
+    if args.type is not None:
         # surface the Picard-two rejections with their explanation
-        if args.type is not None:
-            adjoint_data(args.type, args.rank)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        adjoint_data(args.type, args.rank)
     rows = section4_table(
         max_classical_rank=args.max_classical_rank,
         compare_paper=args.compare_paper,
@@ -143,12 +135,12 @@ def cmd_adjoint_table(args) -> int:
 
 # name: (smallest n, constructor)
 _BUILTIN_FORMS = {
-    "pencil": (1, lambda n, seed: ff.builtin_pencil(n)),
-    "log4": (1, lambda n, seed: ff.builtin_log4(n)),
-    "pullback-d0": (1, lambda n, seed: ff.builtin_pullback(0, n)),
-    "pullback-d1": (2, lambda n, seed: ff.builtin_pullback(1, n)),
-    "affine": (2, lambda n, seed: ff.builtin_affine(n)[0]),
-    "torus": (2, lambda n, seed: ff.builtin_torus(n)),
+    "pencil": (1, ff.builtin_pencil),
+    "log4": (1, ff.builtin_log4),
+    "pullback-d0": (1, lambda n: ff.builtin_pullback(0, n)),
+    "pullback-d1": (2, lambda n: ff.builtin_pullback(1, n)),
+    "affine": (2, lambda n: ff.builtin_affine(n)[0]),
+    "torus": (2, ff.builtin_torus),
 }
 
 
@@ -165,7 +157,7 @@ def _load_form(args) -> ff.PolyOneForm:
                 f"--n {args.n} is too small: builtin {args.builtin!r} "
                 f"needs --n >= {min_n}"
             )
-        return make(args.n, args.seed)
+        return make(args.n)
     if not args.input:
         raise _input_error("provide --builtin NAME or --input FILE")
     try:

@@ -34,8 +34,6 @@ from .bipoly import (
     terms_from_json,
     terms_to_json,
     used_vars,
-    var_coefficient,
-    var_degree,
     var_shift,
 )
 from . import witness
@@ -119,12 +117,6 @@ class PolyOneForm:
         if not ex.is_zero or not ey.is_zero:
             raise ValueError("Euler contraction does not vanish")
 
-    def dx_coeff(self, i: int) -> BiPoly:
-        return self.coeffs[i]
-
-    def dy_coeff(self, j: int) -> BiPoly:
-        return self.coeffs[self.n + 1 + j]
-
     def as_dict(self) -> dict:
         return {(v,): c for v, c in enumerate(self.coeffs) if not c.is_zero}
 
@@ -178,17 +170,13 @@ def form_d(f: dict, n: int) -> dict:
     in the dz_K coefficient gives c e_v z^(e - 1_v) to dz_v ^ dz_K."""
     acc: dict = {}  # key of dz_v ^ dz_K -> {monomial: coefficient}
     for key, c in f.items():
-        for (xe, ye), coef in c.terms.items():
-            for v, e in enumerate(xe + ye):
+        for exps, coef in c.terms.items():
+            for v, e in enumerate(exps):
                 target = _merge_wedge((v,), key) if e else None
                 if target is None:
                     continue
                 sign, nkey = target
-                if v <= n:
-                    mono = (xe[:v] + (e - 1,) + xe[v + 1 :], ye)
-                else:
-                    j = v - n - 1
-                    mono = (xe, ye[:j] + (e - 1,) + ye[j + 1 :])
+                mono = exps[:v] + (e - 1,) + exps[v + 1 :]
                 terms = acc.setdefault(nkey, {})
                 terms[mono] = terms.get(mono, 0) + coef * (e * sign)
     out = {k: BiPoly(n, terms) for k, terms in acc.items()}
@@ -283,7 +271,7 @@ def builtin_pullback(degree: int, n: int) -> PolyOneForm:
         h = x(1) * x(2) - x(0) * x(0)
         coeffs = []
         for i in range(n + 1):
-            c = h * (2 if i == 0 else 0) - x(0) * h.dx(i)
+            c = h * (2 if i == 0 else 0) - x(0) * h.dvar(i)
             coeffs.append(c)
         return pullback_form(coeffs, n)
     raise ValueError("only pullback degrees 0 and 1 are built in")
@@ -333,17 +321,8 @@ def _member_saturated(g: BiPoly, f_chart: BiPoly, n: int, chart: int) -> bool:
 
 def _strip_var(p: BiPoly, v: int) -> BiPoly:
     """Divide out the highest power of a coordinate dividing every term."""
-    if p.is_zero:
-        return p
-    val = min(
-        (k[0][v] if v <= p.n else k[1][v - p.n - 1]) for k in p.terms
-    )
-    if val == 0:
-        return p
-    out = BiPoly.zero(p.n)
-    for k in range(val, var_degree(p, v) + 1):
-        out = out + var_shift(var_coefficient(p, v, k), v, k - val)
-    return out
+    val = min((key[v] for key in p.terms), default=0)
+    return var_shift(p, v, -val) if val else p
 
 
 def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
@@ -363,11 +342,6 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
 
 def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
     n = omega.n
-    three = form_wedge(
-        form_wedge(dq_form(n), form_d({(): f}, n), n), omega.as_dict(), n
-    )
-    if not three:
-        return True
     f_reduced = {}
     for chart in range(2 * (n + 1)):
         elim = chart + n + 1 if chart <= n else chart - n - 1
@@ -375,6 +349,9 @@ def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
         if fr.is_zero:
             raise ValueError("F lies in the ideal of X")
         f_reduced[chart] = fr
+    three = form_wedge(
+        form_wedge(dq_form(n), form_d({(): f}, n), n), omega.as_dict(), n
+    )
     for chart in range(2 * (n + 1)):
         for g in three.values():
             if not _member_saturated(g, f_reduced[chart], n, chart):
@@ -585,11 +562,13 @@ def _normal_form_mod_q(p: BiPoly) -> BiPoly:
     out = BiPoly.zero(n)
     while not p.is_zero:
         done, lifted = {}, {}
-        for (xe, ye), c in p.terms.items():
-            if xe[0] and ye[0]:
-                lifted[((xe[0] - 1,) + xe[1:], (ye[0] - 1,) + ye[1:])] = c
+        for key, c in p.terms.items():
+            if key[0] and key[n + 1]:
+                lifted[
+                    (key[0] - 1,) + key[1 : n + 1] + (key[n + 1] - 1,) + key[n + 2 :]
+                ] = c
             else:
-                done[(xe, ye)] = c
+                done[key] = c
         out = out + BiPoly(n, done)
         p = BiPoly(n, lifted) * tail
     return out
@@ -674,7 +653,7 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
                 # x_2 y_0 or x_2 y_2
                 if v == 0 and ((ye[0] and not xe[0]) or (xe[2] and ye[2])):
                     continue
-                columns.append((v, (xe, ye)))
+                columns.append((v, xe + ye))
 
     equations: dict = {}
     for col, (v, m) in enumerate(columns):
@@ -868,9 +847,9 @@ class FolSampler:
                 for j in range(n + 1):
                     c = self.fraction()
                     if c:
-                        xe = tuple(1 if k == i else 0 for k in range(n + 1))
-                        ye = tuple(1 if k == j else 0 for k in range(n + 1))
-                        terms[(xe, ye)] = c
+                        key = [0] * (2 * n + 2)
+                        key[i] = key[n + 1 + j] = 1
+                        terms[tuple(key)] = c
             out = BiPoly(n, terms)
         return out
 
@@ -901,7 +880,7 @@ class FolSampler:
             for ye in _exponents(n + 1, b):
                 c = self.fraction()
                 if c:
-                    terms[(xe, ye)] = c
+                    terms[xe + ye] = c
         return BiPoly(n, terms)
 
 

@@ -46,14 +46,6 @@ class LeviComponent:
 class LeviDiagram:
     components: tuple[LeviComponent, ...]
 
-    def node_map(self) -> dict[int, tuple[int, int]]:
-        """ambient node -> (component index, local node), both 1-indexed locals."""
-        out: dict[int, tuple[int, int]] = {}
-        for ci, comp in enumerate(self.components):
-            for local, node in enumerate(comp.ambient_nodes, start=1):
-                out[node] = (ci, local)
-        return out
-
     def to_json(self) -> dict:
         return {
             "components": [
@@ -218,9 +210,3 @@ def nilradical_size(md: MarkedDatum) -> int:
     """Number of positive roots with nonzero marked coefficient = dim G/P."""
     k = md.marked_node - 1
     return sum(1 for alpha in md.ambient.positive_roots if alpha[k] != 0)
-
-
-def levi_positive_roots(md: MarkedDatum):
-    """Positive roots of the Levi: marked simple-root coefficient zero."""
-    k = md.marked_node - 1
-    return [a for a in md.ambient.positive_roots if a[k] == 0]

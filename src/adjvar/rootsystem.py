@@ -296,11 +296,6 @@ def highest_root(datum: RootDatum) -> Weight:
     return datum.root_weight(best)
 
 
-def highest_root_coords(datum: RootDatum) -> RootCoords:
-    """Simple-root coordinates of the highest root."""
-    return max(datum.positive_roots, key=sum)
-
-
 def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
     """<w, alpha^vee> for the coroot of the positive root with this index.
 

@@ -88,7 +88,7 @@ def _jet(polys, point, vectors=()):
             mono = monomials.get(key)
             if mono is None:
                 z, d = 1, [0] * len(vectors)
-                for a, e in enumerate(key[0] + key[1]):
+                for a, e in enumerate(key):
                     if e:
                         z *= point[a] ** e
                         w = e * big // point[a]
@@ -192,11 +192,13 @@ def _point_on_surface(f, fx, fy):
         return None
     sides = ([1] if b == 1 else []) + ([0] if a == 1 else [])
     den = lcm(*(c.denominator for c in f.terms.values()))
+    n1 = len(fx)
     for side in sides:
         moving = fy if side else fx
         for fixed in (fx, fx[::-1]) if side else (fy, fy[::-1]):
             linear = [0] * len(fixed)  # F(fixed, z) = sum linear[j] * z_j
-            for (xe, ye), c in f.terms.items():
+            for key, c in f.terms.items():
+                xe, ye = key[:n1], key[n1:]
                 fixed_exp, moving_exp = (xe, ye) if side else (ye, xe)
                 m = c.numerator * (den // c.denominator)
                 for base, e in zip(fixed, fixed_exp):

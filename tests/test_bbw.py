@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from adjvar.bbw import cohomology, cohomology_of_decomposition, table_to_json
+from adjvar.bbw import cohomology, cohomology_of_decomposition
 from adjvar.parabolic import MarkedDatum
 from adjvar.repcalc import Decomposition, Piece
 from adjvar.rootsystem import build_datum, dim_g, highest_root
@@ -110,7 +110,3 @@ def test_decomposition_table_additivity():
     for k, v in t2.items():
         merged[k] = merged.get(k, 0) + v
     assert both == merged
-
-
-def test_table_json_shape():
-    assert table_to_json({0: 78}) == {"h": [{"i": 0, "dim": 78}]}

@@ -5,7 +5,6 @@ from adjvar.rootsystem import (
     build_datum,
     dim_g,
     highest_root,
-    highest_root_coords,
     pairing,
     weyl_vector,
 )
@@ -109,6 +108,11 @@ def test_pairing_delta_is_coroot_height():
             norm = d.root_norm(alpha)
             weighted = sum(c * dd[j] for j, c in enumerate(alpha))
             assert pairing(d, delta, idx) * norm == weighted
+
+
+def highest_root_coords(datum):
+    """Simple-root coordinates of the highest root."""
+    return max(datum.positive_roots, key=sum)
 
 
 def test_a2_highest_root_pairing():

@@ -216,7 +216,7 @@ def test_invariance_point_avoids_zero_coordinates():
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     coeffs = [[Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2)],
               [-2, -1, 1], [1, Fraction(-2, 3), -2]]  # coeffs[j][i]: x_i y_j
-    f = BiPoly(2, {(e[i], e[j]): coeffs[j][i] for i in range(3) for j in range(3)})
+    f = BiPoly(2, {e[i] + e[j]: coeffs[j][i] for i in range(3) for j in range(3)})
     x, y = wt._frame(2)[:2]
     point = wt._point_on_surface(f, x, y)
     assert 0 not in point and point[:3] != x
@@ -232,11 +232,16 @@ def test_zero_surface_raises():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_surface_in_the_ideal_of_x_raises_before_a_witness(seed):
     # F = q * h vanishes on all of X; the answer is the ValueError, never a
-    # witness False, even for forms a witness refutes elsewhere
+    # witness False, even for forms a witness refutes elsewhere.  A constant
+    # h makes dq ^ dF zero, so no wedge can decide it either.
     sampler = ff.FolSampler(2, seed=seed)
     q = BiPoly.incidence_quadric(2)
     omega = sampler.euler_form((2, 2))
-    for h in (sampler._random_bipoly((0, 1)), sampler._random_bipoly((1, 0))):
+    for h in (
+        sampler._random_bipoly((0, 1)),
+        sampler._random_bipoly((1, 0)),
+        BiPoly.const(2, Fraction(3, 7)),
+    ):
         f = q * h
         assert wt.invariance_witness(omega, f) is None
         with pytest.raises(ValueError, match="ideal of X"):
