@@ -1,15 +1,24 @@
 """Exact bihomogeneous polynomial arithmetic on P^n x P^n.
 
 Polynomials live in Q[x_0..x_n, y_0..y_n] with terms stored sparsely as
-exponent tuple -> Fraction, one tuple of 2n+2 exponents per monomial in the
-flat variable order x_0..x_n, y_0..y_n; flat index v names x_v for v <= n
-and y_{v-n-1} otherwise.  Lexicographic order on these tuples is the order
-of the (x-exponents, y-exponents) pairs, so the leading terms and the sorted
-JSON encoding do not depend on the split.  Everything downstream
-needs only four primitives, all implemented here with no dependencies:
-multivariate gcd by recursive content extraction, exact single-divisor
-division, pseudo-reduction modulo the incidence quadric q = sum x_i y_i,
-and exact division by a coordinate modulo q.
+exponent tuple -> coefficient, one tuple of 2n+2 exponents per monomial in
+the flat variable order x_0..x_n, y_0..y_n; flat index v names x_v for
+v <= n and y_{v-n-1} otherwise.  Lexicographic order on these tuples is the
+order of the (x-exponents, y-exponents) pairs, so the leading terms and the
+sorted JSON encoding do not depend on the split.
+
+A coefficient is a nonzero ``int`` when it is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise; no float and no
+integral Fraction is ever stored.  Integer-coefficient products therefore
+stay in machine-speed int arithmetic, and ``str`` gives the same text for
+both types.  Callers that divide two coefficients write ``Fraction(a, b)``,
+never ``a / b``.
+
+Everything downstream needs only five primitives, all implemented here with
+no dependencies: multivariate gcd by recursive content extraction, exact
+single-divisor division, the normal form modulo the incidence quadric
+q = sum x_i y_i, pseudo-reduction modulo q in a chosen variable, and exact
+division by a coordinate modulo q.
 """
 
 from __future__ import annotations
@@ -21,6 +30,18 @@ from operator import add, sub
 Term = tuple[int, ...]
 
 
+def _canonical(c):
+    """The coefficient c as an int when it is integral, else a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _settle(sums: dict) -> dict:
+    """The nonzero entries of a {monomial: coefficient} dict, canonical."""
+    return {k: c if type(c) is int else _canonical(c) for k, c in sums.items() if c}
+
+
 class BiPoly:
     """Sparse polynomial in the bigraded ring of P^n x P^n over Q."""
 
@@ -28,13 +49,16 @@ class BiPoly:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean: dict[Term, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        self.terms = _settle(terms) if terms else {}
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "BiPoly":
+        """Wrap terms whose coefficients are already canonical and nonzero,
+        without copying or checking them."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -43,58 +67,53 @@ class BiPoly:
 
     @classmethod
     def const(cls, n: int, c) -> "BiPoly":
-        return cls(n, {(0,) * (2 * n + 2): Fraction(c)})
+        return cls(n, {(0,) * (2 * n + 2): c})
 
     @classmethod
     def x(cls, n: int, i: int) -> "BiPoly":
-        return cls(n, {_unit_exponent(n, i, "x"): Fraction(1)})
+        return cls._trusted(n, {_unit_exponent(n, i, "x"): 1})
 
     @classmethod
     def y(cls, n: int, j: int) -> "BiPoly":
-        return cls(n, {_unit_exponent(n, j, "y"): Fraction(1)})
+        return cls._trusted(n, {_unit_exponent(n, j, "y"): 1})
 
     @classmethod
     def incidence_quadric(cls, n: int) -> "BiPoly":
         """q = sum_i x_i y_i, the equation of the hyperplane section."""
-        out = cls.zero(n)
-        for i in range(n + 1):
-            out = out + cls.x(n, i) * cls.y(n, i)
-        return out
+        return cls._trusted(n, {
+            tuple(map(add, _unit_exponent(n, i, "x"), _unit_exponent(n, i, "y"))): 1
+            for i in range(n + 1)
+        })
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
+            v = out.get(key, 0) + c
+            if not v:
+                del out[key]
             else:
-                out.pop(key, None)
-        return BiPoly(self.n, out)
+                out[key] = v if type(v) is int else _canonical(v)
+        return BiPoly._trusted(self.n, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BiPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return BiPoly._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return BiPoly.zero(self.n)
-            return BiPoly(
-                self.n, {k: c * other for k, c in self.terms.items()}
+            return BiPoly._trusted(
+                self.n, _settle({k: c * other for k, c in self.terms.items()})
             )
-        out: dict[Term, Fraction] = {}
+        out: dict[Term, int | Fraction] = {}
+        get = out.get
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 key = tuple(map(add, ka, kb))
-                v = out.get(key, Fraction(0)) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return BiPoly(self.n, out)
+                out[key] = get(key, 0) + ca * cb
+        return BiPoly._trusted(self.n, _settle(out))
 
     __rmul__ = __mul__
 
@@ -221,7 +240,7 @@ class BiPoly:
         lead = self.terms[max(self.terms)] if self.terms else Fraction(1)
         if lead < 0:
             c = -c
-        return self * (Fraction(1) / c) if c != 1 else self
+        return self * Fraction(1, c) if c != 1 else self
 
 
 def _unit_exponent(n: int, index: int, name: str) -> Term:
@@ -288,7 +307,7 @@ def var_degree(f: BiPoly, v: int) -> int:
 
 def var_coefficient(f: BiPoly, v: int, k: int) -> BiPoly:
     """Coefficient of (flat var v)^k, with that variable's exponent zeroed."""
-    return BiPoly(
+    return BiPoly._trusted(
         f.n, {_set_exp(key, v, 0): c for key, c in f.terms.items() if key[v] == k}
     )
 
@@ -296,7 +315,9 @@ def var_coefficient(f: BiPoly, v: int, k: int) -> BiPoly:
 def var_shift(f: BiPoly, v: int, k: int) -> BiPoly:
     """Multiply by (flat var v)^k; a negative k divides, and needs every
     term's exponent of v to be at least -k."""
-    return BiPoly(f.n, {_set_exp(key, v, key[v] + k): c for key, c in f.terms.items()})
+    return BiPoly._trusted(
+        f.n, {_set_exp(key, v, key[v] + k): c for key, c in f.terms.items()}
+    )
 
 
 def poly_divexact(f: BiPoly, g: BiPoly):
@@ -307,17 +328,22 @@ def poly_divexact(f: BiPoly, g: BiPoly):
         return BiPoly.zero(f.n)
     gkey = max(g.terms)
     gc = g.terms[gkey]
-    q: dict[Term, Fraction] = {}
-    r = f
-    while not r.is_zero:
-        rkey = max(r.terms)
+    q: dict[Term, int | Fraction] = {}
+    r = dict(f.terms)  # the remainder, updated in place
+    while r:
+        rkey = max(r)
         qkey = tuple(map(sub, rkey, gkey))
         if min(qkey) < 0:
             return None
-        c = r.terms[rkey] / gc
-        q[qkey] = c
-        r = r - BiPoly(f.n, {qkey: c}) * g
-    return BiPoly(f.n, q)
+        c = q[qkey] = _canonical(Fraction(r[rkey], gc))
+        for key, cg in g.terms.items():
+            key = tuple(map(add, qkey, key))
+            v = r.get(key, 0) - c * cg
+            if v:
+                r[key] = v
+            else:
+                del r[key]
+    return BiPoly._trusted(f.n, q)
 
 
 def _pseudo_rem(f: BiPoly, g: BiPoly, v: int) -> BiPoly:
@@ -391,6 +417,8 @@ def reduce_mod_quadric(f: BiPoly, elim: int | None = None) -> BiPoly:
     partner coordinate is the leading coefficient of q in that variable.
     Returns r free of the eliminated variable with partner^k f = h q + r;
     since q is prime and coordinates are not in (q), f lies in (q) iff r = 0.
+    The chart tests of ``folforms`` use it; plain membership in (q) uses
+    ``normal_form_mod_q``.
     """
     n = f.n
     if elim is None:
@@ -406,8 +434,38 @@ def reduce_mod_quadric(f: BiPoly, elim: int | None = None) -> BiPoly:
     return r
 
 
+def normal_form_mod_q(p: BiPoly) -> BiPoly:
+    """The remainder of p modulo q with no term divisible by x_0 y_0.
+
+    Each x_0 y_0 is rewritten as -(x_1 y_1 + ... + x_n y_n) until none is
+    left.  x_0 y_0 is the lex-leading monomial of q, so {q} is a Groebner
+    basis and the remainder is zero iff p lies in (q); unlike pseudo-division
+    the map is linear and never scales p."""
+    n = p.n
+    y0 = n + 1
+    # key + shift trades the factor x_0 y_0 for x_i y_i
+    shifts = [
+        tuple(-1 if k in (0, y0) else 1 if k in (i, y0 + i) else 0
+              for k in range(2 * n + 2))
+        for i in range(1, n + 1)
+    ]
+    out: dict[Term, int | Fraction] = {}
+    todo = p.terms
+    while todo:
+        lifted: dict[Term, int | Fraction] = {}
+        for key, c in todo.items():
+            if key[0] and key[y0]:
+                for shift in shifts:
+                    k = tuple(map(add, key, shift))
+                    lifted[k] = lifted.get(k, 0) - c
+            else:
+                out[key] = out.get(key, 0) + c
+        todo = {k: c for k, c in lifted.items() if c}
+    return BiPoly._trusted(n, _settle(out))
+
+
 def is_zero_mod_quadric(f: BiPoly) -> bool:
-    return reduce_mod_quadric(f).is_zero
+    return normal_form_mod_q(f).is_zero
 
 
 def divide_by_var_mod_quadric(f: BiPoly, v: int):
@@ -419,8 +477,8 @@ def divide_by_var_mod_quadric(f: BiPoly, v: int):
     """
     n = f.n
     a = v if v <= n else v - n - 1
-    big_a = BiPoly(n, {_set_exp(key, v, key[v] - 1): c
-                       for key, c in f.terms.items() if key[v]})
+    big_a = BiPoly._trusted(n, {_set_exp(key, v, key[v] - 1): c
+                                for key, c in f.terms.items() if key[v]})
     b = var_coefficient(f, v, 0)
     if b.is_zero:
         return big_a

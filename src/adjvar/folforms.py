@@ -9,9 +9,12 @@ in (q) after wedging with dq where the conormal direction matters, i.e.
 * integrability on X:   dq ^ omega ^ d(omega) = 0  (mod q),
 * invariance of V(F)^X: dq ^ dF ^ omega = 0        (mod q, F),
 
-each of which is implied by the corresponding ambient identity.  Ideal
-membership uses only pseudo-division by q and exact single-divisor division in
-a polynomial ring, chart by chart.  ``integrable``, ``is_invariant`` and
+each of which is implied by the corresponding ambient identity.  Membership
+in (q) is decided by the normal form modulo q; membership modulo the
+saturation of (F, q) uses pseudo-division by q and exact single-divisor
+division in a polynomial ring, chart by chart.  The predicates do not change
+when a form is scaled, so their symbolic tests clear denominators first and
+multiply only ints.  ``integrable``, ``is_invariant`` and
 ``same_foliation`` first evaluate their form at an integer point of X
 (``witness``): a nonzero value proves False exactly, and every True answer
 comes from the symbolic test.
@@ -23,11 +26,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .bipoly import (
     BiPoly,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
+    normal_form_mod_q,
     poly_divexact,
     poly_gcd_list,
     reduce_mod_quadric,
@@ -152,17 +157,23 @@ def _merge_wedge(i_tuple, j_tuple):
 
 
 def form_wedge(f: dict, g: dict, n: int) -> dict:
-    out: dict = {}
+    """Wedge product, each output coefficient summed in one
+    {monomial: coefficient} dict over all pairs of input terms."""
+    acc: dict = {}  # key of dz_I ^ dz_J -> {monomial: coefficient}
     for ikey, ic in f.items():
         for jkey, jc in g.items():
             m = _merge_wedge(ikey, jkey)
             if m is None:
                 continue
             sign, key = m
-            term = ic * jc * sign
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
-    return {k: v for k, v in out.items() if not v.is_zero}
+            terms = acc.setdefault(key, {})
+            get = terms.get
+            for ka, ca in ic.terms.items():
+                ca *= sign
+                for kb, cb in jc.terms.items():
+                    mono = tuple(map(add, ka, kb))
+                    terms[mono] = get(mono, 0) + ca * cb
+    return _collect(acc, n)
 
 
 def form_d(f: dict, n: int) -> dict:
@@ -179,8 +190,21 @@ def form_d(f: dict, n: int) -> dict:
                 mono = exps[:v] + (e - 1,) + exps[v + 1 :]
                 terms = acc.setdefault(nkey, {})
                 terms[mono] = terms.get(mono, 0) + coef * (e * sign)
+    return _collect(acc, n)
+
+
+def _collect(acc: dict, n: int) -> dict:
+    """The form dict of {key: {monomial: coefficient sum}}, zeros dropped."""
     out = {k: BiPoly(n, terms) for k, terms in acc.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def _integral(form: dict) -> dict:
+    """The form dict times the lcm of its coefficient denominators, so every
+    coefficient is an int.  The predicates are scale-invariant, so their
+    symbolic tests run on this multiple and multiply only ints."""
+    den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()))
+    return {k: p * den for k, p in form.items()} if den > 1 else form
 
 
 def dq_form(n: int) -> dict:
@@ -295,7 +319,7 @@ def integrable(omega: PolyOneForm) -> bool:
 
 def _integrable_symbolic(omega: PolyOneForm) -> bool:
     n = omega.n
-    w = omega.as_dict()
+    w = _integral(omega.as_dict())
     gamma = form_wedge(w, form_d(w, n), n)
     if not gamma:
         return True
@@ -342,6 +366,7 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
 
 def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
     n = omega.n
+    f = _integral({(): f})[()]
     f_reduced = {}
     for chart in range(2 * (n + 1)):
         elim = chart + n + 1 if chart <= n else chart - n - 1
@@ -350,7 +375,7 @@ def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
             raise ValueError("F lies in the ideal of X")
         f_reduced[chart] = fr
     three = form_wedge(
-        form_wedge(dq_form(n), form_d({(): f}, n), n), omega.as_dict(), n
+        form_wedge(dq_form(n), form_d({(): f}, n), n), _integral(omega.as_dict()), n
     )
     for chart in range(2 * (n + 1)):
         for g in three.values():
@@ -368,7 +393,7 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     gcd.
     """
     n = omega.n
-    coeffs = [c for c in omega.coeffs if not c.is_zero]
+    coeffs = list(_integral(omega.as_dict()).values())
     if all(is_zero_mod_quadric(c) for c in coeffs):
         return True
     g = poly_gcd_list(coeffs)
@@ -381,9 +406,7 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     if used_vars(g):
         return True
     for v in range(2 * (n + 1)):
-        if all(
-            divide_by_var_mod_quadric(c, v) is not None for c in omega.coeffs
-        ):
+        if all(divide_by_var_mod_quadric(c, v) is not None for c in coeffs):
             return True
     return False
 
@@ -550,36 +573,22 @@ def field_apply(field, f: BiPoly) -> BiPoly:
     return out
 
 
-def _normal_form_mod_q(p: BiPoly) -> BiPoly:
-    """The remainder of p modulo q with no term divisible by x_0 y_0.
-
-    Each x_0 y_0 is rewritten as -(x_1 y_1 + ... + x_n y_n) until none is
-    left.  x_0 y_0 is the lex-leading monomial of q, so {q} is a Groebner
-    basis and the remainder is zero iff p lies in (q); unlike pseudo-division
-    the map is linear, which the equation assembly below relies on."""
-    n = p.n
-    tail = BiPoly.x(n, 0) * BiPoly.y(n, 0) - BiPoly.incidence_quadric(n)
-    out = BiPoly.zero(n)
-    while not p.is_zero:
-        done, lifted = {}, {}
-        for key, c in p.terms.items():
-            if key[0] and key[n + 1]:
-                lifted[
-                    (key[0] - 1,) + key[1 : n + 1] + (key[n + 1] - 1,) + key[n + 2 :]
-                ] = c
-            else:
-                done[key] = c
-        out = out + BiPoly(n, done)
-        p = BiPoly(n, lifted) * tail
-    return out
-
-
 def _nullspace(rows, ncols):
-    """Basis of the nullspace of a sparse rational matrix (rows are dicts)."""
-    dense = [[Fraction(0)] * ncols for _ in rows]
-    for r, row in enumerate(rows):
+    """Basis of the nullspace of a sparse rational matrix (rows are dicts),
+    one integer vector per free column.
+
+    Each row is scaled to integers and the matrix brought to reduced echelon
+    form by fraction-free row operations, every row kept primitive; a pivot
+    row then reads p x_pc + sum_free a_f x_f = 0, so setting one free
+    variable to the lcm of the pivots solves for the pivot variables in
+    integers."""
+    dense = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        vec = [0] * ncols
         for c, v in row.items():
-            dense[r][c] = v
+            vec[c] = den // v.denominator * v.numerator
+        dense.append(vec)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -587,23 +596,25 @@ def _nullspace(rows, ncols):
         if piv is None:
             continue
         dense[r], dense[piv] = dense[piv], dense[r]
-        inv = 1 / dense[r][c]
-        dense[r] = [x * inv for x in dense[r]]
+        prow, p = dense[r], dense[r][c]
         for i in range(len(dense)):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [a - f * b if b else a for a, b in zip(dense[i], dense[r])]
+            f = dense[i][c]
+            if i != r and f:
+                new = [p * a - f * b for a, b in zip(dense[i], prow)]
+                g = gcd(*new)
+                dense[i] = [a // g for a in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(dense):
             break
+    scale = lcm(*(dense[ri][pc] for ri, pc in enumerate(pivots)))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = scale
         for ri, pc in enumerate(pivots):
-            vec[pc] = -dense[ri][fc]
+            vec[pc] = -dense[ri][fc] * scale // dense[ri][pc]
         basis.append(vec)
     return basis
 
@@ -662,8 +673,8 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
         # the Euler contractions vanish identically, and omega(v_k) = 0 mod q
         for tag, poly in (
             ("ex" if v <= n else "ey", mono * euler),
-            ("v1", _normal_form_mod_q(mono * v1[v])),
-            ("v2", _normal_form_mod_q(mono * v2[v])),
+            ("v1", normal_form_mod_q(mono * v1[v])),
+            ("v2", normal_form_mod_q(mono * v2[v])),
         ):
             for key, c in poly.terms.items():
                 equations.setdefault((tag, key), {})[col] = c
@@ -707,7 +718,7 @@ def _saturate(coeffs):
     if nonzero[0].terms[max(nonzero[0].terms)] < 0:
         content = -content
     if content != 1:
-        coeffs = [c * (Fraction(1) / content) for c in coeffs]
+        coeffs = [c * Fraction(1, content) for c in coeffs]
     return list(coeffs)
 
 
@@ -721,7 +732,7 @@ def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:
 def _same_foliation_symbolic(w1: PolyOneForm, w2: PolyOneForm) -> bool:
     n = w1.n
     three = form_wedge(
-        form_wedge(dq_form(n), w1.as_dict(), n), w2.as_dict(), n
+        form_wedge(dq_form(n), _integral(w1.as_dict()), n), _integral(w2.as_dict()), n
     )
     return all(is_zero_mod_quadric(c) for c in three.values())
 

@@ -33,6 +33,7 @@ from adjvar.folforms import (
     pencil_form,
     same_foliation,
     tangency_degree,
+    _nullspace,
 )
 
 
@@ -359,6 +360,22 @@ def test_random_pair_foliation_pinned(index, expected):
     assert digest(w) == expected
 
 
+def test_nullspace_of_int_rows_is_exact():
+    # 1 / pivot is a float for an int pivot: the elimination must stay exact,
+    # with int or Fraction entries that solve every row
+    rows = [{0: 2, 1: 3, 3: -1}, {1: 4, 2: 6, 3: 5}, {0: 1, 2: -7},
+            {0: 2, 1: 7, 2: 6, 3: 4}]  # the sum of the first two
+    basis = _nullspace(rows, 4)
+    assert len(basis) == 1
+    assert all(type(v) in (int, Fraction) for vec in basis for v in vec)
+    assert all(sum(row.get(c, 0) * v for c, v in enumerate(vec)) == 0
+               for vec in basis for row in rows)
+    basis = _nullspace([{0: Fraction(1, 2), 2: Fraction(2, 3)}, {1: 5}], 3)
+    assert [[Fraction(v, vec[2]) for v in vec] for vec in basis] == [
+        [Fraction(-4, 3), 0, 1]
+    ]
+
+
 @pytest.mark.parametrize(
     "mats", [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()[:2]],
     ids=["affine", "torus", "random0", "random1"],
@@ -401,7 +418,7 @@ def test_junk_pivots_are_the_fixed_dx0_monomials():
             p = junk.coeffs[0]
             for piv, row in rows:
                 if piv in p.terms:
-                    p = p - row * (p.terms[piv] / row.terms[piv])
+                    p = p - row * Fraction(p.terms[piv], row.terms[piv])
             if not p.is_zero:
                 rows.append((min(p.terms), p))
     xs, ys = x(0) + x(1) + x(2), y(0) + y(1) + y(2)
