@@ -14,10 +14,12 @@ in (q) is decided by the normal form modulo q; membership modulo the
 saturation of (F, q) uses pseudo-division by q and exact single-divisor
 division in a polynomial ring, chart by chart.  The predicates do not change
 when a form is scaled, so their symbolic tests clear denominators first and
-multiply only ints.  ``integrable``, ``is_invariant`` and
-``same_foliation`` first evaluate their form at an integer point of X
-(``witness``): a nonzero value proves False exactly, and every True answer
-comes from the symbolic test.
+multiply only ints.  Integrability and proportionality are tested on the wedge
+components free of x_0 and y_0 only: both Euler fields annihilate those
+wedges modulo q, so the other components follow (``_euler_reduced``).
+``integrable``, ``is_invariant`` and ``same_foliation`` first evaluate their
+form at an integer point of X (``witness``): a nonzero value proves False
+exactly, and every True answer comes from the symbolic test.
 """
 
 from __future__ import annotations
@@ -207,6 +209,34 @@ def _integral(form: dict) -> dict:
     return {k: p * den for k, p in form.items()} if den > 1 else form
 
 
+def _euler_reduced(form: dict, n: int) -> dict:
+    """The components of a form dict whose index sets avoid x_0 (flat index 0)
+    and y_0 (flat index n + 1).
+
+    For the forms eta = omega ^ d(omega), dq ^ omega ^ d(omega) and
+    dq ^ w1 ^ w2 built from projective 1-forms, these components decide
+    whether every component lies in (q), for n >= 1:
+
+    * Both Euler fields R_x, R_y annihilate eta modulo q.  With
+      i_R omega = 0 and L_R omega = a omega (a the degree in the field's
+      factor), i_R (omega ^ d omega) = -omega ^ i_R d omega
+      = -omega ^ L_R omega = -a omega ^ omega = 0; likewise
+      i_R (w1 ^ w2) = 0; and i_R (dq ^ gamma) = q gamma since i_R dq = q.
+    * Reading i_{R_x} eta = 0 mod q along dz_J, for J free of x_0, gives
+      the x_0-rule x_0 eta_{0J} = -sum_{i>=1} +-x_i eta_{iJ} (mod q); the
+      y_0-rule is the same with R_y.
+    * (q) is prime and x_0, y_0 are not in it.  So if the components free of
+      x_0 and y_0 are in (q), the y_0-rule puts every component with y_0 and
+      without x_0 in (q); the x_0-rule then does the rest, J being allowed to
+      contain y_0.
+
+    These are the contraction identities of Jouanolou, Equations de Pfaff
+    algebriques, LNM 708 (1979), section 1.  A component of a wedge free of
+    x_0 and y_0 comes only from such components of its factors, and the same
+    holds for d, so each factor is reduced before it is multiplied."""
+    return {k: c for k, c in form.items() if 0 not in k and n + 1 not in k}
+
+
 def dq_form(n: int) -> dict:
     out = {}
     for i in range(n + 1):
@@ -318,14 +348,16 @@ def integrable(omega: PolyOneForm) -> bool:
 
 
 def _integrable_symbolic(omega: PolyOneForm) -> bool:
+    """omega ^ d(omega), then dq ^ omega ^ d(omega), tested in (q) on the
+    components free of x_0 and y_0 only (``_euler_reduced``)."""
     n = omega.n
-    w = _integral(omega.as_dict())
-    gamma = form_wedge(w, form_d(w, n), n)
+    w = _integral(_euler_reduced(omega.as_dict(), n))
+    gamma = form_wedge(w, _euler_reduced(form_d(w, n), n), n)
     if not gamma:
         return True
     if all(is_zero_mod_quadric(c) for c in gamma.values()):
         return True
-    four = form_wedge(dq_form(n), gamma, n)
+    four = form_wedge(_euler_reduced(dq_form(n), n), gamma, n)
     return all(is_zero_mod_quadric(c) for c in four.values())
 
 
@@ -365,6 +397,10 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
 
 
 def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
+    # The whole wedge, not ``_euler_reduced``: here eta is tested in the
+    # saturation of (F, q), which need not be prime, and x_0 eta in it does
+    # not give eta in it when V(F) ^ X has a component inside {x_0 = 0}
+    # (likewise y_0).  For F = x_0 the reduced test would answer True.
     n = omega.n
     f = _integral({(): f})[()]
     f_reduced = {}
@@ -730,10 +766,12 @@ def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:
 
 
 def _same_foliation_symbolic(w1: PolyOneForm, w2: PolyOneForm) -> bool:
+    """dq ^ w1 ^ w2 tested in (q) on the components free of x_0 and y_0
+    only (``_euler_reduced``)."""
     n = w1.n
-    three = form_wedge(
-        form_wedge(dq_form(n), _integral(w1.as_dict()), n), _integral(w2.as_dict()), n
-    )
+    dq = _euler_reduced(dq_form(n), n)
+    f1, f2 = (_integral(_euler_reduced(w.as_dict(), n)) for w in (w1, w2))
+    three = form_wedge(form_wedge(dq, f1, n), f2, n)
     return all(is_zero_mod_quadric(c) for c in three.values())
 
 

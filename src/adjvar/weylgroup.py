@@ -3,13 +3,12 @@
 
 No Weyl group element is ever materialized; everything is done by repeated
 simple reflections at strictly negative coordinates.  The reduced length is
-order-independent, so the choice of which negative coordinate to reflect is
-configurable (and randomized under test).
+order-independent, so the first negative coordinate is reflected (the tests
+check other orders against it).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .rootsystem import RootDatum, Weight
@@ -54,9 +53,7 @@ def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
     return tuple(w[j] - coeff * alpha[j] for j in range(datum.rank))
 
 
-def dot_classify(
-    datum: RootDatum, lam: Weight, rng: random.Random | None = None
-) -> DotResult:
+def dot_classify(datum: RootDatum, lam: Weight) -> DotResult:
     """Classify lambda + delta as singular or regular of index p.
 
     Reduce v = lambda + delta into the dominant chamber by reflecting at a
@@ -79,8 +76,7 @@ def dot_classify(
                 index_p=count,
                 dominant_weight=tuple(a - 1 for a in v),
             )
-        i = negatives[0] if rng is None else rng.choice(negatives)
-        v = simple_reflection(datum, i + 1, v)
+        v = simple_reflection(datum, negatives[0] + 1, v)
         count += 1
     raise ArithmeticError("chamber reduction exceeded its step bound")
 
