@@ -162,6 +162,7 @@ class BiPoly:
 
     # -- evaluation --------------------------------------------------------
     def eval_point(self, xs, ys) -> Fraction:
+        """The exact value at the point with coordinates xs, ys."""
         point = tuple(xs) + tuple(ys)
         total = Fraction(0)
         for key, c in self.terms.items():
@@ -171,48 +172,6 @@ class BiPoly:
                     v *= b**e
             total += v
         return total
-
-    def restrict_line(self, family: int, base, p0, p1):
-        """Coefficients of the binary form f(line(s,t)), indexed by t-degree.
-
-        Family 1 fixes the x-factor at ``base`` and moves y along the line
-        spanned by p0, p1; family 2 is symmetric.  The input must be
-        bihomogeneous, so the result is a homogeneous binary form of degree
-        equal to the moving-factor degree; [] encodes the zero form.
-        """
-        coeffs: dict[int, Fraction] = {}
-        maxdeg = 0
-        n1 = self.n + 1
-        for key, c in self.terms.items():
-            xe, ye = key[:n1], key[n1:]
-            move_exp = ye if family == 1 else xe
-            fix_exp = xe if family == 1 else ye
-            v = c
-            for b, e in zip(base, fix_exp):
-                if e:
-                    v *= b**e
-            if not v:
-                continue
-            # expand prod_k (s p0_k + t p1_k)^{e_k} into binary coefficients
-            poly = {0: Fraction(1)}  # t-degree -> coefficient
-            deg = 0
-            for k, e in enumerate(move_exp):
-                for _ in range(e):
-                    nxt: dict[int, Fraction] = {}
-                    for td, cc in poly.items():
-                        if p0[k]:
-                            nxt[td] = nxt.get(td, Fraction(0)) + cc * p0[k]
-                        if p1[k]:
-                            nxt[td + 1] = nxt.get(td + 1, Fraction(0)) + cc * p1[k]
-                    poly = nxt
-                    deg += 1
-            maxdeg = max(maxdeg, deg)
-            for td, cc in poly.items():
-                coeffs[td] = coeffs.get(td, Fraction(0)) + v * cc
-        out = [coeffs.get(k, Fraction(0)) for k in range(maxdeg + 1)]
-        if all(not c for c in out):
-            return []
-        return out
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:
@@ -280,11 +239,20 @@ def _exponents_from_json(values, n: int) -> tuple[int, ...]:
 
 def terms_from_json(n: int, items) -> BiPoly:
     """Inverse of terms_to_json; raises ValueError on an exponent list of the
-    wrong length or a negative or non-integer exponent."""
+    wrong length or a negative or non-integer exponent, on a coefficient that
+    is a float or a bool (a JSON 0.1 is not 1/10), and on a repeated
+    monomial."""
     terms = {}
     for t in items:
         key = _exponents_from_json(t["x"], n) + _exponents_from_json(t["y"], n)
-        terms[key] = Fraction(t["c"])
+        c = t["c"]
+        if isinstance(c, (bool, float)):
+            raise ValueError(
+                f'a coefficient must be an integer or a "p/q" string, got {c!r}'
+            )
+        if key in terms:
+            raise ValueError(f"repeated monomial x={t['x']} y={t['y']}")
+        terms[key] = Fraction(c)
     return BiPoly(n, terms)
 
 

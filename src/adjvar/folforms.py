@@ -423,23 +423,16 @@ def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
 def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     """Does the zero scheme of omega on X contain a divisor?
 
-    Checks the ambient content gcd of the coefficients (with q-powers
-    stripped, since q vanishes on X identically), then retests each
+    Checks the ambient content gcd of the coefficients, then retests each
     coordinate hyperplane modulo q to catch factors invisible to the ambient
-    gcd.
+    gcd.  The gcd has no factor q to strip: q divides it exactly when q
+    divides every coefficient, which is the first test.
     """
     n = omega.n
     coeffs = list(_integral(omega.as_dict()).values())
     if all(is_zero_mod_quadric(c) for c in coeffs):
         return True
-    g = poly_gcd_list(coeffs)
-    q = BiPoly.incidence_quadric(n)
-    while True:
-        quo = poly_divexact(g, q)
-        if quo is None:
-            break
-        g = quo
-    if used_vars(g):
+    if used_vars(poly_gcd_list(coeffs)):
         return True
     for v in range(2 * (n + 1)):
         if all(divide_by_var_mod_quadric(c, v) is not None for c in coeffs):
@@ -489,51 +482,31 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     """Number of tangencies of the foliation with the line, with multiplicity.
 
     The pullback of omega along (s:t) -> line(s,t) is b(s,t) (t ds - s dt)
-    for a homogeneous binary form b; returns deg b, or MINUS_INFINITY when
-    the line is contained in a leaf (b = 0).
+    for a binary form b of degree d - 2, d being the degree of omega in the
+    moving factor; that is ``foliation_numerics``' deg_H1 (family 1) or
+    deg_H2 (family 2), which is returned unless the line lies in a leaf
+    (b = 0), where the answer is MINUS_INFINITY.
+
+    The ds part of the pullback is U(s, t) = omega(line(s, t))(p0), a binary
+    form of degree d - 1, and Euler on the moving factor gives U = t b.  So
+    U(1, 0) = 0, and b = 0 exactly when U(1, k) = 0 for the d - 1 points
+    k = 1..d-1, one more than deg b.
     """
     n = omega.n
-    block = range(n + 1, 2 * (n + 1)) if line.family == 1 else range(n + 1)
-    u: list[Fraction] | None = None
-    v_form: list[Fraction] | None = None
-
-    def add(acc, form, scale):
-        if not form or not scale:
-            return acc
-        if acc is None:
-            acc = [Fraction(0)] * len(form)
-        if len(acc) < len(form):
-            acc = acc + [Fraction(0)] * (len(form) - len(acc))
-        for k, c in enumerate(form):
-            acc[k] += c * scale
-        return acc
-
-    for idx, var in enumerate(block):
-        c = omega.coeffs[var]
-        if c.is_zero:
-            continue
-        restricted = c.restrict_line(line.family, line.base, line.p0, line.p1)
-        u = add(u, restricted, line.p0[idx])
-        v_form = add(v_form, restricted, line.p1[idx])
-
-    def normalize(form):
-        if form is None or all(not c for c in form):
-            return None
-        return form
-
-    u, v_form = normalize(u), normalize(v_form)
-    if u is None and v_form is None:
-        return MINUS_INFINITY
-    # Euler on the moving factor forces s U + t V = 0, so U = t b, V = -s b
-    if u is not None:
-        if u[0] != 0:
-            raise ArithmeticError("pullback lost the Euler relation")
-        b = u[1:]
+    numerics = foliation_numerics(omega.bidegree, n)
+    if line.family == 1:
+        d, block, degree = omega.bidegree[1], omega.coeffs[n + 1 :], numerics.deg_H1
     else:
-        b = [-c for c in v_form[:-1]]
-    if all(not c for c in b):
-        return MINUS_INFINITY
-    return len(b) - 1
+        d, block, degree = omega.bidegree[0], omega.coeffs[: n + 1], numerics.deg_H2
+    for k in range(d):
+        moving = [a + k * b for a, b in zip(line.p0, line.p1)]
+        xs, ys = (line.base, moving) if line.family == 1 else (moving, line.base)
+        u = sum(c.eval_point(xs, ys) * w for c, w in zip(block, line.p0) if w)
+        if u:
+            if k == 0:
+                raise ArithmeticError("pullback lost the Euler relation")
+            return degree
+    return MINUS_INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -737,16 +710,16 @@ def _fields_independent(v1, v2) -> bool:
 
 
 def _saturate(coeffs):
-    """Divide the nonzero coefficient list by its polynomial content, then
-    scale it to coprime integers with a positive leading coefficient, for
-    reproducible output."""
+    """Scale the coefficient list of a one-dimensional kernel to coprime
+    integers with a positive leading coefficient, for reproducible output.
+
+    The list has no polynomial content to divide out.  Were omega = g omega'
+    with g of bidegree (a, b) != (0, 0), every h omega' with h in
+    H^0(O_X(a, b)) would solve the same equations, and their classes modulo
+    the junk would span h^0(O_X(a, b)) >= 2 dimensions, so the kernel would
+    not be one-dimensional and ``foliation_from_fields`` would already have
+    raised "dependent"."""
     nonzero = [c for c in coeffs if not c.is_zero]
-    g = poly_gcd_list(nonzero)
-    if used_vars(g):
-        coeffs = [poly_divexact(c, g) if not c.is_zero else c for c in coeffs]
-        if any(c is None for c in coeffs):
-            raise ArithmeticError("content division failed")
-        nonzero = [c for c in coeffs if not c.is_zero]
     contents = [c.content() for c in nonzero]
     content = Fraction(
         gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents))

@@ -138,10 +138,7 @@ def _match_component(ambient: RootDatum, comp) -> LeviComponent:
     matches = []
     for ordering in _candidate_orderings(ambient.cartan, comp):
         for letter in letters:
-            try:
-                datum = build_datum(letter, r, max_classical_rank=max(r, 10))
-            except Exception:
-                continue
+            datum = build_datum(letter, r, max_classical_rank=max(r, 10))
             ok = all(
                 ambient.cartan[ordering[a] - 1][ordering[b] - 1] == datum.cartan[a][b]
                 for a in range(r)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -202,6 +203,26 @@ def test_fol_invariant_rejects_bad_surface_exponents(tmp_path, capsys, exps):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-negative integers" in err
+
+
+def test_fol_invariant_rejects_float_coefficient(tmp_path, capsys):
+    # the conic x1^2 - 4 x0 x2 scaled by 1/10: a JSON 0.1 used to be read as
+    # a binary float and answer "invariant: False" with exit 1
+    from adjvar.folforms import builtin_affine
+
+    surface = (builtin_affine(2)[1] * Fraction(1, 10)).to_json()
+    path = tmp_path / "surface.json"
+    argv = ["fol", "invariant", "--builtin", "affine", "--surface", str(path)]
+    path.write_text(json.dumps(surface))
+    assert run(capsys, *argv)[0] == 0
+    for term in surface["terms"]:
+        term["c"] = float(Fraction(term["c"]))
+    path.write_text(json.dumps(surface))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "an integer or" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,7 +12,9 @@ from adjvar.bipoly import (
     is_zero_mod_quadric,
     poly_divexact,
     poly_gcd,
+    poly_gcd_list,
     reduce_mod_quadric,
+    used_vars,
 )
 from adjvar.folforms import (
     MINUS_INFINITY,
@@ -150,16 +153,27 @@ def test_bipoly_json_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "exps", [[1, 0], [1, 0, 0, 0], [-1, 1, 1], [1.5, 0, 0], ["1", 0, 0], [True, 0, 0]]
+    "exps",
+    [[1, 0], [1, 0, 0, 0], [-1, 1, 1], [1.5, 0, 0], ["1", 0, 0], [True, 0, 0],
+     # a dict replaces fields of the good term: a float or bool coefficient
+     # (0.1 used to be read as a binary float), or none, which repeats it
+     pytest.param({"c": 0.1}, id="float-c"), pytest.param({"c": True}, id="bool-c"),
+     pytest.param({}, id="repeated-term")],
 )
 def test_bipoly_from_json_rejects_bad_exponents(exps):
     good = {"x": [0, 1, 0], "y": [0, 0, 1], "c": "1"}
-    for bad in ({**good, "x": exps}, {**good, "y": exps}):
-        with pytest.raises(ValueError, match="non-negative integers"):
+    if isinstance(exps, dict):
+        bads = [{**good, **exps}]
+        match = "an integer or" if exps else "repeated monomial"
+    else:
+        bads = [{**good, "x": exps}, {**good, "y": exps}]
+        match = "non-negative integers"
+    for bad in bads:
+        with pytest.raises(ValueError, match=match):
             BiPoly.from_json({"n": 2, "terms": [good, bad]})
         form = builtin_pencil(2).to_json()
-        form["dy"][1] = [bad]
-        with pytest.raises(ValueError, match="non-negative integers"):
+        form["dy"][1] = [good, bad]
+        with pytest.raises(ValueError, match=match):
             PolyOneForm.from_json(form)
 
 
@@ -237,6 +251,76 @@ def test_pullback_degrees(d):
     assert tangency_degree(w, s.line(2)) == d
 
 
+def restrict_line_reference(p, line):
+    """{t-degree: coefficient} of the binary form p(line(s, t)), expanding
+    prod_k (s p0_k + t p1_k)^e_k term by term over the moving factor."""
+    n1 = p.n + 1
+    out = {}
+    for key, c in p.terms.items():
+        fixed, moving = (key[:n1], key[n1:]) if line.family == 1 else (key[n1:], key[:n1])
+        poly = {0: c * prod(b**e for b, e in zip(line.base, fixed))}
+        for k, e in enumerate(moving):
+            for _ in range(e):
+                nxt = {}
+                for td, cc in poly.items():
+                    nxt[td] = nxt.get(td, 0) + cc * line.p0[k]
+                    nxt[td + 1] = nxt.get(td + 1, 0) + cc * line.p1[k]
+                poly = nxt
+        for td, cc in poly.items():
+            out[td] = out.get(td, 0) + cc
+    return out
+
+
+def tangency_reference(omega, line):
+    """The pullback U ds + V dt of omega to the line, expanded as binary
+    forms; Euler gives U = t b and V = -s b, and the answer is deg b, or
+    -inf for b = 0."""
+    n = omega.n
+    block = omega.coeffs[n + 1 :] if line.family == 1 else omega.coeffs[: n + 1]
+    nonzero = [c for c in block if not c.is_zero]
+    if not nonzero:
+        return MINUS_INFINITY
+    key = next(iter(nonzero[0].terms))
+    m = sum(key[n + 1 :] if line.family == 1 else key[: n + 1])  # deg U
+    u, v = [0] * (m + 1), [0] * (m + 1)
+    for c, a, b in zip(block, line.p0, line.p1):
+        for td, cc in restrict_line_reference(c, line).items():
+            u[td] += cc * a
+            v[td] += cc * b
+    assert u[0] == 0 and v[m] == 0
+    assert all(v[k] == -u[k + 1] for k in range(m))
+    b = u[1:]
+    return len(b) - 1 if any(b) else MINUS_INFINITY
+
+
+def tangency_cases():
+    cases = []
+    for n in (2, 3):
+        s = FolSampler(n, seed=41 + n)
+        forms = [s.euler_form(bd) for bd in ((2, 2), (2, 3), (3, 2), (3, 3))]
+        forms += [builtin_pullback(0, n), builtin_pullback(1, n), builtin_log4(n),
+                  builtin_pencil(n, s)]
+        cases += [(w, s.line(family)) for w in forms for family in (1, 2)
+                  for _ in range(2)]
+    # lines inside a leaf of the pencil of h1 = x0 y1 + x2 y0 and
+    # h2 = x1 y2 + x0 y0, whose bidegree says degree 0: h1 vanishes on both
+    w = pencil_form(x(0) * y(1) + x(2) * y(0), x(1) * y(2) + x(0) * y(0))
+    cases.append((w, LineInFamily(1, (0, 1, 0), (1, 0, 2), (3, 0, -1))))
+    cases.append((w, LineInFamily(2, (0, 0, 1), (1, 0, 0), (0, 1, 0))))
+    return cases
+
+
+def test_tangency_degree_matches_binary_form_expansion():
+    cases = tangency_cases()
+    answers = [tangency_degree(w, line) for w, line in cases]
+    assert answers == [tangency_reference(w, line) for w, line in cases]
+    assert {str(a) for a in answers} == {"-inf", "0", "1"}
+    leaf_form = cases[-1][0]
+    numerics = foliation_numerics(leaf_form.bidegree, 2)
+    assert (numerics.deg_H1, numerics.deg_H2) == (0, 0)
+    assert answers[-2:] == [MINUS_INFINITY] * 2
+
+
 def test_tangency_is_reparametrization_invariant():
     w = builtin_pencil(2)
     s = FolSampler(2, seed=29)
@@ -269,6 +353,8 @@ def test_divisorial_singularities_detected():
     assert not has_divisorial_singularities(w)
     scaled = PolyOneForm(2, [c * (x(0) + x(1)) for c in w.coeffs])
     assert has_divisorial_singularities(scaled)
+    q = BiPoly.incidence_quadric(2)
+    assert has_divisorial_singularities(PolyOneForm(2, [c * q for c in w.coeffs]))
 
 
 def test_log_coprime_factors_saturated():
@@ -377,8 +463,8 @@ def test_nullspace_of_int_rows_is_exact():
 
 
 @pytest.mark.parametrize(
-    "mats", [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()[:2]],
-    ids=["affine", "torus", "random0", "random1"],
+    "mats", [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()],
+    ids=["affine", "torus", "random0", "random1", "random2", "random3"],
 )
 def test_foliation_from_fields_properties(mats):
     n = 2
@@ -390,6 +476,8 @@ def test_foliation_from_fields_properties(mats):
     assert ex.is_zero and ey.is_zero
     assert all(is_zero_mod_quadric(contract(w, field)) for field in fields)
     assert not any(fixed_zero(key) for key in w.coeffs[0].terms)
+    # a one-dimensional kernel has no polynomial content (``_saturate``)
+    assert not used_vars(poly_gcd_list([c for c in w.coeffs if not c.is_zero]))
 
 
 def test_foliation_from_fields_is_canonical():
