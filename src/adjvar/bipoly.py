@@ -14,11 +14,12 @@ stay in machine-speed int arithmetic, and ``str`` gives the same text for
 both types.  Callers that divide two coefficients write ``Fraction(a, b)``,
 never ``a / b``.
 
-Everything downstream needs only five primitives, all implemented here with
+Everything downstream needs only four primitives, all implemented here with
 no dependencies: multivariate gcd by recursive content extraction, exact
 single-divisor division, the normal form modulo the incidence quadric
-q = sum x_i y_i, pseudo-reduction modulo q in a chosen variable, and exact
-division by a coordinate modulo q.
+q = sum x_i y_i, and exact division by a coordinate modulo q.
+Pseudo-reduction modulo q in a chosen variable (``reduce_mod_quadric``)
+stays as the tests' independent oracle for the normal form.
 """
 
 from __future__ import annotations
@@ -385,21 +386,13 @@ def reduce_mod_quadric(f: BiPoly, elim: int | None = None) -> BiPoly:
     partner coordinate is the leading coefficient of q in that variable.
     Returns r free of the eliminated variable with partner^k f = h q + r;
     since q is prime and coordinates are not in (q), f lies in (q) iff r = 0.
-    The chart tests of ``folforms`` use it; plain membership in (q) uses
-    ``normal_form_mod_q``.
+    No library code calls it: it is the tests' independent oracle for
+    ``normal_form_mod_q`` and for the chart images of ``folforms``, which
+    take the normal form of partner^k f instead.
     """
-    n = f.n
     if elim is None:
-        elim = n + 1  # y_0
-    a = elim - n - 1 if elim > n else elim
-    partner = BiPoly.x(n, a) if elim > n else BiPoly.y(n, a)
-    q = BiPoly.incidence_quadric(n)
-    r = f
-    while var_degree(r, elim) >= 1:
-        k = var_degree(r, elim)
-        lead = var_coefficient(r, elim, k)
-        r = partner * r - var_shift(lead, elim, k - 1) * q
-    return r
+        elim = f.n + 1  # y_0
+    return _pseudo_rem(f, BiPoly.incidence_quadric(f.n), elim)
 
 
 def normal_form_mod_q(p: BiPoly) -> BiPoly:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .adjoint import adjoint_data, section4_table
+from .adjoint import section4_row, section4_table
 from .bbw import cohomology
 from .parabolic import MarkedDatum, is_bundle_weight
 from .rootsystem import build_datum, dim_g
@@ -102,12 +102,12 @@ def cmd_bbw(args) -> int:
 
 def cmd_adjoint_table(args) -> int:
     if args.type is not None:
-        # surface the Picard-two rejections with their explanation
-        adjoint_data(args.type, args.rank)
-    rows = section4_table(
-        max_classical_rank=args.max_classical_rank,
-        compare_paper=args.compare_paper,
-    )
+        rows = [section4_row(args.type, args.rank, args.compare_paper)]
+    else:
+        rows = section4_table(
+            max_classical_rank=args.max_classical_rank,
+            compare_paper=args.compare_paper,
+        )
     data = {"rows": rows}
     lines = []
     header = f"{'type':>5} {'dimX':>5} {'m':>3} {'idx':>4} {'dim g':>6} {'h0 O2(1)':>9} {'h0 O2(2)':>9}"
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--compare-paper", action="store_true",
                        help="include the printed-weight comparison column")
     p_tab.add_argument("--type", default=None,
-                       help="validate a single type instead (diagnostics only)")
+                       help="print the row of this single type (with --rank)")
     p_tab.add_argument("--rank", type=int, default=0)
     p_tab.add_argument("--json", action="store_true", help="emit JSON")
     p_tab.add_argument(

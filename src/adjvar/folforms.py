@@ -10,9 +10,9 @@ in (q) after wedging with dq where the conormal direction matters, i.e.
 * invariance of V(F)^X: dq ^ dF ^ omega = 0        (mod q, F),
 
 each of which is implied by the corresponding ambient identity.  Membership
-in (q) is decided by the normal form modulo q; membership modulo the
-saturation of (F, q) uses pseudo-division by q and exact single-divisor
-division in a polynomial ring, chart by chart.  The predicates do not change
+in (q) is decided by the normal form modulo q; membership in (F, q) on the
+two charts x_0 != 0 and y_0 != 0, each by the normal form and one exact
+single-divisor division in a polynomial ring.  The predicates do not change
 when a form is scaled, so their symbolic tests clear denominators first and
 multiply only ints.  Integrability and proportionality are tested on the wedge
 components free of x_0 and y_0 only: both Euler fields annihilate those
@@ -37,10 +37,10 @@ from .bipoly import (
     normal_form_mod_q,
     poly_divexact,
     poly_gcd_list,
-    reduce_mod_quadric,
     terms_from_json,
     terms_to_json,
     used_vars,
+    var_degree,
     var_shift,
 )
 from . import witness
@@ -353,26 +353,10 @@ def _integrable_symbolic(omega: PolyOneForm) -> bool:
     n = omega.n
     w = _integral(_euler_reduced(omega.as_dict(), n))
     gamma = form_wedge(w, _euler_reduced(form_d(w, n), n), n)
-    if not gamma:
-        return True
     if all(is_zero_mod_quadric(c) for c in gamma.values()):
         return True
     four = form_wedge(_euler_reduced(dq_form(n), n), gamma, n)
     return all(is_zero_mod_quadric(c) for c in four.values())
-
-
-def _member_saturated(g: BiPoly, f_chart: BiPoly, n: int, chart: int) -> bool:
-    """Does g vanish on V(F, q) away from {chart variable = 0}?
-
-    The chart eliminates the partner coordinate of q; membership reduces to
-    exact divisibility by the chart image of F in a polynomial ring (a UFD).
-    """
-    elim = chart + n + 1 if chart <= n else chart - n - 1
-    r = reduce_mod_quadric(g, elim)
-    if r.is_zero:
-        return True
-    r = _strip_var(r, chart)
-    return poly_divexact(r, f_chart) is not None
 
 
 def _strip_var(p: BiPoly, v: int) -> BiPoly:
@@ -381,14 +365,27 @@ def _strip_var(p: BiPoly, v: int) -> BiPoly:
     return var_shift(p, v, -val) if val else p
 
 
+def _chart_image(p: BiPoly, chart: int) -> BiPoly:
+    """The image of p on X minus {z = 0}, for z = x_0 (chart 0) or y_0
+    (chart n + 1): a polynomial free of z's partner in q and not divisible
+    by z.
+
+    Times z^k, k the partner's degree in p, every term has at least as many
+    factors z as factors of the partner, so the normal form modulo q comes out
+    free of the partner; it is the one such representative of z^k p."""
+    k = var_degree(p, p.n + 1 - chart)  # x_0 is flat 0 and y_0 is flat n + 1
+    return _strip_var(normal_form_mod_q(var_shift(p, chart, k)), chart)
+
+
 def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     """Is the hypersurface V(F) ^ X invariant under the foliation of omega?
 
-    Tests dq ^ dF ^ omega = 0 modulo the saturation of (F, q): at a general
-    point of V(F, q) the conormal of V(F) ^ X is spanned by dF and dq, so
-    invariance says omega lies in that span.  The ambient identity
-    omega ^ dF = 0 (mod F, q) implies this.  Each chart contributes an exact
-    divisibility test; all charts together cover every component.
+    Tests dq ^ dF ^ omega = 0 modulo (F, q): at a general point of V(F, q)
+    the conormal of V(F) ^ X is spanned by dF and dq, so invariance says
+    omega lies in that span.  The ambient identity omega ^ dF = 0 (mod F, q)
+    implies this.  Membership is decided on the two charts x_0 != 0 and
+    y_0 != 0, each by one exact division of chart images
+    (``_is_invariant_symbolic`` has the proof that two charts suffice).
     """
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
@@ -397,47 +394,53 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
 
 
 def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
-    # The whole wedge, not ``_euler_reduced``: here eta is tested in the
-    # saturation of (F, q), which need not be prime, and x_0 eta in it does
-    # not give eta in it when V(F) ^ X has a component inside {x_0 = 0}
-    # (likewise y_0).  For F = x_0 the reduced test would answer True.
+    # The whole wedge, not ``_euler_reduced``: here eta is tested in (F, q),
+    # which need not be prime, and x_0 eta in it does not give eta in it when
+    # V(F) ^ X has a component inside {x_0 = 0} (likewise y_0).  For F = x_0
+    # the reduced test would answer True.
+    #
+    # Two charts decide g in (F, q).  q is prime and F is not in (q), so
+    # (F, q) is a complete intersection, and complete intersections are
+    # unmixed: every associated prime has height 2 (Matsumura, Commutative
+    # Ring Theory, Thm 17.4).  (x_0, y_0, q) has height 3 for n >= 1, so no
+    # associated prime contains both x_0 and y_0, and g lies in (F, q) iff it
+    # does after inverting x_0 and after inverting y_0.  On the chart
+    # x_0 != 0 the ring modulo q is a localization of the polynomial ring
+    # without y_0, a UFD, so membership is divisibility of chart images.
     n = omega.n
     f = _integral({(): f})[()]
-    f_reduced = {}
-    for chart in range(2 * (n + 1)):
-        elim = chart + n + 1 if chart <= n else chart - n - 1
-        fr = _strip_var(reduce_mod_quadric(f, elim), chart)
-        if fr.is_zero:
-            raise ValueError("F lies in the ideal of X")
-        f_reduced[chart] = fr
+    charts = (0, n + 1)  # x_0 and y_0
+    f_images = [_chart_image(f, chart) for chart in charts]
+    if not all(f_images):
+        raise ValueError("F lies in the ideal of X")
     three = form_wedge(
         form_wedge(dq_form(n), form_d({(): f}, n), n), _integral(omega.as_dict()), n
     )
-    for chart in range(2 * (n + 1)):
-        for g in three.values():
-            if not _member_saturated(g, f_reduced[chart], n, chart):
-                return False
-    return True
+    return all(
+        poly_divexact(_chart_image(g, chart), f_image) is not None
+        for chart, f_image in zip(charts, f_images)
+        for g in three.values()
+    )
 
 
 def has_divisorial_singularities(omega: PolyOneForm) -> bool:
-    """Does the zero scheme of omega on X contain a divisor?
+    """Does the zero scheme of omega on X contain a divisor?  True is a
+    proof; False is not.
 
-    Checks the ambient content gcd of the coefficients, then retests each
-    coordinate hyperplane modulo q to catch factors invisible to the ambient
-    gcd.  The gcd has no factor q to strip: q divides it exactly when q
-    divides every coefficient, which is the first test.
+    True means that every coefficient vanishes on one coordinate section
+    V(z) ^ X (tested modulo q), or that the coefficients share an ambient
+    factor.  A form in (q), zero on X, passes the coordinate test, since
+    (q) lies in every (z, q), and so never reaches the gcd.  A divisor
+    V(h) ^ X with h neither a coordinate nor a common factor of the
+    coefficients is missed: the coefficients can lie in (h, q) with ambient
+    gcd 1, and the answer is then False.
     """
     n = omega.n
     coeffs = list(_integral(omega.as_dict()).values())
-    if all(is_zero_mod_quadric(c) for c in coeffs):
-        return True
-    if used_vars(poly_gcd_list(coeffs)):
-        return True
     for v in range(2 * (n + 1)):
         if all(divide_by_var_mod_quadric(c, v) is not None for c in coeffs):
             return True
-    return False
+    return bool(used_vars(poly_gcd_list(coeffs)))
 
 
 # ---------------------------------------------------------------------------

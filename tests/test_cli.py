@@ -38,6 +38,15 @@ def test_adjoint_table_rejects_picard_two(capsys):
     assert "Picard number two" in err
 
 
+def test_adjoint_table_single_type(capsys):
+    code, out, _ = run(capsys, "adjoint-table", "--type", "G", "--rank", "2", "--json")
+    assert code == 0
+    assert [row["type"] for row in json.loads(out)["rows"]] == ["G2"]
+    code, out, _ = run(capsys, "adjoint-table", "--type", "E", "--rank", "8")
+    assert code == 0
+    assert len(out.splitlines()) == 2  # the header and the E8 row
+
+
 def test_bbw_e6_adjoint(capsys):
     code, out, _ = run(
         capsys, "bbw", "--type", "E", "--rank", "6", "--node", "2",

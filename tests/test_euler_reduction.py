@@ -186,7 +186,7 @@ def test_a_pencil_member_is_invariant():
 
 def test_surfaces_meeting_x0_or_y0_are_not_invariant():
     # on the Euler-reduced wedge all three would come out invariant: the
-    # saturation of (F, q) is not prime, and V(F) ^ X has a component in
+    # ideal (F, q) is not prime, and V(F) ^ X has a component in
     # {x_0 = 0} or {y_0 = 0}
     omega, h1 = seeded_pencil()
     x0, y0 = BiPoly.x(2, 0), BiPoly.y(2, 0)

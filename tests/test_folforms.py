@@ -357,6 +357,22 @@ def test_divisorial_singularities_detected():
     assert has_divisorial_singularities(PolyOneForm(2, [c * q for c in w.coeffs]))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="has_divisorial_singularities misses V(h) ^ X for h not a "
+    "coordinate: the coefficients h*a + q*b have ambient gcd 1",
+)
+def test_divisor_off_the_coordinates_detected():
+    # omega = h * omega0 + q * beta vanishes along V(h) ^ X, a divisor of X
+    n = 2
+    h = x(0) * y(1) + x(1) * y(2)
+    omega0 = pencil_form(x(0) * y(0) + x(2) * y(1), x(1) * y(1) - x(2) * y(2))
+    beta = pencil_form(x(0) * y(2), x(2) * y(0) + x(1) * y(0))
+    q = BiPoly.incidence_quadric(n)
+    w = PolyOneForm(n, [h * a + q * b for a, b in zip(omega0.coeffs, beta.coeffs)])
+    assert has_divisorial_singularities(w)
+
+
 def test_log_coprime_factors_saturated():
     w = builtin_log4(3)
     assert not has_divisorial_singularities(w)
