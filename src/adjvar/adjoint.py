@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bbw import cohomology
+from .bbw import cohomology, cohomology_of_decomposition
 from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
 from .repcalc import (
     EXTERIOR,
@@ -148,7 +148,7 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
     # rank(D) = 2m and c_1(D) = m lambda0, via the weight system of E_{D_weight}
     if bundle_rank(md, d_weight) != 2 * m:
         raise ArithmeticError("contact distribution rank is not dim X - 1")
-    c1 = _weight_sum(ambient_weight_system(md, d_weight))
+    c1 = _weight_sum(ambient_weight_system(md, d_weight).entries)
     if c1 != tuple(m * a for a in lambda0):
         raise ArithmeticError(f"c_1(D) = {c1} is not m lambda0")
 
@@ -204,10 +204,7 @@ def h0_omega2(ad: AdjointData, k: int) -> H0Omega2:
     res_low = cohomology(md, lower)
     h0_low, h1_low = res_low.h(0), res_low.h(1)
 
-    h0_top = 0
-    for piece in wedge2_Ddual_twisted(ad, k).pieces:
-        res = cohomology(md, piece.full_weight(lam0))
-        h0_top += piece.mult * res.h(0)
+    h0_top = cohomology_of_decomposition(md, wedge2_Ddual_twisted(ad, k), lam0).get(0, 0)
 
     if h1_low == 0:
         return H0Omega2(value=h0_low + h0_top)
@@ -321,10 +318,13 @@ def section4_types(max_classical_rank: int = 7):
     return types
 
 
-def section4_row(letter: str, rank: int, compare_paper: bool = False) -> dict:
+def section4_row(
+    letter: str, rank: int, compare_paper: bool = False, max_classical_rank: int = 10
+) -> dict:
     """One row of the per-type report: contact data, wedge^2 D^vee(2) pieces,
-    and the h^0(Omega^2(1)), h^0(Omega^2(2)) conclusions."""
-    ad = adjoint_data(letter, rank)
+    and the h^0(Omega^2(1)), h^0(Omega^2(2)) conclusions.  Classical ranks
+    up to max(``max_classical_rank``, 10) are accepted."""
+    ad = adjoint_data(letter, rank, max(max_classical_rank, 10))
     dec = wedge2_Ddual_twisted(ad, 2)
     row = {
         "type": ad.label,
@@ -348,6 +348,6 @@ def section4_row(letter: str, rank: int, compare_paper: bool = False) -> dict:
 def section4_table(max_classical_rank: int = 7, compare_paper: bool = False):
     """Rows for every supported type; independent rows, deterministic order."""
     return [
-        section4_row(letter, rank, compare_paper)
+        section4_row(letter, rank, compare_paper, max_classical_rank)
         for letter, rank in section4_types(max_classical_rank)
     ]

@@ -101,8 +101,11 @@ def cmd_bbw(args) -> int:
 
 
 def cmd_adjoint_table(args) -> int:
+    if (args.type is None) != (args.rank is None):
+        raise _input_error("--type and --rank select a single row only together")
     if args.type is not None:
-        rows = [section4_row(args.type, args.rank, args.compare_paper)]
+        rows = [section4_row(args.type, args.rank, args.compare_paper,
+                             args.max_classical_rank)]
     else:
         rows = section4_table(
             max_classical_rank=args.max_classical_rank,
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include the printed-weight comparison column")
     p_tab.add_argument("--type", default=None,
                        help="print the row of this single type (with --rank)")
-    p_tab.add_argument("--rank", type=int, default=0)
+    p_tab.add_argument("--rank", type=int, default=None)
     p_tab.add_argument("--json", action="store_true", help="emit JSON")
     p_tab.add_argument(
         "--max-classical-rank", type=int, default=7, metavar="R",

@@ -386,9 +386,16 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     implies this.  Membership is decided on the two charts x_0 != 0 and
     y_0 != 0, each by one exact division of chart images
     (``_is_invariant_symbolic`` has the proof that two charts suffice).
+
+    At n = 1, X is a curve, every point of it is a leaf, and every V(F) ^ X
+    with F not in (q) is invariant.
     """
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
+    if omega.n == 1:
+        if normal_form_mod_q(f).is_zero:
+            raise ValueError("F lies in the ideal of X")
+        return True
     refuted = witness.invariance_witness(omega, f) is not None
     return not refuted and _is_invariant_symbolic(omega, f)
 

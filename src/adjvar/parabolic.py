@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .rootsystem import RootDatum, Weight, build_datum
+from .rootsystem import InvalidTypeError, RootDatum, Weight, build_datum
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,23 @@ def _candidate_orderings(cartan, comp):
 
 def _match_component(ambient: RootDatum, comp) -> LeviComponent:
     r = len(comp)
-    letters = ["A"]
-    if r >= 2:
-        letters += ["B", "C"]
-    if r >= 4:
-        letters.append("D")
-    if r in (6, 7, 8):
-        letters.append("E")
-    if r == 4:
-        letters.append("F")
-    if r == 2:
-        letters.append("G")
+    candidates = []
+    for letter in "ABCDEFG":
+        try:
+            candidates.append(build_datum(letter, r, max_classical_rank=max(r, 10)))
+        except InvalidTypeError:
+            continue  # no simple type of this letter has rank r
 
     matches = []
     for ordering in _candidate_orderings(ambient.cartan, comp):
-        for letter in letters:
-            datum = build_datum(letter, r, max_classical_rank=max(r, 10))
+        for datum in candidates:
             ok = all(
                 ambient.cartan[ordering[a] - 1][ordering[b] - 1] == datum.cartan[a][b]
                 for a in range(r)
                 for b in range(r)
             )
             if ok:
-                matches.append((ordering, letter, datum))
+                matches.append((ordering, datum.letter, datum))
     if not matches:
         raise ValueError(f"could not identify the Dynkin type of nodes {comp}")
     ordering, _, datum = min(matches, key=lambda m: (m[0], m[1]))

@@ -4,9 +4,11 @@ Provides the Weyl dimension formula, full weight systems with Freudenthal
 multiplicities, and decomposition of exterior/symmetric squares of irreducible
 parabolic representations by the Brauer-Klimyk formula over the Levi Weyl
 group W_L (Humphreys, Introduction to Lie Algebras and Representation Theory,
-section 24; Klimyk 1968): only the weights of V_lam itself are needed, each
-constituent is read off a signed dot-reduction, and no constituent weight
-system is ever built.
+section 24; Klimyk 1968): only the weight system of V_lam itself is needed,
+each constituent is read off a signed dot-reduction by
+:func:`adjvar.weylgroup.dot_classify` restricted to the nodes of W_L, its
+height comes from the weight system's offsets and the reduction's drop, and
+no constituent weight system is ever built.
 
 For squares of bundle weights the whole computation is done in the *ambient*
 weight lattice: the weights of an irreducible P-representation are obtained by
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .parabolic import MarkedDatum, branch_to_levi, levi_diagram
 from .rootsystem import RootDatum, Weight, highest_root
-from .weylgroup import simple_reflection
+from .weylgroup import dot_classify
 
 DEFAULT_DIM_CEILING = 5000
 
@@ -182,55 +184,36 @@ def weight_system(
     return WeightSystem(highest=lam, entries=mult, offsets=offsets, total_dim=dim)
 
 
-def _square_pieces(datum: RootDatum, nodes, lam: Weight, weights: dict, kind: str, dim):
+def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str, dim):
     """Brauer-Klimyk decomposition of the exterior/symmetric square of the
-    irreducible V_lam with weight multiset ``weights``, over the Weyl group W_L
-    generated by the simple reflections at ``nodes``:
+    irreducible V_lam with weight system ``ws`` (lam = ``ws.highest``), over
+    the Weyl group W_L generated by the simple reflections at ``nodes``:
 
         S^2 / wedge^2 V_lam = 1/2 sum_{mu in wt(lam)} m(mu) (chi_{lam+mu} +- chi_{2 mu})
 
-    chi_w is the signed dot-reduction of w: reflect v = w + delta at a node
-    where it is negative until it is dominant on ``nodes`` (chi_w = sign *
-    [v - delta]) or has a zero there (chi_w = 0).  Each reflection at node i
-    adds v_i to the height of 2 lam - w, which starts at the height of
-    lam - mu (or twice it).  Returns (height, weight, mult, dim) tuples.
+    chi_w is the signed dot-reduction of w over W_L by :func:`dot_classify`:
+    0 when singular, else (-1)^p [top].  The height of 2 lam - top is that of
+    2 lam - w, i.e. of lam - mu (read off ``ws.offsets``) or twice it, less
+    the drop of the reduction.  Returns (height, weight, mult, dim) tuples.
     """
     if kind not in (EXTERIOR, SYMMETRIC):
         raise ValueError(f"kind must be {EXTERIOR!r} or {SYMMETRIC!r}")
     sign = -1 if kind == EXTERIOR else 1
-    # every weight below lam is reached from lam by subtracting simple roots
-    height = {lam: 0}
-    stack = [lam]
-    while stack:
-        w = stack.pop()
-        for i in nodes:
-            down = tuple(a - b for a, b in zip(w, datum.simple_root_weight(i)))
-            if down in weights and down not in height:
-                height[down] = height[w] + 1
-                stack.append(down)
+    lam = ws.highest
     coeff: dict = {}
     heights: dict = {}
-    for mu, m in weights.items():
+    for mu, m in ws.entries.items():
+        height = sum(ws.offsets[mu])
         terms = (
-            (tuple(a + b for a, b in zip(lam, mu)), height[mu], m),
-            (tuple(2 * a for a in mu), 2 * height[mu], sign * m),
+            (tuple(a + b for a, b in zip(lam, mu)), height, m),
+            (tuple(2 * a for a in mu), 2 * height, sign * m),
         )
         for w, h, c in terms:
-            v = tuple(a + 1 for a in w)
-            while c:
-                i = next((i for i in nodes if v[i - 1] <= 0), None)
-                if i is None:
-                    break
-                if v[i - 1] == 0:
-                    c = 0
-                else:
-                    h += v[i - 1]
-                    v = simple_reflection(datum, i, v)
-                    c = -c
-            if c:
-                top = tuple(a - 1 for a in v)
-                coeff[top] = coeff.get(top, 0) + c
-                heights[top] = h
+            res = dot_classify(datum, w, nodes)
+            if res.is_regular:
+                top = res.dominant_weight
+                coeff[top] = coeff.get(top, 0) + (-c if res.index_p % 2 else c)
+                heights[top] = h - res.drop
 
     pieces = []
     for w, c in coeff.items():
@@ -240,7 +223,7 @@ def _square_pieces(datum: RootDatum, nodes, lam: Weight, weights: dict, kind: st
             )
         if c:
             pieces.append((heights[w], w, c // 2, dim(w)))
-    d = sum(weights.values())
+    d = ws.total_dim
     expected = d * (d - 1) // 2 if kind == EXTERIOR else d * (d + 1) // 2
     total = sum(mult * size for _, _, mult, size in pieces)
     if total != expected:
@@ -260,10 +243,7 @@ def square_decompose_simple(
     alone.  Pieces are ordered by height below 2 lam, then by weight.
     """
     ws = weight_system(datum, lam, ceiling)
-    nodes = range(1, datum.rank + 1)
-    pieces = _square_pieces(
-        datum, nodes, lam, ws.entries, kind, lambda w: weyl_dim(datum, w)
-    )
+    pieces = _square_pieces(datum, None, ws, kind, lambda w: weyl_dim(datum, w))
     return [
         Piece(weight=w, twist=0, mult=mult, dim=size)
         for _, w, mult, size in sorted(pieces)
@@ -282,11 +262,12 @@ def bundle_rank(md: MarkedDatum, w: Weight) -> int:
 
 def ambient_weight_system(
     md: MarkedDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING
-) -> dict:
-    """Weights of the irreducible P-representation E_lam in ambient
-    fundamental coordinates (full Cartan of g), with multiplicities.
+) -> WeightSystem:
+    """Weight system of the irreducible P-representation E_lam in ambient
+    fundamental coordinates (full Cartan of g).
 
-    These are lam minus non-negative combinations of *unmarked* simple roots;
+    Its weights are lam minus non-negative combinations of *unmarked* simple
+    roots, recorded in ``offsets`` in ambient simple-root coordinates;
     multiplicities come from the product of the Levi factor weight systems.
     """
     comp_weights, _center = branch_to_levi(md, lam)
@@ -305,26 +286,25 @@ def ambient_weight_system(
             )
         systems.append((comp, ws))
 
-    out = {lam: 1}
+    lifted = {(0,) * n: 1}  # lam - mu in ambient simple-root coordinates
     for comp, ws in systems:
-        nxt: dict = {}
-        for w, m in out.items():
-            for off, m2 in (
-                (ws.offsets[u], ws.entries[u]) for u in ws.entries
-            ):
-                shifted = list(w)
-                for local, k in enumerate(off):
-                    if k:
-                        node = comp.ambient_nodes[local]
-                        aw = ambient.simple_root_weight(node)
-                        for j in range(n):
-                            shifted[j] -= k * aw[j]
-                key = tuple(shifted)
-                nxt[key] = nxt.get(key, 0) + m * m2
-        out = nxt
-    if sum(out.values()) != total:
+        nxt = {}
+        for off, m in lifted.items():
+            for u, m2 in ws.entries.items():
+                new = list(off)
+                for node, k in zip(comp.ambient_nodes, ws.offsets[u]):
+                    new[node - 1] = k
+                nxt[tuple(new)] = m * m2
+        lifted = nxt
+    entries: dict = {}
+    offsets: dict = {}
+    for off, m in lifted.items():
+        mu = tuple(a - b for a, b in zip(lam, ambient.root_weight(off)))
+        entries[mu] = m
+        offsets[mu] = off
+    if sum(entries.values()) != total:
         raise InternalConsistencyError("ambient weight lift lost multiplicity")
-    return out
+    return WeightSystem(highest=lam, entries=entries, offsets=offsets, total_dim=total)
 
 
 def _fold_twist(md: MarkedDatum, w: Weight, lambda0: Weight):
@@ -354,7 +334,6 @@ def square_decompose(
     pieces = _square_pieces(
         ambient,
         nodes,
-        lam,
         ambient_weight_system(md, lam, ceiling),
         kind,
         lambda w: bundle_rank(md, w),

@@ -1,5 +1,6 @@
 """Weyl group actions on weights: simple reflections and the shifted
-(dot-action) chamber reduction that drives Bott-Borel-Weil.
+(dot-action) chamber reduction that drives Bott-Borel-Weil over the whole
+Weyl group W and Brauer-Klimyk over a Levi Weyl group W_L.
 
 No Weyl group element is ever materialized; everything is done by repeated
 simple reflections at strictly negative coordinates.  The reduced length is
@@ -21,14 +22,16 @@ REGULAR = "regular"
 class DotResult:
     """Outcome of classifying lambda + delta under the shifted Weyl action.
 
-    ``index_p`` and ``dominant_weight`` are meaningful only when regular:
-    ``dominant_weight`` is w(lambda+delta) - delta for the unique w making
-    lambda+delta strictly dominant, and ``index_p`` the length of w.
+    ``index_p``, ``dominant_weight`` and ``drop`` are meaningful only when
+    regular: ``dominant_weight`` is w(lambda+delta) - delta for the unique w
+    making lambda+delta strictly dominant, ``index_p`` the length of w, and
+    ``drop`` the height of the root-lattice step dominant_weight - lambda.
     """
 
     status: str
     index_p: int = 0
     dominant_weight: Weight | None = None
+    drop: int = 0
 
     @property
     def is_regular(self) -> bool:
@@ -53,31 +56,32 @@ def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
     return tuple(w[j] - coeff * alpha[j] for j in range(datum.rank))
 
 
-def dot_classify(datum: RootDatum, lam: Weight) -> DotResult:
-    """Classify lambda + delta as singular or regular of index p.
+def dot_classify(datum: RootDatum, lam: Weight, nodes=None) -> DotResult:
+    """Classify lambda + delta as singular or regular of index p under the
+    Weyl group generated by the simple reflections at ``nodes`` (1-indexed;
+    all nodes, i.e. the whole W, by default).
 
-    Reduce v = lambda + delta into the dominant chamber by reflecting at a
-    strictly negative coordinate.  A zero coordinate at any point means v lies
-    on a reflection wall, hence is singular.  Otherwise v ends strictly
-    dominant after exactly p reflections (p independent of the choices), and
-    the dominant representative of the dot-orbit is v - delta.
+    Reduce v = lambda + delta by reflecting at the first node of ``nodes``
+    whose coordinate is <= 0.  A zero there puts v on a reflection wall, hence
+    singular.  Otherwise v ends strictly positive on ``nodes`` after exactly p
+    reflections (p independent of the choices), the dominant representative of
+    the dot-orbit is v - delta, and each reflection at node i adds |v_i|
+    alpha_i, so ``drop`` is the sum of the |v_i| reflected away.
     """
-    rank = datum.rank
+    if nodes is None:
+        nodes = range(1, datum.rank + 1)
+    elif nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
+        raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
     v = tuple(a + 1 for a in lam)
-    count = 0
-    bound = 2 * len(datum.positive_roots) + 1
-    for _ in range(bound):
-        if any(a == 0 for a in v):
+    drop = 0
+    for count in range(2 * len(datum.positive_roots) + 1):
+        i = next((i for i in nodes if v[i - 1] <= 0), None)
+        if i is None:
+            return DotResult(REGULAR, count, tuple(a - 1 for a in v), drop)
+        if v[i - 1] == 0:
             return DotResult(status=SINGULAR)
-        negatives = [i for i in range(rank) if v[i] < 0]
-        if not negatives:
-            return DotResult(
-                status=REGULAR,
-                index_p=count,
-                dominant_weight=tuple(a - 1 for a in v),
-            )
-        v = simple_reflection(datum, negatives[0] + 1, v)
-        count += 1
+        drop -= v[i - 1]
+        v = simple_reflection(datum, i, v)
     raise ArithmeticError("chamber reduction exceeded its step bound")
 
 

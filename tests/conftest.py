@@ -1,8 +1,14 @@
 """Fixtures shared by more than one test module."""
 
 import pytest
+from hypothesis import settings
 
 from adjvar.weylgroup import REGULAR, SINGULAR, DotResult, simple_reflection
+
+# Fixed examples and no example database, so the suite is deterministic; each
+# test sets only its own max_examples.
+settings.register_profile("adjvar", deadline=None, derandomize=True, database=None)
+settings.load_profile("adjvar")
 
 
 @pytest.fixture

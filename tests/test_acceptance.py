@@ -89,7 +89,7 @@ def test_criterion_3_contact_numerics():
                     total[j] += w[j]
         assert tuple(total) == tuple((m + 1) * a for a in ad.lambda0)
         # second computation: weight-system sum of the contact distribution
-        aws = ambient_weight_system(ad.md, ad.D_weight)
+        aws = ambient_weight_system(ad.md, ad.D_weight).entries
         assert sum(aws.values()) == 2 * m
         c1 = [0] * rank
         for w, mult in aws.items():
@@ -139,7 +139,7 @@ def test_criterion_4_section4_decompositions():
         marked = ad.md.marked_node - 1
         total = 0
         for p in dec.pieces:
-            aws = ambient_weight_system(ad.md, p.full_weight(ad.lambda0))
+            aws = ambient_weight_system(ad.md, p.full_weight(ad.lambda0)).entries
             s = sum(mult * w[marked] for w, mult in aws.items())
             assert s % ad.lambda0[marked] == 0
             total += p.mult * (s // ad.lambda0[marked])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from adjvar.adjoint import (
@@ -11,7 +13,7 @@ from adjvar.adjoint import (
     wedge2_Ddual_twisted,
 )
 from adjvar.bbw import cohomology
-from adjvar.repcalc import ambient_weight_system
+from adjvar.repcalc import ambient_weight_system, bundle_rank
 from adjvar.rootsystem import dim_g
 
 SUPPORTED = section4_types(max_classical_rank=7)
@@ -28,6 +30,35 @@ def sparse(ad, entries, twist=0):
     for node, c in entries.items():
         w[node - 1] = c
     return tuple(a + twist * b for a, b in zip(w, ad.lambda0))
+
+
+@pytest.mark.parametrize("letter,rank", SUPPORTED)
+def test_serre_duality(letter, rank):
+    # H^p(E_lam) and H^{dim X - p}(E_lam^vee (x) K_X) have equal dimension:
+    # E_lam^vee has highest weight -(lowest weight of E_lam), the weight of
+    # largest offset height, and K_X = O(-index)
+    ad = adjoint_data(letter, rank)
+    md = ad.md
+    k = md.marked_node - 1
+    rng = random.Random(100 * rank + ord(letter))
+    weights = [(0,) * rank, ad.lambda0]
+    while len(weights) < 18:
+        lam = [rng.choice((0, 0, 1, 2)) for _ in range(rank)]
+        lam[k] = rng.randint(-(ad.index + 2) * ad.lambda0[k], 3)
+        if bundle_rank(md, tuple(lam)) <= 200:
+            weights.append(tuple(lam))
+    nonzero = 0
+    for lam in weights:
+        ws = ambient_weight_system(md, lam)
+        lowest = max(ws.entries, key=lambda mu: sum(ws.offsets[mu]))
+        dual = tuple(-a - ad.index * b for a, b in zip(lowest, ad.lambda0))
+        res, res_dual = cohomology(md, lam), cohomology(md, dual)
+        assert res.is_zero == res_dual.is_zero, lam
+        if not res.is_zero:
+            nonzero += 1
+            assert res.degree + res_dual.degree == ad.dim_X, lam
+            assert res.dim == res_dual.dim, lam
+    assert nonzero >= 2
 
 
 def test_type_a_is_rejected_toward_folforms():
@@ -118,7 +149,7 @@ def test_wedge2_dimension_and_chern_identities(letter, rank):
     marked = ad.md.marked_node - 1
     total = 0
     for p in dec.pieces:
-        aws = ambient_weight_system(ad.md, p.full_weight(ad.lambda0))
+        aws = ambient_weight_system(ad.md, p.full_weight(ad.lambda0)).entries
         s = [0] * ad.datum.rank
         for w, mult in aws.items():
             for j in range(ad.datum.rank):

@@ -47,6 +47,27 @@ def test_adjoint_table_single_type(capsys):
     assert len(out.splitlines()) == 2  # the header and the E8 row
 
 
+def test_adjoint_table_above_the_default_ceiling(capsys):
+    # rows above rank 10 were built with the default ceiling and exited 2
+    code, out, _ = run(capsys, "adjoint-table", "--max-classical-rank", "11", "--json")
+    assert code == 0
+    types = [row["type"] for row in json.loads(out)["rows"]]
+    assert "B11" in types and "D11" in types and "B12" not in types
+    code, out, _ = run(capsys, "adjoint-table", "--type", "B", "--rank", "11",
+                       "--max-classical-rank", "11", "--json")
+    assert code == 0
+    assert [row["type"] for row in json.loads(out)["rows"]] == ["B11"]
+
+
+@pytest.mark.parametrize("argv", [["--rank", "5"], ["--type", "B"]])
+def test_adjoint_table_type_and_rank_go_together(capsys, argv):
+    # --rank without --type used to be ignored, printing the whole table
+    with pytest.raises(SystemExit) as info:
+        main(["adjoint-table", *argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bbw_e6_adjoint(capsys):
     code, out, _ = run(
         capsys, "bbw", "--type", "E", "--rank", "6", "--node", "2",
@@ -255,3 +276,20 @@ def test_fol_builtin_at_n_1_is_accepted(capsys, builtin):
     code, out, _ = run(capsys, "fol", "check-integrable", "--builtin", builtin,
                        "--n", "1", "--json")
     assert code == 0 and json.loads(out)["integrable"] is True
+
+
+def test_fol_invariant_on_the_curve_n_1(tmp_path, capsys):
+    # at n = 1 every point of X is a leaf; these surfaces used to exit 1
+    from adjvar.bipoly import BiPoly
+
+    path = tmp_path / "surface.json"
+    argv = ["fol", "invariant", "--builtin", "pullback-d0", "--n", "1",
+            "--surface", str(path)]
+    x0, x1, y0, y1 = BiPoly.x(1, 0), BiPoly.x(1, 1), BiPoly.y(1, 0), BiPoly.y(1, 1)
+    for f in (y0, x1 * y0, x0 * y1 + x1 * y0 * 3):
+        path.write_text(json.dumps(f.to_json()))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "invariant: True" in out
+    path.write_text(json.dumps(BiPoly.incidence_quadric(1).to_json()))
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "ideal of X" in err

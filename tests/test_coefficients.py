@@ -24,11 +24,6 @@ from adjvar.bipoly import (
 )
 
 
-def examples(count):
-    """Fixed examples and no example database, so the suite is deterministic."""
-    return settings(deadline=None, derandomize=True, database=None, max_examples=count)
-
-
 ns = st.integers(min_value=1, max_value=3)
 coefficients = st.one_of(
     st.integers(min_value=-30, max_value=30),
@@ -61,7 +56,7 @@ def canonical(p: BiPoly) -> bool:
 # -- the coefficient contract ------------------------------------------------
 
 
-@examples(80)
+@settings(max_examples=80)
 @given(bipoly_pairs(), coefficients)
 def test_every_operation_keeps_coefficients_canonical(pair, scalar):
     a, b = pair
@@ -103,7 +98,7 @@ def ideal_cases(draw):
     return f
 
 
-@examples(120)
+@settings(max_examples=120)
 @given(ideal_cases())
 def test_normal_form_membership_matches_pseudo_division(f):
     assert is_zero_mod_quadric(f) == reduce_mod_quadric(f).is_zero
@@ -114,7 +109,7 @@ def test_normal_form_membership_matches_pseudo_division(f):
     assert canonical(nf)
 
 
-@examples(40)
+@settings(max_examples=40)
 @given(ns, st.integers(min_value=0, max_value=10**6))
 def test_multiples_of_q_have_zero_normal_form(n, seed):
     h = ff.FolSampler(n, seed=seed, height=9).section11()
@@ -130,7 +125,7 @@ def scaled(w, c):
     return ff.PolyOneForm(w.n, [p * c for p in w.coeffs])
 
 
-@examples(12)
+@settings(max_examples=12)
 @given(seeds, scales)
 def test_integrable_ignores_scale(seed, c):
     sampler = ff.FolSampler(2, seed=seed, height=9)
@@ -140,7 +135,7 @@ def test_integrable_ignores_scale(seed, c):
         assert ff.integrable(scaled(w, c)) == ff.integrable(w)
 
 
-@examples(8)
+@settings(max_examples=8)
 @given(seeds, scales)
 def test_is_invariant_ignores_scale(seed, c):
     sampler = ff.FolSampler(2, seed=seed, height=9)
@@ -152,7 +147,7 @@ def test_is_invariant_ignores_scale(seed, c):
         assert ff.is_invariant(w, f) == expected
 
 
-@examples(12)
+@settings(max_examples=12)
 @given(seeds, scales)
 def test_same_foliation_ignores_scale(seed, c):
     sampler = ff.FolSampler(2, seed=seed, height=9)

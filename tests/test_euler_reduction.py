@@ -15,11 +15,6 @@ from adjvar import folforms as ff
 from adjvar.bipoly import BiPoly, is_zero_mod_quadric
 
 
-def examples(count):
-    """Fixed examples and no example database, so the suite is deterministic."""
-    return settings(deadline=None, derandomize=True, database=None, max_examples=count)
-
-
 seeds = st.integers(min_value=0, max_value=10**6)
 heights = st.integers(min_value=1, max_value=5)
 
@@ -73,7 +68,7 @@ EULER_CASES = [
 ]
 
 
-@examples(10)
+@settings(max_examples=10)
 @given(st.sampled_from(EULER_CASES), seeds, heights)
 def test_euler_forms_match_the_whole_wedge(case, seed, height):
     n, bidegree = case
@@ -97,7 +92,7 @@ def test_the_euler_forms_reach_the_dq_stage():
 # -- pencils and logarithmic forms: integrable --------------------------------
 
 
-@examples(6)
+@settings(max_examples=6)
 @given(st.sampled_from([1, 2, 3]), seeds, heights)
 def test_pencils_match_the_whole_wedge(n, seed, height):
     sampler = ff.FolSampler(n, seed=seed, height=height)
@@ -109,7 +104,7 @@ def test_pencils_match_the_whole_wedge(n, seed, height):
     check_same(omega, pencil(h1, h3))
 
 
-@examples(3)
+@settings(max_examples=3)
 @given(seeds, st.sampled_from([(1, 2), (2, -3), (-1, 3)]))
 def test_seeded_log3_matches_the_whole_wedge(seed, residues):
     sampler = ff.FolSampler(2, seed=seed, height=3)
@@ -137,7 +132,7 @@ def tracefree(draw):
     return m
 
 
-@examples(4)
+@settings(max_examples=4)
 @given(tracefree(), tracefree())
 def test_random_pair_foliations_match_the_whole_wedge(a, b):
     try:

@@ -347,6 +347,19 @@ def test_generic_surface_not_invariant():
     assert not is_invariant(w, s.section11())
 
 
+@pytest.mark.parametrize("make", [builtin_pencil, builtin_log4, lambda n: builtin_pullback(0, n)])
+def test_every_surface_is_invariant_on_the_curve_n_1(make):
+    # at n = 1, X is a curve and every point of it is a leaf
+    w = make(1)
+    s = FolSampler(1, seed=5)
+    for f in (y(0, 1), x(1, 1) * y(0, 1), x(0, 1), s.section11(), s.section11() * x(1, 1)):
+        assert is_invariant(w, f)
+    q = BiPoly.incidence_quadric(1)
+    for f in (q, q * y(1, 1)):
+        with pytest.raises(ValueError, match="ideal of X"):
+            is_invariant(w, f)
+
+
 def test_divisorial_singularities_detected():
     h1, h2 = h_pair()
     w = pencil_form(h1, h2)

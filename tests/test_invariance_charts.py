@@ -18,11 +18,6 @@ from adjvar import folforms as ff
 from adjvar.bipoly import BiPoly, poly_divexact, reduce_mod_quadric
 
 
-def examples(count):
-    """Fixed examples and no example database, so the suite is deterministic."""
-    return settings(deadline=None, derandomize=True, database=None, max_examples=count)
-
-
 def partner(n: int, chart: int) -> int:
     """The flat index of the coordinate paired with the chart's in q."""
     return chart + n + 1 if chart <= n else chart - n - 1
@@ -150,7 +145,7 @@ def chart_cases(draw):
     return p, draw(st.sampled_from([0, n + 1]))
 
 
-@examples(150)
+@settings(max_examples=150)
 @given(chart_cases())
 def test_chart_image_is_the_pseudo_remainder(case):
     p, chart = case

@@ -16,11 +16,6 @@ from adjvar.bipoly import BiPoly, terms_from_json, terms_to_json
 from adjvar.folforms import FolSampler, PolyOneForm
 
 
-def examples(count):
-    """Fixed examples and no example database, so the suite is deterministic."""
-    return settings(deadline=None, derandomize=True, database=None, max_examples=count)
-
-
 ns = st.integers(min_value=1, max_value=3)
 coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -37,7 +32,7 @@ def through_text(data):
     return json.loads(json.dumps(data, sort_keys=True))
 
 
-@examples(60)
+@settings(max_examples=60)
 @given(bipolys())
 def test_bipoly_terms_round_trip(p):
     back = terms_from_json(p.n, through_text(terms_to_json(p)))
@@ -45,7 +40,7 @@ def test_bipoly_terms_round_trip(p):
     assert BiPoly.from_json(through_text(p.to_json())) == p
 
 
-@examples(60)
+@settings(max_examples=60)
 @given(bipolys())
 def test_json_term_order_is_the_xy_pair_order(p):
     n1 = p.n + 1
@@ -55,7 +50,7 @@ def test_json_term_order_is_the_xy_pair_order(p):
                for t in terms_to_json(p))
 
 
-@examples(30)
+@settings(max_examples=30)
 @given(
     ns,
     st.integers(min_value=0, max_value=10**6),

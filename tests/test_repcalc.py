@@ -217,7 +217,7 @@ def test_bundle_rank_and_ambient_weights():
     md = MarkedDatum(ambient=build_datum("E", 6), marked_node=2)
     lam4 = (0, 0, 0, 1, 0, 0)
     assert bundle_rank(md, lam4) == 20
-    aws = ambient_weight_system(md, lam4)
+    aws = ambient_weight_system(md, lam4).entries
     assert sum(aws.values()) == 20
     # every weight differs from lam4 by unmarked simple roots: the marked
     # root coordinate is constant across the system
@@ -231,7 +231,7 @@ def test_square_decompose_matches_stripping(letter, rank):
     for kind in (EXTERIOR, SYMMETRIC):
         for lam in (ad.D_weight, ad.Ddual_weight):
             stripped = strip_square(
-                md.ambient, lam, kind, lambda w: ambient_weight_system(md, w, 10**6)
+                md.ambient, lam, kind, lambda w: ambient_weight_system(md, w, 10**6).entries
             )
             expected = Decomposition(
                 pieces=tuple(

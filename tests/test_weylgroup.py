@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -84,6 +85,60 @@ def test_order_independence_and_oracle(random_order_dot):
             assert all(a >= 0 for a in ref.dominant_weight)
         else:
             assert oracle is None
+
+
+def root_coords(datum, w):
+    """Exact simple-root coordinates c of the weight w: w_j = sum_i c_i C_ij."""
+    n = datum.rank
+    a = [[Fraction(datum.cartan[i][j]) for i in range(n)] + [Fraction(w[j])]
+         for j in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def test_dot_classify_over_a_node_subset():
+    # oracle: the positive roots supported on the nodes generate the
+    # reflection subgroup; lambda + delta is singular iff one of them pairs to
+    # 0 with it, and otherwise the index counts those pairing negatively
+    rng = random.Random(2027)
+    tally = {True: 0, False: 0}
+    for letter, rank in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6),
+                         ("E", 8), ("F", 4), ("G", 2)]:
+        d = build_datum(letter, rank)
+        for _ in range(150):
+            nodes = sorted(rng.sample(range(1, rank + 1), rng.randint(0, rank)))
+            lam = tuple(rng.randint(-6, 6) for _ in range(rank))
+            v = tuple(a + 1 for a in lam)
+            pairings = [
+                d.form(v, alpha)
+                for alpha in d.positive_roots
+                if all(alpha[j - 1] == 0 for j in range(1, rank + 1) if j not in nodes)
+            ]
+            res = dot_classify(d, lam, nodes)
+            tally[res.is_regular] += 1
+            if 0 in pairings:
+                assert not res.is_regular
+                continue
+            assert res.is_regular
+            assert res.index_p == sum(1 for p in pairings if p < 0)
+            assert all(res.dominant_weight[i - 1] >= 0 for i in nodes)
+            step = root_coords(d, [a - b for a, b in zip(res.dominant_weight, lam)])
+            assert all(c.denominator == 1 and c >= 0 for c in step)
+            assert all(c == 0 for j, c in enumerate(step, 1) if j not in nodes)
+            assert res.drop == sum(step)
+        full = tuple(rng.randint(-6, 6) for _ in range(rank))
+        assert dot_classify(d, full, range(1, rank + 1)) == dot_classify(d, full)
+    assert min(tally.values()) > 100
+    d = build_datum("B", 3)
+    for nodes in ([0, 2], [1, 4]):
+        with pytest.raises(IndexError):
+            dot_classify(d, (1, 1, 1), nodes)
 
 
 def test_serre_duality_on_projective_space():

@@ -18,11 +18,6 @@ from adjvar import witness as wt
 from adjvar.bipoly import BiPoly
 
 
-def examples(count):
-    """Fixed examples and no example database, so the suite is deterministic."""
-    return settings(deadline=None, derandomize=True, database=None, max_examples=count)
-
-
 seeds = st.integers(min_value=0, max_value=10**6)
 heights = st.integers(min_value=1, max_value=5)
 
@@ -110,7 +105,7 @@ def test_frame_point_lies_on_x_and_tangent_vectors_kill_dq(n):
 EULER_CASES = [(2, (2, 2)), (2, (2, 3)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2))]
 
 
-@examples(5)
+@settings(max_examples=5)
 @given(st.sampled_from(EULER_CASES), seeds, heights)
 def test_euler_forms_witness_matches_symbolic(case, seed, height):
     # n = 3 stops at (2, 2): the symbolic test of a (3, 3) form there takes
@@ -119,7 +114,7 @@ def test_euler_forms_witness_matches_symbolic(case, seed, height):
     check_integrable(ff.FolSampler(n, seed=seed, height=height).euler_form(bidegree))
 
 
-@examples(6)
+@settings(max_examples=6)
 @given(st.sampled_from([1, 2, 3]), seeds, heights)
 def test_pencils_are_never_refuted(n, seed, height):
     sampler = ff.FolSampler(n, seed=seed, height=height)
@@ -128,7 +123,7 @@ def test_pencils_are_never_refuted(n, seed, height):
     assert ff.integrable(omega)
 
 
-@examples(2)
+@settings(max_examples=2)
 @given(seeds, st.sampled_from([(1, 2), (2, -3), (-1, 3)]))
 def test_log_forms_are_never_refuted(seed, residues):
     sampler = ff.FolSampler(2, seed=seed, height=3)
@@ -138,7 +133,7 @@ def test_log_forms_are_never_refuted(seed, residues):
     assert ff.integrable(omega)
 
 
-@examples(6)
+@settings(max_examples=6)
 @given(seeds, heights)
 def test_perturbed_pencils_match_symbolic(seed, height):
     sampler = ff.FolSampler(2, seed=seed, height=height)
@@ -173,7 +168,7 @@ def test_witness_that_vanishes_falls_through_to_symbolic():
 # -- is_invariant ------------------------------------------------------------
 
 
-@examples(3)
+@settings(max_examples=3)
 @given(seeds, heights, st.sampled_from([(1, 1), (1, 2), (2, 1)]))
 def test_pencil_invariance_matches_symbolic(seed, height, bidegree):
     sampler = ff.FolSampler(2, seed=seed, height=height)
@@ -188,7 +183,7 @@ def test_pencil_invariance_matches_symbolic(seed, height, bidegree):
         check_invariant(omega, surface)
 
 
-@examples(6)
+@settings(max_examples=6)
 @given(seeds, heights)
 def test_affine_sections_match_symbolic(seed, height):
     omega = ff.builtin_affine(2)[0]
@@ -251,7 +246,7 @@ def test_surface_in_the_ideal_of_x_raises_before_a_witness(seed):
 # -- same_foliation ----------------------------------------------------------
 
 
-@examples(3)
+@settings(max_examples=3)
 @given(seeds, heights)
 def test_pencil_pairs_match_symbolic(seed, height):
     sampler = ff.FolSampler(2, seed=seed, height=height)
@@ -288,7 +283,7 @@ def form_d_per_variable(f: dict, n: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-@examples(10)
+@settings(max_examples=10)
 @given(st.sampled_from([1, 2, 3]), seeds, st.sampled_from([(2, 2), (2, 3), (3, 2)]))
 def test_form_d_matches_per_variable_derivative(n, seed, bidegree):
     omega = ff.FolSampler(n, seed=seed, height=4).euler_form(bidegree)
