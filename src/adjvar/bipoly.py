@@ -180,8 +180,7 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
-        n = int(data["n"])
-        return terms_from_json(n, data["terms"])
+        return terms_from_json(n_from_json(data["n"]), data["terms"])
 
     # -- content -----------------------------------------------------------
     def content(self) -> Fraction:
@@ -223,6 +222,14 @@ def terms_to_json(p: BiPoly) -> list:
         {"x": list(key[:n1]), "y": list(key[n1:]), "c": str(c)}
         for key, c in sorted(p.terms.items())
     ]
+
+
+def n_from_json(value) -> int:
+    """The "n" of a form or surface JSON; raises ValueError unless it is a
+    JSON integer >= 1 (a float such as 2.7, a bool or a string is not)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f'"n" must be an integer >= 1, got {value!r}')
+    return value
 
 
 def _exponents_from_json(values, n: int) -> tuple[int, ...]:

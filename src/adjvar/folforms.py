@@ -14,12 +14,14 @@ in (q) is decided by the normal form modulo q; membership in (F, q) on the
 two charts x_0 != 0 and y_0 != 0, each by the normal form and one exact
 single-divisor division in a polynomial ring.  The predicates do not change
 when a form is scaled, so their symbolic tests clear denominators first and
-multiply only ints.  Integrability and proportionality are tested on the wedge
-components free of x_0 and y_0 only: both Euler fields annihilate those
-wedges modulo q, so the other components follow (``_euler_reduced``).
-``integrable``, ``is_invariant`` and ``same_foliation`` first evaluate their
-form at an integer point of X (``witness``): a nonzero value proves False
-exactly, and every True answer comes from the symbolic test.
+multiply only ints.  Integrability and proportionality share one test,
+dq ^ a ^ b in (q), run on the wedge components free of x_0 and y_0 only: both
+Euler fields annihilate those wedges modulo q, so the other components follow
+(``_euler_reduced``).  ``integrable``, ``is_invariant`` and ``same_foliation``
+first evaluate their form at an integer point of X (``witness``): a nonzero
+value proves False exactly, and every True answer comes from the symbolic
+test.  Pencils, pullbacks and ``log4`` are built by ``log_form``; the affine
+and torus foliations by ``foliation_from_fields`` from pairs of vector fields.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .bipoly import (
     BiPoly,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
+    n_from_json,
     normal_form_mod_q,
     poly_divexact,
     poly_gcd_list,
@@ -138,7 +142,7 @@ class PolyOneForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyOneForm":
-        n = int(data["n"])
+        n = n_from_json(data["n"])
         blocks = data["dx"], data["dy"]
         if any(len(block) != n + 1 for block in blocks):
             raise ValueError(f"dx and dy need {n + 1} coefficients each")
@@ -245,34 +249,37 @@ def dq_form(n: int) -> dict:
     return out
 
 
+def _same_ambient(n1: int, n2: int) -> None:
+    if n1 != n2:
+        raise ValueError(f"the inputs live on P^{n1} x P^{n1} and P^{n2} x P^{n2}")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 
 def pencil_form(h1: BiPoly, h2: BiPoly) -> PolyOneForm:
-    """The pencil foliation h1 dh2 - h2 dh1 of two (1,1)-sections."""
-    n = h1.n
+    """The pencil foliation h1 dh2 - h2 dh1 of two (1,1)-sections: the
+    logarithmic form with residues (1, -1) on (h2, h1).
+
+    It is h1^2 d(h2 / h1), so it vanishes exactly when the sections are
+    proportional, and ``log_form`` then raises."""
     for h in (h1, h2):
         if h.is_zero or h.bidegree() != (1, 1):
             raise ValueError("pencil sections must be nonzero of bidegree (1,1)")
-    key = next(iter(h1.terms))
-    c1 = h1.terms[key]
-    c2 = h2.terms.get(key, Fraction(0))
-    if h2 * c1 == h1 * c2:
-        raise ValueError("degenerate pencil: the two sections are proportional")
-    coeffs = []
-    for v in range(2 * (n + 1)):
-        coeffs.append(h1 * h2.dvar(v) - h2 * h1.dvar(v))
-    return PolyOneForm(n, coeffs)
+    return log_form([1, -1], [h2, h1])
 
 
 def log_form(residues, factors) -> PolyOneForm:
-    """The logarithmic form (prod f_i)(sum lambda_i df_i / f_i).
+    """The logarithmic form (prod f_i)(sum lambda_i df_i / f_i), that is
+    sum_i lambda_i (prod_{j != i} f_j) df_i.
 
     The residues must annihilate the factor bidegrees componentwise,
     sum lambda_i deg(f_i) = (0, 0); this is the first-Chern-class constraint
-    that makes the form a well-defined projective 1-form.
+    that makes the form a well-defined projective 1-form.  Every built-in
+    except ``affine`` and ``torus`` is one of these (Calvo-Andrade,
+    Math. Ann. 299, 1994; Cerveau-Lins Neto, Ann. of Math. 143, 1996).
     """
     if len(residues) != len(factors) or not factors:
         raise ValueError("need matching nonempty residue and factor lists")
@@ -280,6 +287,7 @@ def log_form(residues, factors) -> PolyOneForm:
     n = factors[0].n
     degs = []
     for f in factors:
+        _same_ambient(n, f.n)
         if f.is_zero:
             raise ValueError("zero factor in a logarithmic form")
         degs.append(f.bidegree())
@@ -293,41 +301,30 @@ def log_form(residues, factors) -> PolyOneForm:
         )
     coeffs = [BiPoly.zero(n) for _ in range(2 * (n + 1))]
     for i, (ri, fi) in enumerate(zip(residues, factors)):
-        cofactor = BiPoly.const(n, 1)
-        for j, fj in enumerate(factors):
-            if j != i:
-                cofactor = cofactor * fj
+        others = factors[:i] + factors[i + 1 :]
+        cofactor = reduce(mul, others) if others else BiPoly.const(n, 1)
+        # an integral residue scales as an int, so int products stay int
+        cofactor = cofactor * (ri.numerator if ri.denominator == 1 else ri)
         for v in range(2 * (n + 1)):
-            coeffs[v] = coeffs[v] + cofactor * fi.dvar(v) * ri
+            dv = fi.dvar(v)
+            if dv:
+                coeffs[v] = coeffs[v] + cofactor * dv
     if all(c.is_zero for c in coeffs):
         raise ValueError("degenerate logarithmic form (identically zero)")
     return PolyOneForm(n, coeffs)
 
 
-def pullback_form(coeffs_x, n: int) -> PolyOneForm:
-    """Pullback along the first projection of a 1-form on P^n: the dx
-    coefficients depend only on x and the dy block vanishes."""
-    zero = BiPoly.zero(n)
-    return PolyOneForm(n, list(coeffs_x) + [zero] * (n + 1))
-
-
 def builtin_pullback(degree: int, n: int) -> PolyOneForm:
-    """pi_1-pullback of a standard integrable degree-0 or degree-1 foliation
-    on P^n (a pencil of hyperplanes, resp. a two-factor logarithmic form)."""
+    """pi_1-pullback of a standard integrable foliation on P^n, as a
+    logarithmic form in x alone: degree 0 is the pencil of hyperplanes
+    x0 dx1 - x1 dx0 (residues (1, -1) on (x1, x0)), degree 1 is
+    2h dx0 - x0 dh with h = x1 x2 - x0^2 (residues (2, -1) on (x0, h)), whose
+    rational first integral is x0^2 / h."""
     x = lambda i: BiPoly.x(n, i)
     if degree == 0:
-        # x0 dx1 - x1 dx0
-        coeffs = [x(1) * -1, x(0)] + [BiPoly.zero(n)] * (n - 1)
-        return pullback_form(coeffs, n)
+        return log_form([1, -1], [x(1), x(0)])
     if degree == 1:
-        # 2h dx0 - x0 dh with h = x1 x2 - x0^2: residues (2, -1) against
-        # (x0, h), the rational first integral x0^2 / h
-        h = x(1) * x(2) - x(0) * x(0)
-        coeffs = []
-        for i in range(n + 1):
-            c = h * (2 if i == 0 else 0) - x(0) * h.dvar(i)
-            coeffs.append(c)
-        return pullback_form(coeffs, n)
+        return log_form([2, -1], [x(0), x(1) * x(2) - x(0) * x(0)])
     raise ValueError("only pullback degrees 0 and 1 are built in")
 
 
@@ -339,24 +336,28 @@ def builtin_pullback(degree: int, n: int) -> PolyOneForm:
 def integrable(omega: PolyOneForm) -> bool:
     """Frobenius integrability of the foliation cut out on X.
 
-    True iff omega ^ d(omega) = 0 identically or after wedging with dq and
-    reducing modulo q (the two coincide for forms defined on all of
-    P^n x P^n; the dq factor accounts for forms only defined along X).
+    True iff dq ^ omega ^ d(omega) = 0 modulo q.  The dq factor discards the
+    conormal direction, so the answer does not change when omega is altered
+    by a form q alpha + g dq that vanishes on X; an ambient identity
+    omega ^ d(omega) = 0 (mod q) implies it.
     """
     refuted = witness.integrability_witness(omega) is not None
     return not refuted and _integrable_symbolic(omega)
 
 
+def _dq_wedge_in_q(a: dict, b: dict, n: int) -> bool:
+    """Is dq ^ a ^ b in (q)?  a and b are Euler-reduced form dicts, and so is
+    the 4- or 3-form tested (``_euler_reduced``).  a ^ b is built first, so
+    an empty product, as for every logarithmic form, costs one wedge."""
+    ab = form_wedge(a, b, n)
+    dq_ab = form_wedge(_euler_reduced(dq_form(n), n), ab, n)
+    return all(is_zero_mod_quadric(c) for c in dq_ab.values())
+
+
 def _integrable_symbolic(omega: PolyOneForm) -> bool:
-    """omega ^ d(omega), then dq ^ omega ^ d(omega), tested in (q) on the
-    components free of x_0 and y_0 only (``_euler_reduced``)."""
     n = omega.n
     w = _integral(_euler_reduced(omega.as_dict(), n))
-    gamma = form_wedge(w, _euler_reduced(form_d(w, n), n), n)
-    if all(is_zero_mod_quadric(c) for c in gamma.values()):
-        return True
-    four = form_wedge(_euler_reduced(dq_form(n), n), gamma, n)
-    return all(is_zero_mod_quadric(c) for c in four.values())
+    return _dq_wedge_in_q(w, _euler_reduced(form_d(w, n), n), n)
 
 
 def _strip_var(p: BiPoly, v: int) -> BiPoly:
@@ -390,6 +391,7 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     At n = 1, X is a curve, every point of it is a leaf, and every V(F) ^ X
     with F not in (q) is invariant.
     """
+    _same_ambient(omega.n, f.n)
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
     if omega.n == 1:
@@ -705,8 +707,19 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
         raise ValueError("the two vector fields are dependent on X")
     terms = [{} for _ in range(2 * (n + 1))]
     for (v, m), c in zip(columns, kernel[0]):
-        terms[v][m] = c
-    return PolyOneForm(n, _saturate([BiPoly(n, t) for t in terms]))
+        if c:
+            terms[v][m] = c
+    # Scaled to coprime integers with a positive leading coefficient on the
+    # first nonzero block, for reproducible output.  There is no polynomial
+    # content to divide out: were omega = g omega' with g of bidegree
+    # (a, b) != (0, 0), every h omega' with h in H^0(O_X(a, b)) would solve
+    # the same equations, their classes modulo the junk would span
+    # h^0(O_X(a, b)) >= 2 dimensions, and the kernel would not be
+    # one-dimensional.
+    lead = next(t for t in terms if t)
+    scale = gcd(*kernel[0]) * (1 if lead[max(lead)] > 0 else -1)
+    coeffs = [BiPoly(n, {m: c // scale for m, c in t.items()}) for t in terms]
+    return PolyOneForm(n, coeffs)
 
 
 def _fields_independent(v1, v2) -> bool:
@@ -719,43 +732,18 @@ def _fields_independent(v1, v2) -> bool:
     return False
 
 
-def _saturate(coeffs):
-    """Scale the coefficient list of a one-dimensional kernel to coprime
-    integers with a positive leading coefficient, for reproducible output.
-
-    The list has no polynomial content to divide out.  Were omega = g omega'
-    with g of bidegree (a, b) != (0, 0), every h omega' with h in
-    H^0(O_X(a, b)) would solve the same equations, and their classes modulo
-    the junk would span h^0(O_X(a, b)) >= 2 dimensions, so the kernel would
-    not be one-dimensional and ``foliation_from_fields`` would already have
-    raised "dependent"."""
-    nonzero = [c for c in coeffs if not c.is_zero]
-    contents = [c.content() for c in nonzero]
-    content = Fraction(
-        gcd(*(c.numerator for c in contents)), lcm(*(c.denominator for c in contents))
-    )
-    if nonzero[0].terms[max(nonzero[0].terms)] < 0:
-        content = -content
-    if content != 1:
-        coeffs = [c * Fraction(1, content) for c in coeffs]
-    return list(coeffs)
-
-
 def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:
     """Do two forms cut out the same foliation on X?  True iff
     dq ^ w1 ^ w2 = 0 mod q (proportionality along X up to the conormal)."""
+    _same_ambient(w1.n, w2.n)
     refuted = witness.proportionality_witness(w1, w2) is not None
     return not refuted and _same_foliation_symbolic(w1, w2)
 
 
 def _same_foliation_symbolic(w1: PolyOneForm, w2: PolyOneForm) -> bool:
-    """dq ^ w1 ^ w2 tested in (q) on the components free of x_0 and y_0
-    only (``_euler_reduced``)."""
     n = w1.n
-    dq = _euler_reduced(dq_form(n), n)
     f1, f2 = (_integral(_euler_reduced(w.as_dict(), n)) for w in (w1, w2))
-    three = form_wedge(form_wedge(dq, f1, n), f2, n)
-    return all(is_zero_mod_quadric(c) for c in three.values())
+    return _dq_wedge_in_q(f1, f2, n)
 
 
 # ---------------------------------------------------------------------------

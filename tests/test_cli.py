@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -293,3 +294,90 @@ def test_fol_invariant_on_the_curve_n_1(tmp_path, capsys):
     path.write_text(json.dumps(BiPoly.incidence_quadric(1).to_json()))
     code, _, err = run(capsys, *argv)
     assert code == 2 and "ideal of X" in err
+
+
+def exit_code(*argv):
+    """The exit status of the CLI, whether main returns it or raises it."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("n", [3, 1])
+def test_fol_invariant_rejects_a_surface_on_another_space(tmp_path, capsys, n):
+    # a surface on P^3 x P^3 used to raise an IndexError in the witness (exit
+    # 1), one on P^1 x P^1 a bare "tuple.index(x): x not in tuple" (exit 2)
+    from adjvar.bipoly import BiPoly
+
+    x, y = (lambda i: BiPoly.x(n, i)), (lambda j: BiPoly.y(n, j))
+    f = x(1) * y(1) + x(0) * y(2) if n == 3 else x(0) * y(1)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(f.to_json()))
+    code = exit_code("fol", "invariant", "--builtin", "pencil", "--n", "2",
+                     "--surface", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"P^{n} x P^{n}" in err and "P^2 x P^2" in err
+
+
+@pytest.mark.parametrize("value", [2.7, True, "2", 0, -1])
+def test_fol_json_n_must_be_a_positive_integer(tmp_path, capsys, value):
+    # "n": 2.7 was read as 2 (exit 0), true as 1 and "2" as 2
+    from adjvar.folforms import builtin_affine, builtin_pencil
+
+    form, surface = builtin_pencil(2).to_json(), builtin_affine(2)[1].to_json()
+    form["n"] = surface["n"] = value
+    form_path, surface_path = tmp_path / "form.json", tmp_path / "surface.json"
+    form_path.write_text(json.dumps(form))
+    surface_path.write_text(json.dumps(surface))
+    for argv in (
+        ["check-integrable", "--input", str(form_path)],
+        ["invariant", "--builtin", "affine", "--surface", str(surface_path)],
+    ):
+        assert exit_code("fol", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and '"n" must be an integer >= 1' in err
+
+
+# -- the fixed command set: its output must stay byte-identical ---------------
+
+# sha256 of the stdout of `adjvar fol build --builtin B --n N`
+BUILD_DIGESTS = {
+    ("pencil", 1): "aab1b983b1ae2b7f408b153ee7efea7c32b77d04eb6dcb5f591685b285af250d",
+    ("pencil", 2): "6a3a9adac51e49f765e836b61f537c098882f22e34100a1290bf99920d8cbfa4",
+    ("pencil", 3): "d1d3bba4306ff61fa661cd3d45b0fe791b993d6985636f025fc5bf16185375b4",
+    ("pencil", 4): "5d678b832008ac7ab55ec0fefad0abb7fe69a844d2e9230382cb9253206555f4",
+    ("log4", 1): "d16b29d8df5eb02851349913fbc952a38cb1bf58a89871bb5c9edb5d9beb8337",
+    ("log4", 2): "76a6a00d2594b16de92a9f90f698a30453e78738902d6e7cdf33f30be1d173c8",
+    ("log4", 3): "e52aa5463b8c3bd241e9044de9cec4b510f64ca84a3bf9a69fd8526a94a6d10b",
+    ("log4", 4): "363c2534479d21bcde472c1223d6048d1c0bdc3017bc514e69d7d79022eea6a7",
+    ("pullback-d0", 1): "3976ce7d8dfd73378a0aa19987099142a3dc121dd6e687d0815e36eb9dfd3b86",
+    ("pullback-d0", 2): "ee92250160a226f0cac03de94b756506f9e9aa748ed1987714845394bc0fa23f",
+    ("pullback-d0", 3): "2df6dcb6f5dc8563037f03f627b706eecd081dc954edd3ce048cf626e7280167",
+    ("pullback-d0", 4): "027377e191641f9c9d94523e461d464757ff34d3bab48da48ebdc22f16a5becf",
+    ("pullback-d1", 2): "28314ff12008822656761c1ad75481fdf96a4950ce9ce88e857392122d4241a4",
+    ("pullback-d1", 3): "81d768e89e7f6e1375f18c6176489da2e09659b575b8e85f0f6369d2c3332ebf",
+    ("pullback-d1", 4): "13b3ed11713a82a3d11346617f064697d8b9787adb6eae04493f57fc900b32e5",
+    ("affine", 2): "e91bdab9ac753b297e3e367b68f83f5f810e947d2d40c4e8928c77a7b81fafc8",
+    ("torus", 2): "45797accdc492cba49645a176235ea6aa921c785bbea415edd38185a10bda6bc",
+}
+TABLE_DIGEST = "1c27316b0fd4ec9cae9ab83ef1d360df98847ff0c3ee9ba96cd2f0a66749abba"
+
+
+def stdout_digest(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("builtin,n", sorted(BUILD_DIGESTS))
+def test_fol_build_output_is_pinned(capsys, builtin, n):
+    digest = stdout_digest(capsys, "fol", "build", "--builtin", builtin, "--n", str(n))
+    assert digest == BUILD_DIGESTS[builtin, n]
+
+
+def test_adjoint_table_output_is_pinned(capsys):
+    digest = stdout_digest(capsys, "adjoint-table", "--max-classical-rank", "10",
+                           "--compare-paper", "--json")
+    assert digest == TABLE_DIGEST

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -572,6 +573,22 @@ def test_foliation_numerics_fields():
 
     fn = foliation_numerics((3, 5), 3)
     assert fn.deg_H1 == 3 and fn.deg_H2 == 1
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 2), (2, 3)])
+def test_inputs_on_different_spaces_are_rejected(n1, n2):
+    # same_foliation(pencil(3), pencil(2)) used to answer False, and the
+    # swapped call raised an IndexError in the witness; log_form built a
+    # wrong form from x_0 on P^2 and x_1 on P^3
+    both = re.escape(f"P^{n1} x P^{n1} and P^{n2} x P^{n2}")
+    with pytest.raises(ValueError, match=both):
+        log_form([1, -1], [x(0, n1), x(1, n2)])
+    with pytest.raises(ValueError, match=both):
+        pencil_form(*(FolSampler(k, seed=1).section11() for k in (n2, n1)))
+    with pytest.raises(ValueError, match=both):
+        same_foliation(builtin_pencil(n1), builtin_pencil(n2))
+    with pytest.raises(ValueError, match=both):
+        is_invariant(builtin_pencil(n1), x(1, n2) * y(1, n2) + x(0, n2) * y(2, n2))
 
 
 # -- serialization -----------------------------------------------------------
