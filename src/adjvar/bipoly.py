@@ -162,10 +162,11 @@ class BiPoly:
         )
 
     # -- evaluation --------------------------------------------------------
-    def eval_point(self, xs, ys) -> Fraction:
-        """The exact value at the point with coordinates xs, ys."""
+    def eval_point(self, xs, ys):
+        """The exact value at the point with coordinates xs, ys; an int when
+        the coefficients and coordinates are ints."""
         point = tuple(xs) + tuple(ys)
-        total = Fraction(0)
+        total = 0
         for key, c in self.terms.items():
             v = c
             for b, e in zip(point, key):

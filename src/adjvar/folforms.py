@@ -27,11 +27,12 @@ and torus foliations by ``foliation_from_fields`` from pairs of vector fields.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .bipoly import (
     BiPoly,
@@ -162,24 +163,57 @@ def _merge_wedge(i_tuple, j_tuple):
     return (-1) ** swaps, tuple(sorted(merged))
 
 
+def _packed_components(form: dict, unit) -> dict:
+    """{index key: [(packed monomial, coefficient), ...]} of a form dict, each
+    exponent tuple packed by ``unit`` into one int (see ``form_wedge``)."""
+    from_bytes = int.from_bytes
+    pack = unit.pack
+    return {
+        key: [(from_bytes(pack(*mono), "big"), c) for mono, c in p.terms.items()]
+        for key, p in form.items()
+    }
+
+
+def _max_exponent(form: dict) -> int:
+    return max((max(mono) for p in form.values() for mono in p.terms), default=0)
+
+
 def form_wedge(f: dict, g: dict, n: int) -> dict:
     """Wedge product, each output coefficient summed in one
-    {monomial: coefficient} dict over all pairs of input terms."""
-    acc: dict = {}  # key of dz_I ^ dz_J -> {monomial: coefficient}
-    for ikey, ic in f.items():
-        for jkey, jc in g.items():
+    {monomial: coefficient} dict over all pairs of input terms.
+
+    Each exponent tuple is packed into one int with a 16-bit big-endian slot
+    per variable, x_0 most significant, so a product of monomials is one
+    integer addition; only the nonzero sums are unpacked.  A slot must not
+    carry, so the largest exponents of f and g must sum to less than 2^16,
+    else ValueError."""
+    top = _max_exponent(f) + _max_exponent(g)
+    if top >= 1 << 16:
+        raise ValueError(
+            f"exponent sum {top} does not fit the 16-bit packed monomial slots"
+        )
+    unit = struct.Struct(f">{2 * n + 2}H")
+    fp, gp = _packed_components(f, unit), _packed_components(g, unit)
+    acc: dict = {}  # key of dz_I ^ dz_J -> {packed monomial: coefficient}
+    for ikey, iterms in fp.items():
+        for jkey, jterms in gp.items():
             m = _merge_wedge(ikey, jkey)
             if m is None:
                 continue
             sign, key = m
             terms = acc.setdefault(key, {})
             get = terms.get
-            for ka, ca in ic.terms.items():
+            for pa, ca in iterms:
                 ca *= sign
-                for kb, cb in jc.terms.items():
-                    mono = tuple(map(add, ka, kb))
+                for pb, cb in jterms:
+                    mono = pa + pb
                     terms[mono] = get(mono, 0) + ca * cb
-    return _collect(acc, n)
+    unpack, width = unit.unpack, unit.size
+    return _collect(
+        {key: {unpack(m.to_bytes(width, "big")): c for m, c in sums.items() if c}
+         for key, sums in acc.items()},
+        n,
+    )
 
 
 def form_d(f: dict, n: int) -> dict:
@@ -187,9 +221,10 @@ def form_d(f: dict, n: int) -> dict:
     in the dz_K coefficient gives c e_v z^(e - 1_v) to dz_v ^ dz_K."""
     acc: dict = {}  # key of dz_v ^ dz_K -> {monomial: coefficient}
     for key, c in f.items():
+        targets = [_merge_wedge((v,), key) for v in range(2 * n + 2)]
         for exps, coef in c.terms.items():
             for v, e in enumerate(exps):
-                target = _merge_wedge((v,), key) if e else None
+                target = targets[v] if e else None
                 if target is None:
                     continue
                 sign, nkey = target
@@ -490,6 +525,12 @@ def _independent(p, q) -> bool:
     return False
 
 
+def _integer_multiple(point) -> list:
+    """The rational vector times the lcm of its denominators, as ints."""
+    scale = lcm(*(a.denominator for a in point))
+    return [a.numerator * (scale // a.denominator) for a in point]
+
+
 def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     """Number of tangencies of the foliation with the line, with multiplicity.
 
@@ -503,6 +544,14 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     form of degree d - 1, and Euler on the moving factor gives U = t b.  So
     U(1, 0) = 0, and b = 0 exactly when U(1, k) = 0 for the d - 1 points
     k = 1..d-1, one more than deg b.
+
+    Every value is an int: the block's coefficients are cleared of
+    denominators by one common factor, base is scaled by one integer and
+    p0, p1 by another.  U is bihomogeneous, of degree d - 1 in the moving
+    point and linear in the contraction vector p0, so scaling the block by
+    c, base by l and p0, p1 by m turns each U(1, k) into
+    c * l^e * m^d * U(1, k), with e the block's degree in the base factor.
+    That factor is nonzero, so no zero test changes.
     """
     n = omega.n
     numerics = foliation_numerics(omega.bidegree, n)
@@ -510,10 +559,14 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
         d, block, degree = omega.bidegree[1], omega.coeffs[n + 1 :], numerics.deg_H1
     else:
         d, block, degree = omega.bidegree[0], omega.coeffs[: n + 1], numerics.deg_H2
+    block = _integral(dict(enumerate(block))).values()
+    base = _integer_multiple(line.base)
+    spans = _integer_multiple((*line.p0, *line.p1))
+    p0, p1 = spans[: n + 1], spans[n + 1 :]
     for k in range(d):
-        moving = [a + k * b for a, b in zip(line.p0, line.p1)]
-        xs, ys = (line.base, moving) if line.family == 1 else (moving, line.base)
-        u = sum(c.eval_point(xs, ys) * w for c, w in zip(block, line.p0) if w)
+        moving = [a + k * b for a, b in zip(p0, p1)]
+        xs, ys = (base, moving) if line.family == 1 else (moving, base)
+        u = sum(c.eval_point(xs, ys) * w for c, w in zip(block, p0) if w)
         if u:
             if k == 0:
                 raise ArithmeticError("pullback lost the Euler relation")

@@ -340,6 +340,25 @@ def test_fol_json_n_must_be_a_positive_integer(tmp_path, capsys, value):
         assert err.startswith("error:") and '"n" must be an integer >= 1' in err
 
 
+@pytest.mark.parametrize("k,code", [((1 << 15) - 1, 0), (1 << 15, 2)])
+def test_fol_exponents_beyond_the_packed_slots_exit_2(tmp_path, capsys, k, code):
+    # x2^k (x1 dx2 - x2 dx1) wedges exponents up to k + 1 with ones up to k
+    from adjvar.bipoly import BiPoly
+    from adjvar.folforms import PolyOneForm
+
+    x, zero = (lambda i: BiPoly.x(2, i)), BiPoly.zero(2)
+    m = BiPoly(2, {(0, 0, k, 0, 0, 0): 1})
+    form = PolyOneForm(2, [zero, -(m * x(2)), m * x(1), zero, zero, zero])
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form.to_json()))
+    assert exit_code("fol", "check-integrable", "--input", str(path)) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error:") and "16-bit" in err
+    else:
+        assert "integrable: True" in out
+
+
 # -- the fixed command set: its output must stay byte-identical ---------------
 
 # sha256 of the stdout of `adjvar fol build --builtin B --n N`

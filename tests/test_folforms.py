@@ -303,6 +303,12 @@ def tangency_cases():
                   builtin_pencil(n, s)]
         cases += [(w, s.line(family)) for w in forms for family in (1, 2)
                   for _ in range(2)]
+        # lines with six-digit numerators and denominators, and a log form
+        # whose residues, so coefficients, are not integers
+        tall = FolSampler(n, seed=53 + n, height=10**6)
+        forms = [tall.euler_form((2, 3)), builtin_pencil(n, tall),
+                 builtin_log4(n, Fraction(1, 2), Fraction(-2, 3))]
+        cases += [(w, tall.line(family)) for w in forms for family in (1, 2)]
     # lines inside a leaf of the pencil of h1 = x0 y1 + x2 y0 and
     # h2 = x1 y2 + x0 y0, whose bidegree says degree 0: h1 vanishes on both
     w = pencil_form(x(0) * y(1) + x(2) * y(0), x(1) * y(2) + x(0) * y(0))
