@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from .bbw import cohomology, cohomology_of_decomposition
 from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
 from .repcalc import (
+    DEFAULT_DIM_CEILING,
     EXTERIOR,
     Decomposition,
     Piece,
     ambient_weight_system,
-    bundle_rank,
     square_decompose,
     weyl_dim,
 )
@@ -131,24 +131,22 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         raise ArithmeticError(f"adjoint variety dimension {dim_x} is even")
     m = (dim_x - 1) // 2
 
-    # -K_X = sum of nilradical roots must be exactly (m+1) lambda0
-    k = marked - 1
-    canon = [0] * rank
-    for root in datum.positive_roots:
-        if root[k] != 0:
-            w = datum.root_weight(root)
-            for j in range(rank):
-                canon[j] += w[j]
+    # -K_X = sum of nilradical roots must be exactly (m+1) lambda0; the root
+    # weights are distinct, so each enters the sum once
+    canon = _weight_sum(
+        {datum.root_weight(r): 1 for r in datum.positive_roots if r[marked - 1]}
+    )
     index = m + 1
-    if tuple(canon) != tuple(index * a for a in lambda0):
+    if canon != tuple(index * a for a in lambda0):
         raise ArithmeticError(
-            f"sum of nilradical roots {tuple(canon)} is not (m+1) lambda0"
+            f"sum of nilradical roots {canon} is not (m+1) lambda0"
         )
 
     # rank(D) = 2m and c_1(D) = m lambda0, via the weight system of E_{D_weight}
-    if bundle_rank(md, d_weight) != 2 * m:
+    d_system = ambient_weight_system(md, d_weight)
+    if d_system.total_dim != 2 * m:
         raise ArithmeticError("contact distribution rank is not dim X - 1")
-    c1 = _weight_sum(ambient_weight_system(md, d_weight).entries)
+    c1 = _weight_sum(d_system.entries)
     if c1 != tuple(m * a for a in lambda0):
         raise ArithmeticError(f"c_1(D) = {c1} is not m lambda0")
 
@@ -164,7 +162,9 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
     )
 
 
-def wedge2_Ddual_twisted(ad: AdjointData, k: int, ceiling: int = 5000) -> Decomposition:
+def wedge2_Ddual_twisted(
+    ad: AdjointData, k: int, ceiling: int = DEFAULT_DIM_CEILING
+) -> Decomposition:
     """Exterior square of the contact conormal sheaf, twisted by O(k)."""
     dec = square_decompose(ad.md, ad.Ddual_weight, EXTERIOR, ceiling=ceiling)
     return Decomposition(
@@ -204,7 +204,7 @@ def h0_omega2(ad: AdjointData, k: int) -> H0Omega2:
     res_low = cohomology(md, lower)
     h0_low, h1_low = res_low.h(0), res_low.h(1)
 
-    h0_top = cohomology_of_decomposition(md, wedge2_Ddual_twisted(ad, k), lam0).get(0, 0)
+    h0_top = cohomology_of_decomposition(md, wedge2_Ddual_twisted(ad, k)).get(0, 0)
 
     if h1_low == 0:
         return H0Omega2(value=h0_low + h0_top)
@@ -222,18 +222,12 @@ def h0_omega2(ad: AdjointData, k: int) -> H0Omega2:
 
 # The per-type decompositions of wedge^2 D^vee(2) as printed in the source
 # analysis, encoded as (sparse weight, twist in lambda0 units).  Comparison is
-# by full weight, so printed twists are folded before matching.  ``notes``
+# by full weight, so printed twists are folded before matching.  Types B and D
+# share one entry, keyed "BD"; the others are keyed by label.  ``notes``
 # record the prose inconsistencies that the derivation resolves; they are
 # reported, never silently overridden.
 PRINTED_WEDGE2: dict[str, dict] = {
-    "B": {
-        "pieces": [({1: 2, 4: 2}, -2), ({3: 2}, -1), ({}, 1)],
-        "notes": [
-            "printed intro takes wedge^2 E_{l1+l3} but the displayed summand "
-            "uses 2*l4; the stripping computation is the oracle"
-        ],
-    },
-    "D": {
+    "BD": {
         "pieces": [({1: 2, 4: 2}, -2), ({3: 2}, -1), ({}, 1)],
         "notes": [
             "printed intro takes wedge^2 E_{l1+l3} but the displayed summand "
@@ -286,7 +280,7 @@ def _printed_full_weights(ad: AdjointData, entry):
 
 def compare_with_printed(ad: AdjointData, dec: Decomposition) -> dict:
     """Compare a computed wedge^2 D^vee(2) with the printed decomposition."""
-    key = ad.datum.letter if ad.datum.letter in ("B", "D") else ad.label
+    key = "BD" if ad.datum.letter in ("B", "D") else ad.label
     entry = PRINTED_WEDGE2.get(key)
     if entry is None:
         return {"flag": "no-printed-data", "notes": []}

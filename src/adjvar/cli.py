@@ -15,7 +15,7 @@ import sys
 
 from .adjoint import section4_row, section4_table
 from .bbw import cohomology
-from .parabolic import MarkedDatum, is_bundle_weight
+from .parabolic import MarkedDatum
 from .rootsystem import build_datum, dim_g
 from . import folforms as ff
 
@@ -79,12 +79,6 @@ def cmd_bbw(args) -> int:
         md = MarkedDatum(ambient=datum, marked_node=args.node)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not is_bundle_weight(md, weight):
-        print(
-            f"error: {list(weight)} is not a bundle weight at node {args.node}",
-            file=sys.stderr,
-        )
         return 2
     res = cohomology(md, weight)
     data = {"type": datum.letter, "rank": datum.rank, "node": args.node,
@@ -331,6 +325,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # roots, bbw and adjoint-table take this option; fol does not
+        if getattr(args, "max_classical_rank", 1) < 1:
+            raise ValueError("--max-classical-rank must be at least 1")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -338,8 +338,7 @@ def log_form(residues, factors) -> PolyOneForm:
     for i, (ri, fi) in enumerate(zip(residues, factors)):
         others = factors[:i] + factors[i + 1 :]
         cofactor = reduce(mul, others) if others else BiPoly.const(n, 1)
-        # an integral residue scales as an int, so int products stay int
-        cofactor = cofactor * (ri.numerator if ri.denominator == 1 else ri)
+        cofactor = cofactor * ri
         for v in range(2 * (n + 1)):
             dv = fi.dvar(v)
             if dv:
@@ -429,6 +428,7 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     _same_ambient(omega.n, f.n)
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
+    f.bidegree()  # V(F) is a subvariety of P^n x P^n only if F is bihomogeneous
     if omega.n == 1:
         if normal_form_mod_q(f).is_zero:
             raise ValueError("F lies in the ideal of X")
@@ -509,6 +509,8 @@ class LineInFamily:
     def __post_init__(self):
         if self.family not in (1, 2):
             raise ValueError("family must be 1 or 2")
+        if not len(self.base) == len(self.p0) == len(self.p1):
+            raise ValueError("base, p0 and p1 need the same number of coordinates")
         dot0 = sum(a * b for a, b in zip(self.base, self.p0))
         dot1 = sum(a * b for a, b in zip(self.base, self.p1))
         if dot0 != 0 or dot1 != 0:
@@ -554,6 +556,8 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     That factor is nonzero, so no zero test changes.
     """
     n = omega.n
+    if len(line.base) != n + 1:
+        raise ValueError(f"line points need n + 1 = {n + 1} coordinates")
     numerics = foliation_numerics(omega.bidegree, n)
     if line.family == 1:
         d, block, degree = omega.bidegree[1], omega.coeffs[n + 1 :], numerics.deg_H1

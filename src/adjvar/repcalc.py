@@ -123,27 +123,26 @@ def weight_system(
     rank = datum.rank
     alpha_w = [datum.simple_root_weight(i + 1) for i in range(rank)]
 
-    info: dict[Weight, tuple[int, tuple[int, ...]]] = {lam: (0, (0,) * rank)}
+    offsets: dict[Weight, tuple[int, ...]] = {lam: (0,) * rank}
     current = [lam]
     while current:
         nxt = []
         for w in current:
-            lev, off = info[w]
             for i in range(rank):
                 p = 0
                 up = w
                 while True:
                     up = tuple(up[j] + alpha_w[i][j] for j in range(rank))
-                    if up in info:
+                    if up in offsets:
                         p += 1
                     else:
                         break
                 if p + w[i] >= 1:
                     down = tuple(w[j] - alpha_w[i][j] for j in range(rank))
-                    if down not in info:
-                        noff = list(off)
+                    if down not in offsets:
+                        noff = list(offsets[w])
                         noff[i] += 1
-                        info[down] = (lev + 1, tuple(noff))
+                        offsets[down] = tuple(noff)
                         nxt.append(down)
         current = nxt
 
@@ -153,8 +152,8 @@ def weight_system(
         for alpha in datum.positive_roots
     ]
     mult: dict[Weight, int] = {}
-    for w, (lev, off) in sorted(info.items(), key=lambda kv: kv[1][0]):
-        if lev == 0:
+    for w, off in sorted(offsets.items(), key=lambda kv: sum(kv[1])):
+        if w == lam:
             mult[w] = 1
             continue
         num = 0
@@ -180,7 +179,6 @@ def weight_system(
         raise InternalConsistencyError(
             f"weight multiplicities sum to {total}, Weyl dimension is {dim}"
         )
-    offsets = {w: off for w, (lev, off) in info.items()}
     return WeightSystem(highest=lam, entries=mult, offsets=offsets, total_dim=dim)
 
 

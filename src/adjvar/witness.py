@@ -171,7 +171,8 @@ def invariance_witness(omega, f) -> Witness | None:
 
 
 def _point_on_surface(f, fx, fy):
-    """A point of V(F) ^ X with no zero coordinate, or None.
+    """A point of V(F) ^ X with no zero coordinate, or None; F must be
+    bihomogeneous, which ``is_invariant`` checks on entry.
 
     When F has y-degree 1 (resp. x-degree 1), x (resp. y) is fixed and
     F = q = 0 are two linear equations in the other factor; all its
@@ -184,10 +185,7 @@ def _point_on_surface(f, fx, fy):
     h(fixed) * q(fixed, z), and Cramer's determinant is zero, which leaves
     zeros in the solution; so a returned point proves that F is not in
     (q)."""
-    try:
-        a, b = f.bidegree()
-    except ValueError:  # not bihomogeneous
-        return None
+    a, b = f.bidegree()
     if len(fx) < 3:  # n = 1: the two equations leave only zero
         return None
     sides = ([1] if b == 1 else []) + ([0] if a == 1 else [])

@@ -94,14 +94,27 @@ def test_g2_contact_data():
     assert ad.Ddual_weight == (3, -2)
 
 
-@pytest.mark.parametrize("letter,rank", SUPPORTED)
+@pytest.mark.parametrize("letter,rank", section4_types(10))
 def test_contact_numerics(letter, rank):
+    # recomputes, apart from adjoint_data's own checks: dim X from the
+    # nilradical, rank D = 2m from the Levi factor dimensions, and the root
+    # and weight sums -K_X = (m+1) lambda0 and c_1(D) = m lambda0
     ad = adjoint_data(letter, rank)
-    assert ad.dim_X % 2 == 1
+    datum, marked = ad.datum, ad.md.marked_node - 1
+    nilradical = [r for r in datum.positive_roots if r[marked] != 0]
+    assert ad.dim_X == len(nilradical) == 2 * ad.m + 1
     assert ad.index == ad.m + 1
-    assert ad.dim_X == 2 * ad.m + 1
-    # construction already asserts c1(D) = m lambda0 and -K = (m+1) lambda0
-    # via two independent root/weight sums
+    assert bundle_rank(ad.md, ad.D_weight) == 2 * ad.m
+    canon = [0] * rank
+    for root in nilradical:
+        for j, a in enumerate(datum.root_weight(root)):
+            canon[j] += a
+    assert canon == [ad.index * a for a in ad.lambda0]
+    c1 = [0] * rank
+    for w, mult in ambient_weight_system(ad.md, ad.D_weight).entries.items():
+        for j, a in enumerate(w):
+            c1[j] += mult * a
+    assert c1 == [ad.m * a for a in ad.lambda0]
 
 
 def test_wedge2_exact_matches():

@@ -1,11 +1,22 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjvar.bbw import cohomology, cohomology_of_decomposition
 from adjvar.parabolic import MarkedDatum
-from adjvar.repcalc import Decomposition, Piece
+from adjvar.repcalc import Decomposition, Piece, weyl_dim
 from adjvar.rootsystem import build_datum, dim_g, highest_root
+from adjvar.weylgroup import regular_index_oracle
+
+ORACLE_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
 
 
 def proj_space(n):
@@ -110,3 +121,30 @@ def test_decomposition_table_additivity():
     for k, v in t2.items():
         merged[k] = merged.get(k, 0) + v
     assert both == merged
+
+
+@st.composite
+def bundle_cases(draw):
+    """(type, marked node, bundle weight): dominant off the marked node, and
+    a marked coordinate reaching far enough below zero for top degrees."""
+    letter, rank = draw(st.sampled_from(ORACLE_TYPES))
+    node = draw(st.integers(min_value=1, max_value=rank))
+    weight = tuple(
+        draw(st.integers(min_value=-20, max_value=4) if i == node - 1
+             else st.integers(min_value=0, max_value=4))
+        for i in range(rank)
+    )
+    return letter, rank, node, weight
+
+
+@settings(max_examples=300)
+@given(bundle_cases())
+def test_cohomology_matches_the_regular_index_oracle(case):
+    letter, rank, node, weight = case
+    datum = build_datum(letter, rank)
+    res = cohomology(MarkedDatum(ambient=datum, marked_node=node), weight)
+    index = regular_index_oracle(datum, weight)
+    assert res.is_zero == (index is None)
+    if index is not None:
+        assert res.degree == index
+        assert res.dim == weyl_dim(datum, res.top_weight)

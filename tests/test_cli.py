@@ -221,6 +221,22 @@ def test_fol_degree_rejects_bad_input(capsys, extra):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "E", "--rank", "8"],
+        ["bbw", "--type", "G", "--rank", "2", "--node", "1", "--weight", "1,0"],
+        ["adjoint-table"],
+    ],
+)
+@pytest.mark.parametrize("ceiling", ["0", "-5"])
+def test_max_classical_rank_below_one_is_rejected(capsys, argv, ceiling):
+    # adjoint-table used to exit 0 with the exceptional rows alone
+    code, out, err = run(capsys, *argv, "--max-classical-rank", ceiling)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--max-classical-rank" in err
+
+
 @pytest.mark.parametrize("exps", [[-1, 1, 1], [1, 1]])
 def test_fol_invariant_rejects_bad_surface_exponents(tmp_path, capsys, exps):
     # a negative exponent used to answer "invariant: False", a short list

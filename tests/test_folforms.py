@@ -338,6 +338,23 @@ def test_tangency_is_reparametrization_invariant():
     assert tangency_degree(w, line) == tangency_degree(w, other)
 
 
+@pytest.mark.parametrize("base, p0, p1", [((0, 0, 1), (1, 0), (0, 1, 0)),
+                                         ((1, 1), (1, -1, 5), (2, -2, 7))])
+def test_line_rejects_points_of_different_lengths(base, p0, p1):
+    # zip used to truncate the longer vectors in the incidence test
+    with pytest.raises(ValueError, match="same number of coordinates"):
+        LineInFamily(1, base, p0, p1)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_tangency_rejects_a_line_on_another_x(n, m):
+    # tangency_degree used to truncate the coordinates, and answered 0 or
+    # raised "pullback lost the Euler relation" depending on the line
+    line = FolSampler(m, seed=3).line(1)
+    with pytest.raises(ValueError, match=f"n \\+ 1 = {n + 1} coordinates"):
+        tangency_degree(builtin_pencil(n), line)
+
+
 # -- invariance and singular loci -------------------------------------------
 
 
@@ -352,6 +369,12 @@ def test_generic_surface_not_invariant():
     w = pencil_form(h1, h2)
     s = FolSampler(2, seed=31)
     assert not is_invariant(w, s.section11())
+
+
+def test_surface_that_is_not_bihomogeneous_raises():
+    # V(x_0 + y_1) is no subvariety of P^n x P^n; the answer used to be False
+    with pytest.raises(ValueError, match="not bihomogeneous"):
+        is_invariant(builtin_pencil(2), x(0) + y(1))
 
 
 @pytest.mark.parametrize("make", [builtin_pencil, builtin_log4, lambda n: builtin_pullback(0, n)])
