@@ -96,6 +96,8 @@ class PolyOneForm:
             raise ValueError("need one coefficient per dx_i and dy_j")
         self.n = n
         self.coeffs = tuple(coeffs)
+        for c in self.coeffs:
+            _same_ambient(n, c.n)
         if all(c.is_zero for c in self.coeffs):
             raise ValueError("the zero form does not define a foliation")
         self.bidegree = self._check_bidegree()
@@ -511,6 +513,12 @@ class LineInFamily:
             raise ValueError("family must be 1 or 2")
         if not len(self.base) == len(self.p0) == len(self.p1):
             raise ValueError("base, p0 and p1 need the same number of coordinates")
+        if not all(
+            isinstance(a, (int, Fraction)) for a in (*self.base, *self.p0, *self.p1)
+        ):
+            raise ValueError("line coordinates must be ints or Fractions")
+        if not any(self.base):
+            raise ValueError("the base point must be nonzero")
         dot0 = sum(a * b for a, b in zip(self.base, self.p0))
         dot1 = sum(a * b for a, b in zip(self.base, self.p1))
         if dot0 != 0 or dot1 != 0:

@@ -169,6 +169,7 @@ def levi_diagram(md: MarkedDatum) -> LeviDiagram:
 def is_bundle_weight(md: MarkedDatum, w: Weight) -> bool:
     """True iff w is dominant on every unmarked node (the marked coordinate is
     the twist direction and is unconstrained)."""
+    md.ambient.check_weight(w)
     return all(
         w[i] >= 0 for i in range(md.ambient.rank) if i != md.marked_node - 1
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parabolic import MarkedDatum, branch_to_levi, levi_diagram
-from .rootsystem import RootDatum, Weight, highest_root
+from .rootsystem import RootDatum, Weight, highest_root, saturate
 from .weylgroup import dot_classify
 
 DEFAULT_DIM_CEILING = 5000
@@ -89,6 +89,7 @@ class Decomposition:
 
 def weyl_dim(datum: RootDatum, lam: Weight) -> int:
     """Exact dimension of the irreducible with dominant highest weight lam."""
+    datum.check_weight(lam)
     if any(a < 0 for a in lam):
         raise ValueError(f"{lam} is not dominant")
     dd = datum.root_half_norms
@@ -107,10 +108,10 @@ def weight_system(
 ) -> WeightSystem:
     """Full weight multiset of V_lam with Freudenthal multiplicities.
 
-    The weight set is generated level by level (level = height of lam - mu):
-    mu - alpha_i is a weight iff p + <mu, alpha_i^vee> >= 1 where p is the
-    length of the upward alpha_i-string through mu.  Multiplicities then come
-    from Freudenthal's recursion, evaluated with exact integer arithmetic:
+    The weight set is the saturation of {lam} (:func:`adjvar.rootsystem.saturate`),
+    with offsets lam - mu.  Multiplicities then come from Freudenthal's
+    recursion, evaluated level by level (level = height of lam - mu) with
+    exact integer arithmetic:
 
         ((lam+delta, lam+delta) - (mu+delta, mu+delta)) m_mu
             = 2 sum_{alpha>0} sum_{k>=1} m_{mu+k alpha} (mu + k alpha, alpha)
@@ -121,30 +122,7 @@ def weight_system(
             f"dim V_{lam} = {dim} exceeds the ceiling {ceiling}"
         )
     rank = datum.rank
-    alpha_w = [datum.simple_root_weight(i + 1) for i in range(rank)]
-
-    offsets: dict[Weight, tuple[int, ...]] = {lam: (0,) * rank}
-    current = [lam]
-    while current:
-        nxt = []
-        for w in current:
-            for i in range(rank):
-                p = 0
-                up = w
-                while True:
-                    up = tuple(up[j] + alpha_w[i][j] for j in range(rank))
-                    if up in offsets:
-                        p += 1
-                    else:
-                        break
-                if p + w[i] >= 1:
-                    down = tuple(w[j] - alpha_w[i][j] for j in range(rank))
-                    if down not in offsets:
-                        noff = list(offsets[w])
-                        noff[i] += 1
-                        offsets[down] = tuple(noff)
-                        nxt.append(down)
-        current = nxt
+    offsets = saturate(datum.cartan, {lam: (0,) * rank}, dim)
 
     dd = datum.root_half_norms
     pos = [

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import sub
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
@@ -90,6 +91,11 @@ class RootDatum:
     def root_half_norms(self) -> tuple[int, ...]:
         """(alpha_i, alpha_i)/2 scaled to coprime integers (short roots = 1)."""
         return self._half_norms
+
+    def check_weight(self, w: Weight) -> None:
+        """Raise ValueError unless w has one coordinate per simple root."""
+        if len(w) != self.rank:
+            raise ValueError(f"weight {w} needs {self.rank} coordinates")
 
     def simple_root_weight(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (1-indexed node)."""
@@ -181,57 +187,54 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _generate_positive_roots(cartan) -> list[RootCoords]:
-    """Close the simple roots under root strings, level by level.
+def saturate(cartan, starts: dict, limit: int) -> dict:
+    """The smallest weight set holding ``starts`` and saturated under the
+    simple roots: with mu it holds mu - k alpha_i for 1 <= k <= <mu, alpha_i^vee>.
 
-    A root alpha at height h satisfies: alpha + alpha_i is a root iff
-    p - <alpha, alpha_i^vee> >= 1, where p is the number of times alpha_i can
-    be subtracted from alpha while staying a root.
+    ``starts`` maps each start weight to its offset in simple-root
+    coordinates; a weight reached by subtracting k alpha_i carries its
+    parent's offset plus k in coordinate i.  Returns {weight: offset} in the
+    order the weights are found.  From a dominant lam this is the weight set
+    of V_lam (Humphreys, section 21.3); from the -alpha_i at offsets e_i it is
+    the set of negative roots, -beta at offset beta.  Raises ArithmeticError
+    once the set outgrows ``limit``.
     """
+    found = dict(starts)
+    order = list(found)
+    for mu in order:
+        off = found[mu]
+        for i, m in enumerate(mu):
+            nu = mu
+            for k in range(1, m + 1):
+                nu = tuple(map(sub, nu, cartan[i]))
+                if nu not in found:
+                    found[nu] = off[:i] + (off[i] + k,) + off[i + 1 :]
+                    order.append(nu)
+        if len(found) > limit:
+            raise ArithmeticError(f"saturation exceeded its limit of {limit} weights")
+    return found
+
+
+def _generate_positive_roots(cartan, limit: int) -> list[RootCoords]:
+    """The offsets of the saturation of the -alpha_i, sorted by height."""
     rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    known: set[RootCoords] = set(simple)
-    level = list(simple)
-    out: list[RootCoords] = list(simple)
-    guard = 0
-    while level:
-        guard += 1
-        if guard > 4 * len(out) + rank:
-            raise ArithmeticError("root generation failed to terminate")
-        nxt: list[RootCoords] = []
-        for alpha in level:
-            m = [sum(c * cartan[i][j] for i, c in enumerate(alpha)) for j in range(rank)]
-            for i in range(rank):
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in known:
-                        p += 1
-                    else:
-                        break
-                if p - m[i] >= 1:
-                    up = list(alpha)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in known:
-                        known.add(t)
-                        nxt.append(t)
-                        out.append(t)
-        level = nxt
-    out.sort(key=lambda r: (sum(r), r))
-    return out
+    starts = {
+        tuple(-a for a in cartan[i]): tuple(int(j == i) for j in range(rank))
+        for i in range(rank)
+    }
+    return sorted(saturate(cartan, starts, limit).values(), key=lambda r: (sum(r), r))
 
 
 @lru_cache(maxsize=None)
 def _build_datum_cached(letter: str, rank: int) -> RootDatum:
     cartan = _cartan_matrix(letter, rank)
+    expected = (_DIM_FORMULA[letter](rank) - rank) // 2
     datum = RootDatum(
         letter=letter,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizers=_symmetrizers(cartan),
-        positive_roots=tuple(_generate_positive_roots(cartan)),
+        positive_roots=tuple(_generate_positive_roots(cartan, expected)),
     )
     _check_datum(datum)
     return datum

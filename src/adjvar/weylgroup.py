@@ -68,6 +68,7 @@ def dot_classify(datum: RootDatum, lam: Weight, nodes=None) -> DotResult:
     the dot-orbit is v - delta, and each reflection at node i adds |v_i|
     alpha_i, so ``drop`` is the sum of the |v_i| reflected away.
     """
+    datum.check_weight(lam)
     if nodes is None:
         nodes = range(1, datum.rank + 1)
     elif nodes and (min(nodes) < 1 or max(nodes) > datum.rank):

@@ -148,3 +148,10 @@ def test_cohomology_matches_the_regular_index_oracle(case):
     if index is not None:
         assert res.degree == index
         assert res.dim == weyl_dim(datum, res.top_weight)
+
+
+def test_cohomology_rejects_a_weight_of_the_wrong_length():
+    # (1, 0, 5) on G2 used to be "concentrated" with a 3-coordinate top weight
+    md = MarkedDatum(build_datum("G", 2), 2)
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        cohomology(md, (1, 0, 5))

@@ -48,6 +48,16 @@ def test_adjoint_table_single_type(capsys):
     assert len(out.splitlines()) == 2  # the header and the E8 row
 
 
+def test_adjoint_table_type_without_printed_data(capsys):
+    # type C is outside the table, and the paper prints nothing for it
+    code, out, _ = run(capsys, "adjoint-table", "--type", "C", "--rank", "3",
+                       "--compare-paper", "--json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["type"] == "C3"
+    assert row["comparison"] == {"flag": "no-printed-data", "notes": []}
+
+
 def test_adjoint_table_above_the_default_ceiling(capsys):
     # rows above rank 10 were built with the default ceiling and exited 2
     code, out, _ = run(capsys, "adjoint-table", "--max-classical-rank", "11", "--json")
@@ -194,6 +204,14 @@ def test_fol_invariant_surface(capsys):
         capsys, "fol", "invariant", "--builtin", "affine", "--surface", "conic-x"
     )
     assert code == 0 and "invariant: True" in out
+
+
+def test_fol_invariant_second_conic(capsys):
+    code, out, _ = run(capsys, "fol", "invariant", "--builtin", "affine",
+                       "--surface", "conic-y", "--json")
+    assert code == 0
+    assert json.loads(out) == {"invariant": True, "schema": "1",
+                               "surface_bidegree": [0, 2]}
 
 
 def test_fol_invariant_surface_from_file(tmp_path, capsys):

@@ -643,3 +643,68 @@ def test_euler_checked_on_construction():
     bad = [x(1)] + [BiPoly.zero(n)] * 5
     with pytest.raises(ValueError, match="Euler"):
         PolyOneForm(n, bad)
+
+
+# -- input contracts ---------------------------------------------------------
+
+
+def test_line_rejects_a_zero_base_point():
+    # the "line" used to be accepted, and its tangency degree was -inf
+    with pytest.raises(ValueError, match="base point must be nonzero"):
+        LineInFamily(1, (0, 0, 0), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("base, p0, p1", [((1.0, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                         ((1, 0, 0), (0, 0.5, 0), (0, 0, 1)),
+                                         ((1, 0, 0), (0, 1, 0), (0, 0, "1"))])
+def test_line_rejects_coordinates_that_are_not_exact(base, p0, p1):
+    # a float used to raise AttributeError inside tangency_degree
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        LineInFamily(1, base, p0, p1)
+
+
+def test_line_rejects_a_bad_family_and_a_point_off_the_hyperplane():
+    with pytest.raises(ValueError, match="family must be 1 or 2"):
+        LineInFamily(3, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="incidence hyperplane"):
+        LineInFamily(1, (1, 0, 0), (1, 1, 0), (0, 0, 1))
+
+
+def test_form_rejects_coefficients_on_another_space():
+    # accepted at n = 2 with x on P^3 x P^3; integrable then raised struct.error
+    zero = BiPoly.zero(3)
+    with pytest.raises(ValueError, match=re.escape("P^2 x P^2 and P^3 x P^3")):
+        PolyOneForm(2, [x(1, 3), x(0, 3) * -1, zero, zero, zero, zero])
+
+
+def test_form_rejects_malformed_coefficients():
+    zero = BiPoly.zero(2)
+    with pytest.raises(ValueError, match="one coefficient per"):
+        PolyOneForm(2, [x(1), x(0) * -1, zero, zero, zero])
+    with pytest.raises(ValueError, match="zero form"):
+        PolyOneForm(2, [zero] * 6)
+    with pytest.raises(ValueError, match="inconsistent"):
+        PolyOneForm(2, [x(1), y(0), zero, zero, zero, zero])
+
+
+def test_constructors_reject_bad_factors():
+    h1, h2 = h_pair()
+    with pytest.raises(ValueError, match="bidegree"):
+        pencil_form(h1, x(0) * x(1) * y(2))
+    with pytest.raises(ValueError, match="matching nonempty"):
+        log_form([1, -1, 2], [h1, h2])
+    with pytest.raises(ValueError, match="zero factor"):
+        log_form([1, -1], [h1, BiPoly.zero(2)])
+    with pytest.raises(ValueError, match="pullback degrees"):
+        builtin_pullback(2, 2)
+
+
+def test_field_foliations_live_on_n_2_only():
+    a = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]]
+    b = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="n = 2"):
+        foliation_from_fields(linear_field(a, 3), linear_field(b, 3))
+    with pytest.raises(ValueError, match="n = 2"):
+        builtin_affine(3)
+    with pytest.raises(ValueError, match="n = 2"):
+        builtin_torus(3)

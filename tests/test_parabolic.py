@@ -148,3 +148,8 @@ def test_nilradical_partition_and_parity(letter, rank, node):
 def test_marked_node_validation():
     with pytest.raises(IndexError):
         MarkedDatum(ambient=build_datum("A", 2), marked_node=3)
+
+
+def test_is_bundle_weight_rejects_a_weight_of_the_wrong_length():
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        is_bundle_weight(md("G", 2, 2), (1, 0, 5))

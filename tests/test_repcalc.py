@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from adjvar import repcalc
 from adjvar.adjoint import adjoint_data, section4_types
 from adjvar.parabolic import MarkedDatum
 from adjvar.repcalc import (
@@ -20,7 +21,7 @@ from adjvar.repcalc import (
     weight_system,
     weyl_dim,
 )
-from adjvar.rootsystem import build_datum
+from adjvar.rootsystem import build_datum, saturate
 from adjvar.weylgroup import simple_reflection
 
 
@@ -93,6 +94,15 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(build_datum("A", 2), (-1, 0))
 
 
+def test_weyl_dim_and_weight_system_reject_a_weight_of_the_wrong_length():
+    # weyl_dim(G2, (1, 0, 5)) used to answer 7
+    g2 = build_datum("G", 2)
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        weyl_dim(g2, (1, 0, 5))
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        weight_system(g2, (1, 0, 5))
+
+
 def test_weight_system_a1_adjoint():
     ws = weight_system(build_datum("A", 1), (2,))
     assert ws.entries == {(2,): 1, (0,): 1, (-2,): 1}
@@ -111,6 +121,89 @@ def test_weight_system_a5_wedge_rep():
     assert ws.total_dim == 20
     assert len(ws.entries) == 20
     assert all(m == 1 for m in ws.entries.values())
+
+
+def level_by_level_offsets(cartan, starts, limit):
+    """Reference generator for weight_system, in place of saturate: the
+    weights of V_lam level by level (level = height of lam - mu), where
+    mu - alpha_i is a weight iff p + <mu, alpha_i^vee> >= 1 and p is the
+    length of the upward alpha_i-string through mu."""
+    (lam, zero), = starts.items()
+    rank = len(cartan)
+    offsets = {lam: zero}
+    current = [lam]
+    while current:
+        nxt = []
+        for w in current:
+            for i in range(rank):
+                p = 0
+                up = w
+                while True:
+                    up = tuple(up[j] + cartan[i][j] for j in range(rank))
+                    if up in offsets:
+                        p += 1
+                    else:
+                        break
+                if p + w[i] >= 1:
+                    down = tuple(w[j] - cartan[i][j] for j in range(rank))
+                    if down not in offsets:
+                        noff = list(offsets[w])
+                        noff[i] += 1
+                        offsets[down] = tuple(noff)
+                        nxt.append(down)
+        current = nxt
+    return offsets
+
+
+def oracle_weight_systems():
+    """Every fundamental weight of dimension <= 5000 up to rank 10, and
+    seeded dominant weights."""
+    types = (
+        [("A", r) for r in range(1, 11)]
+        + [("B", r) for r in range(2, 11)]
+        + [("C", r) for r in range(2, 11)]
+        + [("D", r) for r in range(4, 11)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    )
+    cases = []
+    for letter, rank in types:
+        d = build_datum(letter, rank)
+        for i in range(rank):
+            lam = tuple(int(j == i) for j in range(rank))
+            if weyl_dim(d, lam) <= 5000:
+                cases.append((letter, rank, lam))
+    rng = random.Random(14)
+    while len(cases) < 240:
+        letter, rank = rng.choice(types[:-5] + [("F", 4), ("G", 2)] * 4)
+        lam = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rank))
+        if weyl_dim(build_datum(letter, rank), lam) <= 5000:
+            cases.append((letter, rank, lam))
+    return cases
+
+
+ORACLE_CASES = oracle_weight_systems()
+
+
+@pytest.mark.parametrize("letter,rank,lam", ORACLE_CASES)
+def test_saturation_matches_level_by_level(letter, rank, lam):
+    d = build_datum(letter, rank)
+    starts = {lam: (0,) * rank}
+    dim = weyl_dim(d, lam)
+    assert saturate(d.cartan, starts, dim) == level_by_level_offsets(d.cartan, starts, dim)
+
+
+@pytest.mark.parametrize(
+    "letter,rank,lam",
+    [c for c in ORACLE_CASES if weyl_dim(build_datum(c[0], c[1]), c[2]) <= 500],
+)
+def test_weight_system_matches_level_by_level(letter, rank, lam, monkeypatch):
+    # the parent's weight_system: Freudenthal over the level-by-level weights
+    d = build_datum(letter, rank)
+    ws = weight_system(d, lam)
+    monkeypatch.setattr(repcalc, "saturate", level_by_level_offsets)
+    ref = weight_system(d, lam)
+    assert ws.offsets == ref.offsets
+    assert ws.entries == ref.entries
 
 
 def test_weight_system_ceiling():

@@ -1,11 +1,15 @@
 import pytest
 
 from adjvar.rootsystem import (
+    _DIM_FORMULA,
     InvalidTypeError,
+    _cartan_matrix,
+    _generate_positive_roots,
     build_datum,
     dim_g,
     highest_root,
     pairing,
+    saturate,
     weyl_vector,
 )
 
@@ -172,3 +176,77 @@ def test_determinism():
 
 def test_json_shape():
     assert build_datum("E", 6).to_json() == {"type": "E", "rank": 6}
+
+
+def string_walk_positive_roots(cartan):
+    """Reference generator: close the simple roots under root strings, level
+    by level.  A root alpha at height h satisfies: alpha + alpha_i is a root
+    iff p - <alpha, alpha_i^vee> >= 1, where p is the number of times alpha_i
+    can be subtracted from alpha while staying a root."""
+    rank = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    known = set(simple)
+    level = list(simple)
+    out = list(simple)
+    guard = 0
+    while level:
+        guard += 1
+        if guard > 4 * len(out) + rank:
+            raise ArithmeticError("root generation failed to terminate")
+        nxt = []
+        for alpha in level:
+            m = [sum(c * cartan[i][j] for i, c in enumerate(alpha)) for j in range(rank)]
+            for i in range(rank):
+                p = 0
+                down = list(alpha)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in known:
+                        p += 1
+                    else:
+                        break
+                if p - m[i] >= 1:
+                    up = list(alpha)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in known:
+                        known.add(t)
+                        nxt.append(t)
+                        out.append(t)
+        level = nxt
+    out.sort(key=lambda r: (sum(r), r))
+    return out
+
+
+TYPES_TO_RANK_12 = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(2, 13)]
+    + [("C", r) for r in range(2, 13)]
+    + [("D", r) for r in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
+def test_saturated_roots_match_string_walk(letter, rank):
+    cartan = _cartan_matrix(letter, rank)
+    count = (_DIM_FORMULA[letter](rank) - rank) // 2
+    assert _generate_positive_roots(cartan, count) == string_walk_positive_roots(cartan)
+
+
+def test_saturate_raises_past_its_limit():
+    cartan = _cartan_matrix("E", 8)
+    with pytest.raises(ArithmeticError, match="limit"):
+        _generate_positive_roots(cartan, 119)
+    with pytest.raises(ArithmeticError, match="limit"):
+        saturate(cartan, {(0,) * 7 + (1,): (0,) * 8}, 100)
+
+
+def test_saturate_keeps_discovery_order_and_offsets():
+    # V_(1,0) of A2: lam, lam - alpha_1, lam - alpha_1 - alpha_2
+    cartan = _cartan_matrix("A", 2)
+    assert list(saturate(cartan, {(1, 0): (0, 0)}, 3).items()) == [
+        ((1, 0), (0, 0)),
+        ((-1, 1), (1, 0)),
+        ((0, -1), (1, 1)),
+    ]

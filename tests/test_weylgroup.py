@@ -160,3 +160,9 @@ def test_serialization():
     assert dot_classify(d, (-1, -1)).to_json() == {"status": "singular"}
     out = dot_classify(d, (1, 1)).to_json()
     assert out == {"status": "regular", "p": 0, "dominant": [1, 1]}
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 5), (1,)])
+def test_dot_classify_rejects_a_weight_of_the_wrong_length(lam):
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        dot_classify(build_datum("G", 2), lam)
