@@ -225,6 +225,11 @@ def terms_to_json(p: BiPoly) -> list:
     ]
 
 
+#: exponents in a form or surface file stay below the 16-bit monomial slots
+#: of ``folforms.form_wedge``
+EXPONENT_BOUND = 1 << 16
+
+
 def n_from_json(value) -> int:
     """The "n" of a form or surface JSON; raises ValueError unless it is a
     JSON integer >= 1 (a float such as 2.7, a bool or a string is not)."""
@@ -237,20 +242,20 @@ def _exponents_from_json(values, n: int) -> tuple[int, ...]:
     if (
         not isinstance(values, list)
         or len(values) != n + 1
-        or any(type(e) is not int or e < 0 for e in values)
+        or any(type(e) is not int or not 0 <= e < EXPONENT_BOUND for e in values)
     ):
         raise ValueError(
-            f"exponents must be a list of {n + 1} non-negative integers, "
-            f"got {values!r}"
+            f"exponents must be a list of {n + 1} non-negative integers "
+            f"below 2^16, got {values!r}"
         )
     return tuple(values)
 
 
 def terms_from_json(n: int, items) -> BiPoly:
     """Inverse of terms_to_json; raises ValueError on an exponent list of the
-    wrong length or a negative or non-integer exponent, on a coefficient that
-    is a float or a bool (a JSON 0.1 is not 1/10), and on a repeated
-    monomial."""
+    wrong length or an exponent that is not an integer in 0..2^16 - 1, on a
+    coefficient that is a float or a bool (a JSON 0.1 is not 1/10) or has a
+    zero denominator, and on a repeated monomial."""
     terms = {}
     for t in items:
         key = _exponents_from_json(t["x"], n) + _exponents_from_json(t["y"], n)
@@ -261,7 +266,12 @@ def terms_from_json(n: int, items) -> BiPoly:
             )
         if key in terms:
             raise ValueError(f"repeated monomial x={t['x']} y={t['y']}")
-        terms[key] = Fraction(c)
+        try:
+            terms[key] = Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in the coefficient {c!r} of x={t['x']} y={t['y']}"
+            ) from None
     return BiPoly(n, terms)
 
 

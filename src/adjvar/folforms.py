@@ -35,6 +35,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .bipoly import (
+    EXPONENT_BOUND,
     BiPoly,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
@@ -190,7 +191,7 @@ def form_wedge(f: dict, g: dict, n: int) -> dict:
     carry, so the largest exponents of f and g must sum to less than 2^16,
     else ValueError."""
     top = _max_exponent(f) + _max_exponent(g)
-    if top >= 1 << 16:
+    if top >= EXPONENT_BOUND:
         raise ValueError(
             f"exponent sum {top} does not fit the 16-bit packed monomial slots"
         )
@@ -601,15 +602,6 @@ class FoliationNumerics:
     deg_H2: int
     splitting_p: int
 
-    def to_json(self) -> dict:
-        return {
-            "normal_bidegree": list(self.normal_bidegree),
-            "K_F_bidegree": list(self.K_F_bidegree),
-            "deg_H1": self.deg_H1,
-            "deg_H2": self.deg_H2,
-            "splitting_p": self.splitting_p,
-        }
-
 
 def foliation_numerics(normal_bidegree, n: int) -> FoliationNumerics:
     """Degrees against the two line families and the foliation canonical
@@ -728,8 +720,10 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     solver returns.
 
     A one-dimensional solution space is the foliation; dimension zero means
-    no foliation of bidegree (2, 2) (raise), higher dimension means the
-    fields are dependent along X (raise).
+    no foliation of bidegree (2, 2) (raise).  The fields have already passed
+    the independence test, so a higher dimension means their foliation has
+    a normal bundle O_X(a, b) below O_X(2, 2): with omega' its form, every
+    g omega' with g in H^0(O_X(2 - a, 2 - b)) solves the equations (raise).
     """
     n = v1[0].n
     if n != 2:
@@ -769,7 +763,11 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     if not kernel:
         raise ValueError("no foliation form of bidegree (2, 2) annihilates the fields")
     if len(kernel) > 1:
-        raise ValueError("the two vector fields are dependent on X")
+        raise ValueError(
+            "the fields' foliation has a normal bundle below O_X(2, 2): "
+            f"the bidegree (2, 2) forms annihilating them span {len(kernel)} "
+            "dimensions"
+        )
     terms = [{} for _ in range(2 * (n + 1))]
     for (v, m), c in zip(columns, kernel[0]):
         if c:

@@ -30,6 +30,13 @@ class MarkedDatum:
                 f"marked node {self.marked_node} out of range 1..{self.ambient.rank}"
             )
 
+    @property
+    def levi_nodes(self) -> tuple[int, ...]:
+        """The unmarked nodes: the simple roots of the Levi L."""
+        return tuple(
+            i for i in range(1, self.ambient.rank + 1) if i != self.marked_node
+        )
+
 
 @dataclass(frozen=True)
 class LeviComponent:

@@ -21,8 +21,9 @@ first-Chern-class matching step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .parabolic import MarkedDatum, branch_to_levi, levi_diagram
+from .parabolic import MarkedDatum, branch_to_levi, is_bundle_weight, levi_diagram
 from .rootsystem import RootDatum, Weight, highest_root, saturate
 from .weylgroup import dot_classify
 
@@ -87,15 +88,31 @@ class Decomposition:
         return {"pieces": [p.to_json() for p in self.pieces]}
 
 
-def weyl_dim(datum: RootDatum, lam: Weight) -> int:
-    """Exact dimension of the irreducible with dominant highest weight lam."""
+def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
+    """Exact dimension of the irreducible with highest weight lam, dominant
+    on ``nodes`` (1-indexed; all nodes, i.e. G itself, by default).
+
+    Weyl's product over the positive roots supported on ``nodes``, the roots
+    of the Levi L with those simple roots, gives the dimension of the
+    L-module of highest weight lam (Humphreys, section 24.3): every node i of
+    L has <delta, alpha_i^vee> = 1 for the delta of G and of L alike, and the
+    form of G restricted to a simple factor of L is a multiple of the
+    factor's own, so the product is that of the factors' formulas.
+    """
     datum.check_weight(lam)
-    if any(a < 0 for a in lam):
+    roots, coords = datum.positive_roots, lam
+    if nodes is not None:
+        if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
+            raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
+        outside = [j for j in range(datum.rank) if j + 1 not in nodes]
+        roots = [alpha for alpha in roots if not any(alpha[j] for j in outside)]
+        coords = [lam[i - 1] for i in nodes]
+    if any(a < 0 for a in coords):
         raise ValueError(f"{lam} is not dominant")
     dd = datum.root_half_norms
     num = 1
     den = 1
-    for alpha in datum.positive_roots:
+    for alpha in roots:
         num *= sum(c * dd[j] * (lam[j] + 1) for j, c in enumerate(alpha))
         den *= sum(c * dd[j] for j, c in enumerate(alpha))
     if num % den:
@@ -160,7 +177,7 @@ def weight_system(
     return WeightSystem(highest=lam, entries=mult, offsets=offsets, total_dim=dim)
 
 
-def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str, dim):
+def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str):
     """Brauer-Klimyk decomposition of the exterior/symmetric square of the
     irreducible V_lam with weight system ``ws`` (lam = ``ws.highest``), over
     the Weyl group W_L generated by the simple reflections at ``nodes``:
@@ -170,7 +187,8 @@ def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str, dim):
     chi_w is the signed dot-reduction of w over W_L by :func:`dot_classify`:
     0 when singular, else (-1)^p [top].  The height of 2 lam - top is that of
     2 lam - w, i.e. of lam - mu (read off ``ws.offsets``) or twice it, less
-    the drop of the reduction.  Returns (height, weight, mult, dim) tuples.
+    the drop of the reduction.  Returns (height, weight, mult, dim) tuples,
+    dim that of the W_L-irreducible by :func:`weyl_dim` over ``nodes``.
     """
     if kind not in (EXTERIOR, SYMMETRIC):
         raise ValueError(f"kind must be {EXTERIOR!r} or {SYMMETRIC!r}")
@@ -198,7 +216,7 @@ def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str, dim):
                 f"Brauer-Klimyk coefficient {c} at {w} is not a non-negative even number"
             )
         if c:
-            pieces.append((heights[w], w, c // 2, dim(w)))
+            pieces.append((heights[w], w, c // 2, weyl_dim(datum, w, nodes)))
     d = ws.total_dim
     expected = d * (d - 1) // 2 if kind == EXTERIOR else d * (d + 1) // 2
     total = sum(mult * size for _, _, mult, size in pieces)
@@ -219,7 +237,7 @@ def square_decompose_simple(
     alone.  Pieces are ordered by height below 2 lam, then by weight.
     """
     ws = weight_system(datum, lam, ceiling)
-    pieces = _square_pieces(datum, None, ws, kind, lambda w: weyl_dim(datum, w))
+    pieces = _square_pieces(datum, None, ws, kind)
     return [
         Piece(weight=w, twist=0, mult=mult, dim=size)
         for _, w, mult, size in sorted(pieces)
@@ -227,13 +245,10 @@ def square_decompose_simple(
 
 
 def bundle_rank(md: MarkedDatum, w: Weight) -> int:
-    """Rank of the irreducible bundle E_w: product of Levi factor dimensions."""
-    comp_weights, _ = branch_to_levi(md, w)
-    levi = levi_diagram(md)
-    rank = 1
-    for comp, cw in zip(levi.components, comp_weights):
-        rank *= weyl_dim(comp.datum, cw)
-    return rank
+    """Rank of the irreducible bundle E_w: Weyl's formula over the Levi."""
+    if not is_bundle_weight(md, w):
+        raise ValueError(f"{w} is not a bundle weight at node {md.marked_node}")
+    return weyl_dim(md.ambient, w, md.levi_nodes)
 
 
 def ambient_weight_system(
@@ -242,45 +257,31 @@ def ambient_weight_system(
     """Weight system of the irreducible P-representation E_lam in ambient
     fundamental coordinates (full Cartan of g).
 
-    Its weights are lam minus non-negative combinations of *unmarked* simple
-    roots, recorded in ``offsets`` in ambient simple-root coordinates;
-    multiplicities come from the product of the Levi factor weight systems.
+    Its weights are the saturation of {lam} over the Levi nodes: lam minus
+    non-negative combinations of *unmarked* simple roots, recorded in
+    ``offsets`` in ambient simple-root coordinates.  The multiplicity of mu
+    is the product over the Levi factors of the factor multiplicity at mu's
+    coordinates on the factor's nodes.
     """
     comp_weights, _center = branch_to_levi(md, lam)
-    levi = levi_diagram(md)
-    ambient = md.ambient
-    n = ambient.rank
-
-    total = 1
-    systems = []
-    for comp, cw in zip(levi.components, comp_weights):
-        ws = weight_system(comp.datum, cw, ceiling)
-        total *= ws.total_dim
-        if total > ceiling:
-            raise DimensionCeilingError(
-                f"product dimension exceeds the ceiling {ceiling}"
-            )
-        systems.append((comp, ws))
-
-    lifted = {(0,) * n: 1}  # lam - mu in ambient simple-root coordinates
-    for comp, ws in systems:
-        nxt = {}
-        for off, m in lifted.items():
-            for u, m2 in ws.entries.items():
-                new = list(off)
-                for node, k in zip(comp.ambient_nodes, ws.offsets[u]):
-                    new[node - 1] = k
-                nxt[tuple(new)] = m * m2
-        lifted = nxt
-    entries: dict = {}
-    offsets: dict = {}
-    for off, m in lifted.items():
-        mu = tuple(a - b for a, b in zip(lam, ambient.root_weight(off)))
-        entries[mu] = m
-        offsets[mu] = off
-    if sum(entries.values()) != total:
-        raise InternalConsistencyError("ambient weight lift lost multiplicity")
-    return WeightSystem(highest=lam, entries=entries, offsets=offsets, total_dim=total)
+    ambient, levi = md.ambient, md.levi_nodes
+    dim = weyl_dim(ambient, lam, levi)
+    if dim > ceiling:
+        raise DimensionCeilingError(
+            f"dim E_{lam} = {dim} exceeds the ceiling {ceiling}"
+        )
+    factors = [
+        (comp.ambient_nodes, weight_system(comp.datum, cw, ceiling).entries)
+        for comp, cw in zip(levi_diagram(md).components, comp_weights)
+    ]
+    offsets = saturate(ambient.cartan, {lam: (0,) * ambient.rank}, dim, levi)
+    entries = {
+        mu: prod(mults[tuple(mu[i - 1] for i in nodes)] for nodes, mults in factors)
+        for mu in offsets
+    }
+    if sum(entries.values()) != dim:
+        raise InternalConsistencyError(f"ambient multiplicities do not sum to {dim}")
+    return WeightSystem(highest=lam, entries=entries, offsets=offsets, total_dim=dim)
 
 
 def _fold_twist(md: MarkedDatum, w: Weight, lambda0: Weight):
@@ -306,13 +307,8 @@ def square_decompose(
     """
     ambient = md.ambient
     lambda0 = highest_root(ambient)
-    nodes = [i for i in range(1, ambient.rank + 1) if i != md.marked_node]
     pieces = _square_pieces(
-        ambient,
-        nodes,
-        ambient_weight_system(md, lam, ceiling),
-        kind,
-        lambda w: bundle_rank(md, w),
+        ambient, md.levi_nodes, ambient_weight_system(md, lam, ceiling), kind
     )
     pieces.sort(key=lambda p: (p[0], tuple(-a for a in p[1])))
     return Decomposition(

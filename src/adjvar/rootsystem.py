@@ -187,25 +187,28 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def saturate(cartan, starts: dict, limit: int) -> dict:
+def saturate(cartan, starts: dict, limit: int, nodes=None) -> dict:
     """The smallest weight set holding ``starts`` and saturated under the
-    simple roots: with mu it holds mu - k alpha_i for 1 <= k <= <mu, alpha_i^vee>.
+    simple roots at ``nodes`` (1-indexed; all nodes by default): with mu it
+    holds mu - k alpha_i for 1 <= k <= <mu, alpha_i^vee>.
 
     ``starts`` maps each start weight to its offset in simple-root
     coordinates; a weight reached by subtracting k alpha_i carries its
     parent's offset plus k in coordinate i.  Returns {weight: offset} in the
     order the weights are found.  From a dominant lam this is the weight set
-    of V_lam (Humphreys, section 21.3); from the -alpha_i at offsets e_i it is
-    the set of negative roots, -beta at offset beta.  Raises ArithmeticError
-    once the set outgrows ``limit``.
+    of V_lam (Humphreys, section 21.3), and over the nodes of a Levi L the
+    weight set of the L-module of highest weight lam; from the -alpha_i at
+    offsets e_i it is the set of negative roots, -beta at offset beta.
+    Raises ArithmeticError once the set outgrows ``limit``.
     """
+    steps = range(len(cartan)) if nodes is None else [i - 1 for i in nodes]
     found = dict(starts)
     order = list(found)
     for mu in order:
         off = found[mu]
-        for i, m in enumerate(mu):
+        for i in steps:
             nu = mu
-            for k in range(1, m + 1):
+            for k in range(1, mu[i] + 1):
                 nu = tuple(map(sub, nu, cartan[i]))
                 if nu not in found:
                     found[nu] = off[:i] + (off[i] + k,) + off[i + 1 :]

@@ -393,6 +393,50 @@ def test_fol_exponents_beyond_the_packed_slots_exit_2(tmp_path, capsys, k, code)
         assert "integrable: True" in out
 
 
+def test_fol_exponent_of_2_16_is_rejected_when_read(tmp_path, capsys):
+    # it can never pass the packed wedge, but the integer witness first
+    # raised an integer point to that power
+    from adjvar.folforms import builtin_pencil
+
+    form = builtin_pencil(2).to_json()
+    form["dx"][1][0]["x"][2] = 1 << 16
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form))
+    assert exit_code("fol", "check-integrable", "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read form from") and "below 2^16" in err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--surface"])
+def test_fol_zero_denominator_exits_2_with_the_file_context(tmp_path, capsys, flag):
+    # a ZeroDivisionError escaped the reader: "error: Fraction(1, 0)"
+    from adjvar.folforms import builtin_affine, builtin_pencil
+
+    form, surface = builtin_pencil(2).to_json(), builtin_affine(2)[1].to_json()
+    term = form["dx"][1][0] if flag == "--input" else surface["terms"][0]
+    term["c"] = "1/0"
+    form_path, surface_path = tmp_path / "form.json", tmp_path / "surface.json"
+    form_path.write_text(json.dumps(form))
+    surface_path.write_text(json.dumps(surface))
+    argv = ["invariant", "--input", str(form_path), "--surface", str(surface_path)]
+    assert exit_code("fol", *argv) == 2
+    err = capsys.readouterr().err
+    context = "cannot read form from" if flag == "--input" else "cannot read surface"
+    assert err.startswith(f"error: {context}")
+    assert "zero denominator in the coefficient '1/0' of x=" in err
+
+
+def test_fol_degree_non_constant_tangency_exits_1(capsys, monkeypatch):
+    from adjvar import folforms
+
+    degrees = iter([0, 1])
+    monkeypatch.setattr(folforms, "tangency_degree", lambda form, line: next(degrees))
+    code, out, err = run(capsys, "fol", "degree", "--builtin", "pencil", "--n", "2",
+                         "--samples", "2")
+    assert code == 1 and out == ""
+    assert err == "error: family 1 tangency degrees not constant: [0, 1]\n"
+
+
 # -- the fixed command set: its output must stay byte-identical ---------------
 
 # sha256 of the stdout of `adjvar fol build --builtin B --n N`

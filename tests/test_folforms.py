@@ -588,6 +588,18 @@ def test_dependent_fields_rejected():
         foliation_from_fields(t, tuple(c * 2 for c in t))
 
 
+def test_fields_of_a_lower_normal_bundle_rejected():
+    # independent fields that x0 dx1 - x1 dx0, of bidegree (2, 0), annihilates
+    # modulo q: every g omega' with g in H^0(O_X(0, 2)) solves the system
+    v1 = linear_field([[1, 0, 0], [0, 1, 0], [0, 0, -2]], 2)
+    v2 = linear_field([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 2)
+    pencil = builtin_pullback(0, 2)
+    for v in (v1, v2):
+        assert is_zero_mod_quadric(sum((c * f for c, f in zip(pencil.coeffs, v)), BiPoly.zero(2)))
+    with pytest.raises(ValueError, match=r"normal bundle below O_X\(2, 2\).* span 6 dimensions"):
+        foliation_from_fields(v1, v2)
+
+
 # -- numerics ----------------------------------------------------------------
 
 

@@ -3,10 +3,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjvar import repcalc
 from adjvar.adjoint import adjoint_data, section4_types
-from adjvar.parabolic import MarkedDatum
+from adjvar.parabolic import (
+    MarkedDatum,
+    _connected_components,
+    _match_component,
+    branch_to_levi,
+    levi_diagram,
+)
 from adjvar.repcalc import (
     EXTERIOR,
     SYMMETRIC,
@@ -315,6 +323,117 @@ def test_bundle_rank_and_ambient_weights():
     # every weight differs from lam4 by unmarked simple roots: the marked
     # root coordinate is constant across the system
     assert max(aws, key=lambda w: total_height(md.ambient, w)) == lam4
+
+
+LEVI_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def levi_factor_rank(md, w):
+    """The rank of E_w as the product of the Bourbaki-numbered Levi factors'
+    Weyl dimensions."""
+    comp_weights, _ = branch_to_levi(md, w)
+    rank = 1
+    for comp, cw in zip(levi_diagram(md).components, comp_weights):
+        rank *= weyl_dim(comp.datum, cw)
+    return rank
+
+
+def lifted_weight_system(md, lam):
+    """(entries, offsets, total_dim) of E_lam as the product of the Levi
+    factors' weight systems, each offset lifted to its ambient nodes."""
+    comp_weights, _ = branch_to_levi(md, lam)
+    ambient = md.ambient
+    lifted = {(0,) * ambient.rank: 1}
+    for comp, cw in zip(levi_diagram(md).components, comp_weights):
+        ws = weight_system(comp.datum, cw, 10**6)
+        nxt = {}
+        for off, m in lifted.items():
+            for u, m2 in ws.entries.items():
+                new = list(off)
+                for node, k in zip(comp.ambient_nodes, ws.offsets[u]):
+                    new[node - 1] = k
+                nxt[tuple(new)] = m * m2
+        lifted = nxt
+    entries, offsets = {}, {}
+    for off, m in lifted.items():
+        mu = tuple(a - b for a, b in zip(lam, ambient.root_weight(off)))
+        entries[mu] = m
+        offsets[mu] = off
+    return entries, offsets, sum(entries.values())
+
+
+@pytest.mark.parametrize(
+    "letter,rank,node",
+    [(l, r, node) for l, r in LEVI_TYPES for node in range(1, r + 1)],
+)
+def test_levi_routes_match_the_factor_products(letter, rank, node):
+    # 12 seeded bundle weights per marked node; the weight systems are
+    # compared up to rank 300 to keep the suite fast
+    md = MarkedDatum(ambient=build_datum(letter, rank), marked_node=node)
+    rng = random.Random(f"{letter}{rank}:{node}")
+    for _ in range(12):
+        w = tuple(
+            rng.randint(-3, 3) if i == node else rng.choice((0, 0, 1, 1, 2, 3))
+            for i in range(1, rank + 1)
+        )
+        r = bundle_rank(md, w)
+        assert r == levi_factor_rank(md, w)
+        if r <= 300:
+            aws = ambient_weight_system(md, w, 10**6)
+            assert (aws.entries, aws.offsets, aws.total_dim) == lifted_weight_system(md, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LEVI_TYPES).flatmap(
+        lambda t: st.tuples(
+            st.just(t),
+            st.sets(st.integers(1, t[1])),
+            st.lists(st.integers(0, 3), min_size=t[1], max_size=t[1]),
+        )
+    )
+)
+def test_weyl_dim_over_nodes_is_the_product_over_components(case):
+    (letter, rank), nodes, lam = case
+    d = build_datum(letter, rank)
+    lam = tuple(lam)
+    expected = 1
+    for comp in _connected_components(d.cartan, nodes):
+        factor = _match_component(d, comp)
+        expected *= weyl_dim(factor.datum, tuple(lam[i - 1] for i in factor.ambient_nodes))
+    assert weyl_dim(d, lam, tuple(sorted(nodes))) == expected
+
+
+def test_trivial_levi_has_rank_one_and_a_single_weight():
+    md = MarkedDatum(ambient=build_datum("A", 1), marked_node=1)
+    assert md.levi_nodes == ()
+    for k in (-3, 0, 5):
+        assert bundle_rank(md, (k,)) == 1
+        aws = ambient_weight_system(md, (k,))
+        assert aws.entries == {(k,): 1}
+        assert aws.offsets == {(k,): (0,)}
+        assert aws.total_dim == 1
+
+
+@pytest.mark.parametrize("nodes", [(0, 1), (1, 3), (5,)])
+def test_weyl_dim_rejects_out_of_range_nodes(nodes):
+    with pytest.raises(IndexError):
+        weyl_dim(build_datum("A", 2), (1, 1), nodes)
+
+
+def test_weyl_dim_checks_dominance_on_the_nodes_only():
+    d = build_datum("B", 3)
+    assert weyl_dim(d, (1, -4, 0), (1, 3)) == weyl_dim(d, (1, 0, 0), (1, 3))
+    with pytest.raises(ValueError, match="not dominant"):
+        weyl_dim(d, (1, -4, 0), (1, 2))
+    with pytest.raises(ValueError, match="not a bundle weight at node 2"):
+        bundle_rank(MarkedDatum(ambient=d, marked_node=2), (-1, 0, 0))
 
 
 @pytest.mark.parametrize("letter,rank", section4_types(10))
