@@ -134,7 +134,11 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
     # -K_X = sum of nilradical roots must be exactly (m+1) lambda0; the root
     # weights are distinct, so each enters the sum once
     canon = _weight_sum(
-        {datum.root_weight(r): 1 for r in datum.positive_roots if r[marked - 1]}
+        {
+            w: 1
+            for r, w in zip(datum.positive_roots, datum.positive_root_weights)
+            if r[marked - 1]
+        }
     )
     index = m + 1
     if canon != tuple(index * a for a in lambda0):

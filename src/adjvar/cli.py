@@ -51,8 +51,8 @@ def _parse_weight(text: str, rank: int):
 def cmd_roots(args) -> int:
     datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
     roots = [
-        {"simple_coords": list(c), "weight": list(datum.root_weight(c))}
-        for c in datum.positive_roots
+        {"simple_coords": list(c), "weight": list(w)}
+        for c, w in zip(datum.positive_roots, datum.positive_root_weights)
     ]
     data = {
         "type": datum.letter,

@@ -90,31 +90,32 @@ class Decomposition:
 
 def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
     """Exact dimension of the irreducible with highest weight lam, dominant
-    on ``nodes`` (1-indexed; all nodes, i.e. G itself, by default).
+    on ``nodes`` (1-indexed, in any order; all nodes, i.e. G itself, by
+    default).
 
     Weyl's product over the positive roots supported on ``nodes``, the roots
     of the Levi L with those simple roots, gives the dimension of the
     L-module of highest weight lam (Humphreys, section 24.3): every node i of
     L has <delta, alpha_i^vee> = 1 for the delta of G and of L alike, and the
     form of G restricted to a simple factor of L is a multiple of the
-    factor's own, so the product is that of the factors' formulas.
+    factor's own, so the product is that of the factors' formulas.  The
+    roots' nonzero form terms and the constant denominator prod (delta,
+    alpha) come from the datum's per-node-set table
+    (:meth:`RootDatum.weyl_table`).
     """
     datum.check_weight(lam)
-    roots, coords = datum.positive_roots, lam
+    coords = lam
     if nodes is not None:
         if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
             raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
-        outside = [j for j in range(datum.rank) if j + 1 not in nodes]
-        roots = [alpha for alpha in roots if not any(alpha[j] for j in outside)]
         coords = [lam[i - 1] for i in nodes]
     if any(a < 0 for a in coords):
         raise ValueError(f"{lam} is not dominant")
-    dd = datum.root_half_norms
+    roots, den = datum.weyl_table(nodes)
+    shifted = [a + 1 for a in lam]
     num = 1
-    den = 1
-    for alpha in roots:
-        num *= sum(c * dd[j] * (lam[j] + 1) for j, c in enumerate(alpha))
-        den *= sum(c * dd[j] for j, c in enumerate(alpha))
+    for terms in roots:
+        num *= sum([cd * shifted[j] for j, cd in terms])
     if num % den:
         raise ArithmeticError("Weyl dimension formula gave a non-integer")
     return num // den
@@ -126,12 +127,18 @@ def weight_system(
     """Full weight multiset of V_lam with Freudenthal multiplicities.
 
     The weight set is the saturation of {lam} (:func:`adjvar.rootsystem.saturate`),
-    with offsets lam - mu.  Multiplicities then come from Freudenthal's
-    recursion, evaluated level by level (level = height of lam - mu) with
-    exact integer arithmetic:
+    with offsets lam - mu.  Weights are visited level by level (level =
+    height of lam - mu).  Multiplicities are W-invariant (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, sections 21.2
+    and 22.3; Moody-Patera, Bull. AMS 7, 1982), so Freudenthal's recursion
+    runs at the dominant weights only, with exact integer arithmetic:
 
         ((lam+delta, lam+delta) - (mu+delta, mu+delta)) m_mu
             = 2 sum_{alpha>0} sum_{k>=1} m_{mu+k alpha} (mu + k alpha, alpha)
+
+    A weight mu with a negative coordinate mu_i takes the multiplicity of
+    s_i(mu) = mu - mu_i alpha_i, a weight of lower level and so already
+    weighed; by induction that is the multiplicity of mu's dominant conjugate.
     """
     dim = weyl_dim(datum, lam)
     if dim > ceiling:
@@ -139,21 +146,29 @@ def weight_system(
             f"dim V_{lam} = {dim} exceeds the ceiling {ceiling}"
         )
     rank = datum.rank
-    offsets = saturate(datum.cartan, {lam: (0,) * rank}, dim)
+    cartan = datum.cartan
+    offsets = saturate(cartan, {lam: (0,) * rank}, dim)
 
     dd = datum.root_half_norms
-    pos = [
-        (alpha, datum.root_weight(alpha), 2 * datum.root_norm(alpha))
-        for alpha in datum.positive_roots
-    ]
+    pos = list(zip(datum.form_terms, datum.positive_root_weights, datum.root_norms))
     mult: dict[Weight, int] = {}
     for w, off in sorted(offsets.items(), key=lambda kv: sum(kv[1])):
+        i = next((i for i, a in enumerate(w) if a < 0), None)
+        if i is not None:
+            a = w[i]
+            up = tuple(x - a * y for x, y in zip(w, cartan[i]))
+            if up not in mult:
+                raise InternalConsistencyError(
+                    f"reflection of weight {w} at node {i + 1} is not a higher weight"
+                )
+            mult[w] = mult[up]
+            continue
         if w == lam:
             mult[w] = 1
             continue
         num = 0
-        for alpha, aw, aa in pos:
-            base = datum.form(w, alpha)
+        for terms, aw, aa in pos:
+            base = sum([cd * w[j] for j, cd in terms])
             k = 1
             up = tuple(w[j] + aw[j] for j in range(rank))
             while up in mult:

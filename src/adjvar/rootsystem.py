@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 from operator import sub
 
 Weight = tuple[int, ...]
@@ -71,7 +71,9 @@ class RootDatum:
     1-indexed in the public API).  ``symmetrizers`` are the positive integers
     d_i, proportional to the coroot half-norms, making diag(d) * cartan
     symmetric positive definite.  ``positive_roots`` are simple-root
-    coordinate vectors, sorted by height then lexicographically.
+    coordinate vectors, sorted by height then lexicographically, and
+    ``positive_root_weights`` their fundamental-weight coordinates in the
+    same order.
     """
 
     letter: str
@@ -80,17 +82,70 @@ class RootDatum:
     symmetrizers: tuple[int, ...]
     positive_roots: tuple[RootCoords, ...]
     _half_norms: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positive_root_weights: tuple[Weight, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _weyl_tables: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         big = lcm(*self.symmetrizers)
         object.__setattr__(
             self, "_half_norms", tuple(big // d for d in self.symmetrizers)
         )
+        object.__setattr__(
+            self,
+            "positive_root_weights",
+            tuple(self.root_weight(c) for c in self.positive_roots),
+        )
 
     @property
     def root_half_norms(self) -> tuple[int, ...]:
         """(alpha_i, alpha_i)/2 scaled to coprime integers (short roots = 1)."""
         return self._half_norms
+
+    @cached_property
+    def form_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per positive root alpha, the nonzero terms (j, c_j d_j) of
+        (w, alpha) = sum_j c_j d_j w_j, with alpha = sum_j c_j alpha_j and
+        d = root_half_norms; the j that occur are alpha's support.  Equal
+        terms are one shared tuple, which keeps the table small."""
+        dd = self._half_norms
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        return tuple(
+            tuple(
+                shared.setdefault((j, c * dd[j]), (j, c * dd[j]))
+                for j, c in enumerate(alpha)
+                if c
+            )
+            for alpha in self.positive_roots
+        )
+
+    @cached_property
+    def root_norms(self) -> tuple[int, ...]:
+        """(alpha, alpha) = 2 root_norm(alpha) per positive root, in order."""
+        return tuple(
+            sum(cd * m[j] for j, cd in terms)
+            for terms, m in zip(self.form_terms, self.positive_root_weights)
+        )
+
+    def weyl_table(self, nodes=None) -> tuple[tuple, int]:
+        """(roots, den) for Weyl's product over the positive roots supported
+        on ``nodes`` (1-indexed, any order or repeats; all roots by default):
+        each root's :attr:`form_terms`, and den = prod (delta, alpha).  Built
+        once per node set and kept on the datum."""
+        key = None if nodes is None else frozenset(nodes)
+        table = self._weyl_tables.get(key)
+        if table is None:
+            roots = tuple(
+                terms
+                for terms in self.form_terms
+                if key is None or all(j + 1 in key for j, _ in terms)
+            )
+            den = prod(sum(cd for _, cd in terms) for terms in roots)
+            table = self._weyl_tables[key] = (roots, den)
+        return table
 
     def check_weight(self, w: Weight) -> None:
         """Raise ValueError unless w has one coordinate per simple root."""
@@ -107,10 +162,6 @@ class RootDatum:
             sum(c * self.cartan[i][j] for i, c in enumerate(coords))
             for j in range(self.rank)
         )
-
-    @property
-    def positive_root_weights(self) -> tuple[Weight, ...]:
-        return tuple(self.root_weight(c) for c in self.positive_roots)
 
     def form(self, w: Weight, root: RootCoords):
         """Symmetric bilinear form (w, alpha) for w in fundamental coordinates
@@ -295,11 +346,11 @@ def weyl_vector(datum: RootDatum) -> Weight:
 
 def highest_root(datum: RootDatum) -> Weight:
     """The unique root maximal in the root order, in fundamental coordinates."""
-    best = max(datum.positive_roots, key=sum)
-    top = sum(best)
-    if sum(1 for r in datum.positive_roots if sum(r) == top) != 1:
+    heights = [sum(r) for r in datum.positive_roots]
+    top = max(heights)
+    if heights.count(top) != 1:
         raise ArithmeticError("highest root is not unique")
-    return datum.root_weight(best)
+    return datum.positive_root_weights[heights.index(top)]
 
 
 def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
@@ -312,9 +363,8 @@ def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
         raise IndexError(
             f"coroot index {coroot_index} out of range 0..{len(datum.positive_roots)-1}"
         )
-    alpha = datum.positive_roots[coroot_index]
-    num = datum.form(w, alpha)
-    den = datum.root_norm(alpha)
+    num = 2 * sum(cd * w[j] for j, cd in datum.form_terms[coroot_index])
+    den = datum.root_norms[coroot_index]
     if num % den:
         raise ArithmeticError("non-integral pairing")
     return num // den

@@ -29,7 +29,7 @@ from adjvar.repcalc import (
     weight_system,
     weyl_dim,
 )
-from adjvar.rootsystem import build_datum, saturate
+from adjvar.rootsystem import RootDatum, build_datum, saturate
 from adjvar.weylgroup import simple_reflection
 
 
@@ -200,12 +200,81 @@ def test_saturation_matches_level_by_level(letter, rank, lam):
     assert saturate(d.cartan, starts, dim) == level_by_level_offsets(d.cartan, starts, dim)
 
 
+def weyl_dim_oracle(datum, lam, nodes=None):
+    """Weyl's product over the positive roots supported on ``nodes``, each
+    factor and the denominator summed afresh from the simple-root
+    coordinates."""
+    roots, coords = datum.positive_roots, lam
+    if nodes is not None:
+        outside = [j for j in range(datum.rank) if j + 1 not in nodes]
+        roots = [alpha for alpha in roots if not any(alpha[j] for j in outside)]
+        coords = [lam[i - 1] for i in nodes]
+    if any(a < 0 for a in coords):
+        raise ValueError(f"{lam} is not dominant")
+    dd = datum.root_half_norms
+    num = 1
+    den = 1
+    for alpha in roots:
+        num *= sum(c * dd[j] * (lam[j] + 1) for j, c in enumerate(alpha))
+        den *= sum(c * dd[j] for j, c in enumerate(alpha))
+    assert num % den == 0
+    return num // den
+
+
+def all_weights_weight_system(datum, lam):
+    """(entries, offsets) of V_lam by Freudenthal's recursion at every
+    weight, level by level, with each root's weight and norm recomputed by
+    root_weight and root_norm."""
+    dim = weyl_dim_oracle(datum, lam)
+    rank = datum.rank
+    offsets = saturate(datum.cartan, {lam: (0,) * rank}, dim)
+    dd = datum.root_half_norms
+    pos = [
+        (alpha, datum.root_weight(alpha), 2 * datum.root_norm(alpha))
+        for alpha in datum.positive_roots
+    ]
+    mult = {}
+    for w, off in sorted(offsets.items(), key=lambda kv: sum(kv[1])):
+        if w == lam:
+            mult[w] = 1
+            continue
+        num = 0
+        for alpha, aw, aa in pos:
+            base = datum.form(w, alpha)
+            k = 1
+            up = tuple(w[j] + aw[j] for j in range(rank))
+            while up in mult:
+                num += mult[up] * (base + k * aa)
+                k += 1
+                up = tuple(up[j] + aw[j] for j in range(rank))
+        den = sum(off[j] * dd[j] * (lam[j] + w[j] + 2) for j in range(rank))
+        assert den > 0 and (2 * num) % den == 0, w
+        mult[w] = (2 * num) // den
+    assert sum(mult.values()) == dim
+    return mult, offsets
+
+
+def test_oracle_cases_hold_the_e8_rows_largest_call_and_b8_omega3():
+    assert ("E", 7, (0, 0, 0, 0, 0, 1, 0)) in ORACLE_CASES
+    assert ("B", 8, (0, 0, 1, 0, 0, 0, 0, 0)) in ORACLE_CASES
+
+
+@pytest.mark.parametrize("letter,rank,lam", ORACLE_CASES)
+def test_weight_system_matches_the_all_weights_oracle(letter, rank, lam):
+    # same weights, multiplicities and offsets, inserted in the same order
+    d = build_datum(letter, rank)
+    ws = weight_system(d, lam)
+    entries, offsets = all_weights_weight_system(d, lam)
+    assert list(ws.entries.items()) == list(entries.items())
+    assert list(ws.offsets.items()) == list(offsets.items())
+
+
 @pytest.mark.parametrize(
     "letter,rank,lam",
     [c for c in ORACLE_CASES if weyl_dim(build_datum(c[0], c[1]), c[2]) <= 500],
 )
 def test_weight_system_matches_level_by_level(letter, rank, lam, monkeypatch):
-    # the parent's weight_system: Freudenthal over the level-by-level weights
+    # weight_system over the level-by-level weights in place of saturate
     d = build_datum(letter, rank)
     ws = weight_system(d, lam)
     monkeypatch.setattr(repcalc, "saturate", level_by_level_offsets)
@@ -434,6 +503,54 @@ def test_weyl_dim_checks_dominance_on_the_nodes_only():
         weyl_dim(d, (1, -4, 0), (1, 2))
     with pytest.raises(ValueError, match="not a bundle weight at node 2"):
         bundle_rank(MarkedDatum(ambient=d, marked_node=2), (-1, 0, 0))
+
+
+def test_weyl_dim_matches_its_oracle_on_seeded_weights_and_node_sets():
+    rng = random.Random(16)
+    for letter, rank in LEVI_TYPES:
+        d = build_datum(letter, rank)
+        for _ in range(30):
+            lam = tuple(rng.randint(0, 4) for _ in range(rank))
+            assert weyl_dim(d, lam) == weyl_dim_oracle(d, lam)
+            nodes = tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(0, rank))))
+            lam = tuple(
+                a if i in nodes else rng.randint(-4, 4) for i, a in enumerate(lam, 1)
+            )
+            assert weyl_dim(d, lam, nodes) == weyl_dim_oracle(d, lam, nodes)
+
+
+def test_weyl_dim_node_set_may_be_a_list_unsorted_or_repeated():
+    d = build_datum("E", 7)
+    lam = (1, 2, 0, 1, -3, 2, 1)
+    nodes = (1, 2, 3, 4, 6, 7)
+    expected = weyl_dim_oracle(d, lam, nodes)
+    fresh = RootDatum(d.letter, d.rank, d.cartan, d.symmetrizers, d.positive_roots)
+    for same in (nodes, list(nodes), (7, 6, 4, 3, 2, 1), (1, 2, 2, 3, 4, 6, 7, 7)):
+        assert weyl_dim(fresh, lam, same) == expected
+    assert len(fresh._weyl_tables) == 1
+
+
+def test_weyl_dim_over_no_nodes_is_one():
+    d = build_datum("F", 4)
+    assert weyl_dim(d, (-2, 3, -1, 0), ()) == 1
+    assert weyl_dim(d, (-2, 3, -1, 0), []) == 1
+
+
+def test_weyl_dim_checks_its_input_before_any_table_lookup(monkeypatch):
+    def no_table(self, nodes=None):
+        raise AssertionError("table looked up")
+
+    monkeypatch.setattr(RootDatum, "weyl_table", no_table)
+    d = build_datum("B", 3)
+    with pytest.raises(ValueError, match="needs 3 coordinates"):
+        weyl_dim(d, (1, 0))
+    with pytest.raises(ValueError, match="needs 3 coordinates"):
+        weyl_dim(d, (1, 0), [1, 2])
+    for nodes in ([0, 1], (4,), [3, 1, 4]):
+        with pytest.raises(IndexError):
+            weyl_dim(d, (1, 0, 0), nodes)
+    with pytest.raises(ValueError, match="not dominant"):
+        weyl_dim(d, (1, -1, 0), [2])
 
 
 @pytest.mark.parametrize("letter,rank", section4_types(10))

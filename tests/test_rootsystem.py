@@ -131,6 +131,28 @@ def test_pairing_index_out_of_range():
         pairing(d, (1, 1), 3)
 
 
+TYPES_TO_RANK_10 = (
+    [("A", r) for r in range(1, 11)]
+    + [("B", r) for r in range(2, 11)]
+    + [("C", r) for r in range(2, 11)]
+    + [("D", r) for r in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_10)
+def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter, rank):
+    d = build_datum(letter, rank)
+    # every c_j d_j is below 100, so (w, alpha) at w_j = 100^j spells them out
+    w = tuple(100**j for j in range(rank))
+    assert len(d.positive_root_weights) == len(d.root_norms) == len(d.positive_roots)
+    for i, alpha in enumerate(d.positive_roots):
+        assert d.positive_root_weights[i] == d.root_weight(alpha)
+        assert d.root_norms[i] == 2 * d.root_norm(alpha)
+        assert [j for j, _ in d.form_terms[i]] == [j for j, c in enumerate(alpha) if c]
+        assert sum(cd * w[j] for j, cd in d.form_terms[i]) == d.form(w, alpha)
+
+
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_sum_of_positive_roots_is_two_delta(letter, rank):
     d = build_datum(letter, rank)
