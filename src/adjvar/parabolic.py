@@ -207,5 +207,4 @@ def lift_to_ambient(md: MarkedDatum, comp_weights, marked_value: int) -> Weight:
 
 def nilradical_size(md: MarkedDatum) -> int:
     """Number of positive roots with nonzero marked coefficient = dim G/P."""
-    k = md.marked_node - 1
-    return sum(1 for alpha in md.ambient.positive_roots if alpha[k] != 0)
+    return md.ambient.nilradical_sizes[md.marked_node - 1]

@@ -90,8 +90,8 @@ class Decomposition:
 
 def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
     """Exact dimension of the irreducible with highest weight lam, dominant
-    on ``nodes`` (1-indexed, in any order; all nodes, i.e. G itself, by
-    default).
+    on ``nodes`` (1-indexed, any iterable, in any order; all nodes, i.e. G
+    itself, by default).
 
     Weyl's product over the positive roots supported on ``nodes``, the roots
     of the Levi L with those simple roots, gives the dimension of the
@@ -99,13 +99,15 @@ def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
     L has <delta, alpha_i^vee> = 1 for the delta of G and of L alike, and the
     form of G restricted to a simple factor of L is a multiple of the
     factor's own, so the product is that of the factors' formulas.  The
-    roots' nonzero form terms and the constant denominator prod (delta,
-    alpha) come from the datum's per-node-set table
-    (:meth:`RootDatum.weyl_table`).
+    datum's per-node-set table (:meth:`RootDatum.weyl_table`) writes each
+    root as parent + alpha_j, so each factor (lam + delta, alpha) is its
+    parent's factor plus d_j (lam_j + 1); the constant denominator prod
+    (delta, alpha) comes with it.
     """
     datum.check_weight(lam)
     coords = lam
     if nodes is not None:
+        nodes = tuple(nodes)
         if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
             raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
         coords = [lam[i - 1] for i in nodes]
@@ -113,9 +115,11 @@ def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
         raise ValueError(f"{lam} is not dominant")
     roots, den = datum.weyl_table(nodes)
     shifted = [a + 1 for a in lam]
-    num = 1
-    for terms in roots:
-        num *= sum([cd * shifted[j] for j, cd in terms])
+    factors = [0]  # the zero root's slot, then (lam + delta, alpha) per root
+    for p, j, dj in roots:
+        factors.append(factors[p] + dj * shifted[j])
+    factors[0] = 1
+    num = prod(factors)
     if num % den:
         raise ArithmeticError("Weyl dimension formula gave a non-integer")
     return num // den

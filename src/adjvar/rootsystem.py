@@ -130,21 +130,73 @@ class RootDatum:
             for terms, m in zip(self.form_terms, self.positive_root_weights)
         )
 
+    @cached_property
+    def dynkin_neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node i (0-indexed), the pairs (j, cartan[i][j]) over the
+        Dynkin neighbours j of i: the nonzero off-diagonal entries of row i.
+        The simple reflection s_i changes a weight's coordinate i and these
+        coordinates only."""
+        return tuple(
+            tuple((j, c) for j, c in enumerate(row) if c and j != i)
+            for i, row in enumerate(self.cartan)
+        )
+
+    @cached_property
+    def root_parents(self) -> tuple[tuple[int, int], ...]:
+        """Per positive root alpha, in order, a pair (p, j) with alpha =
+        parent + alpha_j (j 0-indexed), for the first j at which alpha -
+        alpha_j is 0 or a positive root: p = 0 for the zero root (alpha is
+        simple), else p = k + 1 for positive root k.  Roots are sorted by
+        height, so the parent comes first, and its support lies in alpha's."""
+        index = {alpha: k for k, alpha in enumerate(self.positive_roots, 1)}
+        index[(0,) * self.rank] = 0
+        parents = []
+        for alpha in self.positive_roots:
+            for j, c in enumerate(alpha):
+                parent = alpha[:j] + (c - 1,) + alpha[j + 1 :]
+                if c and parent in index:
+                    parents.append((index[parent], j))
+                    break
+            else:
+                raise ArithmeticError(f"positive root {alpha} has no parent")
+        return tuple(parents)
+
+    @cached_property
+    def nilradical_sizes(self) -> tuple[int, ...]:
+        """Per node i (0-indexed), the number of positive roots with nonzero
+        coefficient at i: dim G/P for the maximal parabolic at node i + 1."""
+        return tuple(
+            sum(1 for alpha in self.positive_roots if alpha[i])
+            for i in range(self.rank)
+        )
+
     def weyl_table(self, nodes=None) -> tuple[tuple, int]:
         """(roots, den) for Weyl's product over the positive roots supported
-        on ``nodes`` (1-indexed, any order or repeats; all roots by default):
-        each root's :attr:`form_terms`, and den = prod (delta, alpha).  Built
-        once per node set and kept on the datum."""
+        on ``nodes`` (1-indexed, any order or repeats; all roots by default).
+
+        ``roots`` holds, per root alpha in order, a triple (p, j, d_j) with
+        alpha = parent + alpha_j and d = root_half_norms: p = 0 when the
+        parent is the zero root (alpha is simple), else p = k + 1 for the
+        parent at position k of ``roots``.  So (w, alpha) = (w, parent) +
+        d_j w_j, one addition per root.  A root supported on ``nodes`` has
+        its parent supported there too, so the chain survives the filter.
+        den = prod (delta, alpha).  Built once per node set and kept on the
+        datum."""
         key = None if nodes is None else frozenset(nodes)
         table = self._weyl_tables.get(key)
         if table is None:
-            roots = tuple(
-                terms
-                for terms in self.form_terms
-                if key is None or all(j + 1 in key for j, _ in terms)
-            )
-            den = prod(sum(cd for _, cd in terms) for terms in roots)
-            table = self._weyl_tables[key] = (roots, den)
+            dd = self._half_norms
+            where = {0: 0}  # p of root_parents -> p in roots; 0 is the zero root
+            roots = []
+            pairings = [0]  # (delta, alpha), at the same index as in roots
+            for k, (alpha, (p, j)) in enumerate(
+                zip(self.positive_roots, self.root_parents), 1
+            ):
+                if key is None or all(i + 1 in key for i, c in enumerate(alpha) if c):
+                    roots.append((where[p], j, dd[j]))
+                    pairings.append(pairings[where[p]] + dd[j])
+                    where[k] = len(roots)
+            table = self._weyl_tables[key] = (tuple(roots), prod(pairings[1:]))
         return table
 
     def check_weight(self, w: Weight) -> None:
@@ -359,6 +411,7 @@ def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
     The coroot is expanded in simple coroots: <w, alpha^vee> =
     2 (w, alpha) / (alpha, alpha), evaluated exactly.
     """
+    datum.check_weight(w)
     if not 0 <= coroot_index < len(datum.positive_roots):
         raise IndexError(
             f"coroot index {coroot_index} out of range 0..{len(datum.positive_roots)-1}"

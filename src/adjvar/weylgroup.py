@@ -5,7 +5,10 @@ Weyl group W and Brauer-Klimyk over a Levi Weyl group W_L.
 No Weyl group element is ever materialized; everything is done by repeated
 simple reflections at strictly negative coordinates.  The reduced length is
 order-independent, so the first negative coordinate is reflected (the tests
-check other orders against it).
+check other orders against it).  The chamber reduction reflects in place:
+s_i negates coordinate i and changes only the coordinates of the Dynkin
+neighbours of i (:attr:`RootDatum.dynkin_neighbours`), so each step costs
+the degree of node i, not the rank.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class DotResult:
 
 def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
     """s_i(w) = w - <w, alpha_i^vee> alpha_i, computed in fundamental coords."""
+    datum.check_weight(w)
     if not 1 <= i <= datum.rank:
         raise IndexError(f"node {i} out of range 1..{datum.rank}")
     coeff = w[i - 1]
@@ -58,31 +62,42 @@ def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
 
 def dot_classify(datum: RootDatum, lam: Weight, nodes=None) -> DotResult:
     """Classify lambda + delta as singular or regular of index p under the
-    Weyl group generated by the simple reflections at ``nodes`` (1-indexed;
-    all nodes, i.e. the whole W, by default).
+    Weyl group generated by the simple reflections at ``nodes`` (1-indexed,
+    any iterable; all nodes, i.e. the whole W, by default).
 
     Reduce v = lambda + delta by reflecting at the first node of ``nodes``
     whose coordinate is <= 0.  A zero there puts v on a reflection wall, hence
     singular.  Otherwise v ends strictly positive on ``nodes`` after exactly p
     reflections (p independent of the choices), the dominant representative of
     the dot-orbit is v - delta, and each reflection at node i adds |v_i|
-    alpha_i, so ``drop`` is the sum of the |v_i| reflected away.
+    alpha_i, so ``drop`` is the sum of the |v_i| reflected away.  v is one
+    list: s_i sets v_i to -v_i and subtracts v_i cartan[i][j] from v_j at the
+    Dynkin neighbours j of i only.
     """
     datum.check_weight(lam)
     if nodes is None:
-        nodes = range(1, datum.rank + 1)
-    elif nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
-        raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
-    v = tuple(a + 1 for a in lam)
+        steps = range(datum.rank)
+    else:
+        nodes = list(nodes)
+        if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
+            raise IndexError(f"nodes {nodes} out of range 1..{datum.rank}")
+        steps = [i - 1 for i in nodes]
+    neighbours = datum.dynkin_neighbours
+    v = [a + 1 for a in lam]
     drop = 0
     for count in range(2 * len(datum.positive_roots) + 1):
-        i = next((i for i in nodes if v[i - 1] <= 0), None)
-        if i is None:
+        for i in steps:
+            if v[i] <= 0:
+                break
+        else:
             return DotResult(REGULAR, count, tuple(a - 1 for a in v), drop)
-        if v[i - 1] == 0:
+        a = v[i]
+        if a == 0:
             return DotResult(status=SINGULAR)
-        drop -= v[i - 1]
-        v = simple_reflection(datum, i, v)
+        drop -= a
+        v[i] = -a
+        for j, c in neighbours[i]:
+            v[j] -= a * c
     raise ArithmeticError("chamber reduction exceeded its step bound")
 
 
@@ -93,6 +108,7 @@ def regular_index_oracle(datum: RootDatum, lam: Weight) -> int | None:
     equals the ``index_p`` produced by :func:`dot_classify`; the two are
     computed along different routes and cross-checked in the tests.
     """
+    datum.check_weight(lam)
     v = tuple(a + 1 for a in lam)
     count = 0
     for alpha in datum.positive_roots:

@@ -478,3 +478,42 @@ def test_adjoint_table_output_is_pinned(capsys):
     digest = stdout_digest(capsys, "adjoint-table", "--max-classical-rank", "10",
                            "--compare-paper", "--json")
     assert digest == TABLE_DIGEST
+
+
+# sha256 of the stdout of `adjvar bbw --type T --rank R --node N --weight=W
+# --json`: singular answers, degree 0, and the degree-57 = dim X query on
+# E8/P8, whose chamber reduction is the longest one here
+BBW_DIGESTS = {
+    ("A", 1, 1, "-1"): "cce47918d1a63ed286d78b1c667a848061b94f1d24d951d4c76ebf444daeadbc",
+    ("A", 1, 1, "-5"): "dff0eb70dc8c0f319589ec84839e9421c98bb90fc1599379ce190a900287ca56",
+    ("A", 3, 1, "-4,0,0"): "4d79b51d62e9b0dd4ad2e8d795dc51d13d6925ddd961323d0dbfabd0b403e5fd",
+    ("A", 4, 2, "1,-3,2,0"): "6c8f069df0d8a686a5867ade71fc44028d5028d37c9369d5bf6a811369a825cf",
+    ("A", 4, 2, "1,-6,0,0"): "71688f5c1692091ca7108f1cc9e676207a0e34db7f865aaa699c1e6bd5898ba0",
+    ("A", 5, 3, "0,0,-7,0,0"): "33d4172efaed02f48873bcc3782bdea51724f7f3903b85bbbabfdda888418867",
+    ("B", 3, 1, "0,1,1"): "ea22058580f5ae6f9afe2f015a857d700bbd1ce4f2366324134dcb1924f60a4d",
+    ("B", 4, 2, "1,-4,0,3"): "9e587f2dd2a773b8f28f6ab6ae7af0df50bb0c2439ae7d0f69d7c4c2b102a526",
+    ("B", 5, 2, "1,3,2,0,1"): "60dced166a11e735cf20edc4f8725823002bc766ce73c1586c096de0d7c4f357",
+    ("C", 3, 3, "1,0,-3"): "1b3f07294614336e3ebb94305847f551d38d429a24f5039a1681aa68796a159a",
+    ("C", 3, 3, "1,0,-5"): "0aac6d38edc5f6af2543f8359dcdfe73ba93a55e55daa570d9c043bb21573a8f",
+    ("C", 4, 1, "-8,1,0,2"): "69ebed1f5d0965170e98e427b44a69b84762b1fd921c533ec7c9481a8feb1968",
+    ("D", 4, 2, "0,-1,0,0"): "1f68cc04916dec53475b6a249f7615d5dda699b49f23856b73ea93e3253e96cb",
+    ("D", 5, 1, "-8,0,0,0,0"): "9b5a61f3877bd624e4049c96bbab85a81ea52b560b4015ff755494ee237bbe99",
+    ("D", 6, 2, "0,-1,1,0,0,0"): "d03cc0984df25f3d0655a914a81cdbaf22bb6da52c0f58e53761777635acb5a7",
+    ("E", 6, 2, "0,1,0,0,0,0"): "497170963cdf8107077e847bbb74d7ffb66a2fee6084ee56f9bf5aeb6953395c",
+    ("E", 6, 1, "-13,0,0,0,0,0"): "fb408ab70e360282299a2b89c2251f64d003bb94c6f9a298a134c2f90af3bc9e",
+    ("E", 7, 7, "0,0,0,0,0,0,-20"): "45431a6cc430c687a94ae06af180d2a8ec694b573509c78d0866b868946c48c5",
+    ("E", 8, 8, "0,0,0,0,0,0,1,-3"): "54020d93892c4d9a8d08fddeb928c49ee104f9870ae8245c1b702ec26762eea0",
+    ("E", 8, 8, "1,0,0,0,0,0,0,-40"): "6cd50fb45ce24b676a564f22e9bdb6ab81697158dc558498f24bddcbab3969a3",
+    ("F", 4, 1, "2,1,0,3"): "ca3e472dfe00a7e23eb9ca03a9b0a2ef1f3dba9d1fd1c8de5387f0299a006447",
+    ("F", 4, 4, "0,0,0,-12"): "00430c46a0bf15e1dfe31b189bdf4fd0e5dca330cd1237a8147a769fd060fddb",
+    ("F", 4, 4, "1,0,2,-7"): "6a68755dab973f7b8c01192a816505b2d9d6dd7d470cae4803c00d643491080f",
+    ("G", 2, 2, "1,-5"): "1903f633ec4fbea9189a47e09c96ac77e565e148d0247b5e7102ab6abcb77481",
+    ("G", 2, 1, "-4,0"): "72fe4042fa19c5c19eee1982d56df31bedabc5654109e6d5ed6303cd2f449649",
+}
+
+
+@pytest.mark.parametrize("letter,rank,node,weight", sorted(BBW_DIGESTS))
+def test_bbw_output_is_pinned(capsys, letter, rank, node, weight):
+    digest = stdout_digest(capsys, "bbw", "--type", letter, "--rank", str(rank),
+                           "--node", str(node), f"--weight={weight}", "--json")
+    assert digest == BBW_DIGESTS[letter, rank, node, weight]

@@ -530,6 +530,18 @@ def test_weyl_dim_node_set_may_be_a_list_unsorted_or_repeated():
     assert len(fresh._weyl_tables) == 1
 
 
+def test_weyl_dim_node_set_may_be_any_iterable():
+    d = build_datum("E", 7)
+    lam = (1, 2, 0, 1, -3, 2, 1)
+    nodes = (1, 2, 3, 4, 6, 7)
+    expected = weyl_dim_oracle(d, lam, nodes)
+    assert weyl_dim(d, lam, iter(nodes)) == expected
+    assert weyl_dim(d, lam, (i for i in reversed(nodes))) == expected
+    assert weyl_dim(d, lam, iter(())) == 1
+    with pytest.raises(IndexError, match=r"nodes \[0, 2\] out of range"):
+        weyl_dim(d, lam, iter((0, 2)))
+
+
 def test_weyl_dim_over_no_nodes_is_one():
     d = build_datum("F", 4)
     assert weyl_dim(d, (-2, 3, -1, 0), ()) == 1

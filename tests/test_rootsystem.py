@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from adjvar.rootsystem import (
@@ -131,6 +133,12 @@ def test_pairing_index_out_of_range():
         pairing(d, (1, 1), 3)
 
 
+@pytest.mark.parametrize("w", [(1,) * 9, (1,) * 7, ()])
+def test_pairing_rejects_a_weight_of_the_wrong_length(w):
+    with pytest.raises(ValueError, match="needs 8 coordinates"):
+        pairing(build_datum("E", 8), w, 0)
+
+
 TYPES_TO_RANK_10 = (
     [("A", r) for r in range(1, 11)]
     + [("B", r) for r in range(2, 11)]
@@ -151,6 +159,57 @@ def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter
         assert d.root_norms[i] == 2 * d.root_norm(alpha)
         assert [j for j, _ in d.form_terms[i]] == [j for j, c in enumerate(alpha) if c]
         assert sum(cd * w[j] for j, cd in d.form_terms[i]) == d.form(w, alpha)
+
+
+TYPES_TO_RANK_12 = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(2, 13)]
+    + [("C", r) for r in range(2, 13)]
+    + [("D", r) for r in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def unit(rank, j):
+    return tuple(int(i == j) for i in range(rank))
+
+
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
+def test_each_root_is_its_parent_plus_a_simple_root(letter, rank):
+    d = build_datum(letter, rank, max_classical_rank=12)
+    chain = [(0,) * rank] + list(d.positive_roots)  # index 0 is the zero root
+    assert len(d.root_parents) == len(d.positive_roots)
+    for k, (alpha, (p, j)) in enumerate(zip(d.positive_roots, d.root_parents), 1):
+        assert p < k
+        assert tuple(a + e for a, e in zip(chain[p], unit(rank, j))) == alpha
+    dd = d.root_half_norms
+    levis = [None, ()] + [tuple(i for i in range(1, rank + 1) if i != m)
+                          for m in range(1, rank + 1)]
+    for nodes in levis:
+        roots, den = d.weyl_table(nodes)
+        kept = [alpha for alpha in d.positive_roots
+                if nodes is None or all(j + 1 in nodes for j, c in enumerate(alpha) if c)]
+        kept_chain = [(0,) * rank] + kept
+        assert len(roots) == len(kept)
+        for k, (p, j, dj) in enumerate(roots, 1):
+            assert p < k and dj == dd[j]
+            assert tuple(a + e for a, e in zip(kept_chain[p], unit(rank, j))) == kept_chain[k]
+        assert den == prod(sum(c * dd[j] for j, c in enumerate(alpha)) for alpha in kept)
+
+
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
+def test_nilradical_sizes_and_neighbours_match_a_direct_count(letter, rank):
+    d = build_datum(letter, rank, max_classical_rank=12)
+    assert d.nilradical_sizes == tuple(
+        len([alpha for alpha in d.positive_roots if alpha[i] != 0]) for i in range(rank)
+    )
+    for i in range(rank):
+        row = [0] * rank
+        row[i] = 2
+        for j, c in d.dynkin_neighbours[i]:
+            assert j != i and c != 0 and row[j] == 0
+            row[j] = c
+        assert tuple(row) == d.cartan[i]
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

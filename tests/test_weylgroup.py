@@ -5,6 +5,9 @@ import pytest
 
 from adjvar.rootsystem import build_datum
 from adjvar.weylgroup import (
+    REGULAR,
+    SINGULAR,
+    DotResult,
     dot_classify,
     regular_index_oracle,
     simple_reflection,
@@ -48,6 +51,15 @@ def test_reflection_index_out_of_range():
     d = build_datum("A", 2)
     with pytest.raises(IndexError):
         simple_reflection(d, 3, (0, 0))
+
+
+@pytest.mark.parametrize("w", [(1, 2, 3), (1,), ()])
+def test_reflection_and_index_oracle_reject_a_weight_of_the_wrong_length(w):
+    d = build_datum("G", 2)
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        simple_reflection(d, 1, w)
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        regular_index_oracle(d, w)
 
 
 def test_dominant_weight_is_regular_index_zero():
@@ -166,3 +178,60 @@ def test_serialization():
 def test_dot_classify_rejects_a_weight_of_the_wrong_length(lam):
     with pytest.raises(ValueError, match="needs 2 coordinates"):
         dot_classify(build_datum("G", 2), lam)
+
+
+def test_dot_classify_node_set_may_be_any_iterable():
+    d = build_datum("C", 4)
+    lam = (-3, -2, 5, -7)
+    expected = dot_classify(d, lam, (1, 2))
+    assert dot_classify(d, lam, iter((1, 2))) == expected
+    assert dot_classify(d, lam, (i for i in (2, 1))) == expected
+    assert dot_classify(d, lam, iter(())) == dot_classify(d, lam, ())
+    with pytest.raises(IndexError, match=r"nodes \[0, 2\] out of range"):
+        dot_classify(d, lam, iter((0, 2)))
+
+
+def dot_classify_reference(datum, lam, nodes=None):
+    """The chamber reduction as one simple_reflection call per step, each
+    building a new weight, at the first node of ``nodes`` whose coordinate
+    is <= 0: the oracle for the in-place reduction at Dynkin neighbours."""
+    datum.check_weight(lam)
+    if nodes is None:
+        nodes = range(1, datum.rank + 1)
+    v = tuple(a + 1 for a in lam)
+    drop = 0
+    for count in range(2 * len(datum.positive_roots) + 1):
+        i = next((i for i in nodes if v[i - 1] <= 0), None)
+        if i is None:
+            return DotResult(REGULAR, count, tuple(a - 1 for a in v), drop)
+        if v[i - 1] == 0:
+            return DotResult(status=SINGULAR)
+        drop -= v[i - 1]
+        v = simple_reflection(datum, i, v)
+    raise AssertionError("chamber reduction exceeded its step bound")
+
+
+TYPES_TO_RANK_10 = (
+    [("A", r) for r in range(1, 11)]
+    + [("B", r) for r in range(2, 11)]
+    + [("C", r) for r in range(2, 11)]
+    + [("D", r) for r in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_10)
+def test_dot_classify_matches_its_reference(letter, rank):
+    d = build_datum(letter, rank)
+    rng = random.Random(f"{letter}{rank}")
+    node_sets = [None, ()]
+    node_sets += [tuple(i for i in range(1, rank + 1) if i != m) for m in range(1, rank + 1)]
+    node_sets += [tuple(rng.sample(range(1, rank + 1), rng.randint(1, rank))) for _ in range(4)]
+    tally = {True: 0, False: 0}
+    for nodes in node_sets:
+        for _ in range(12):
+            lam = tuple(rng.randint(-12, 5) for _ in range(rank))
+            res = dot_classify(d, lam, nodes)
+            assert res == dot_classify_reference(d, lam, nodes)
+            tally[res.is_regular] += 1
+    assert min(tally.values()) > 0
