@@ -174,8 +174,11 @@ def cmd_fol(args) -> int:
         form = _load_form(args)
         payload = form.to_json()
         if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            try:
+                with open(args.output, "w") as fh:
+                    json.dump(payload, fh, sort_keys=True)
+            except OSError as exc:
+                raise _input_error(f"cannot write {args.output}: {exc}")
             print(f"wrote {args.output}")
         else:
             print(json.dumps(payload, sort_keys=True))

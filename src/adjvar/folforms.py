@@ -146,11 +146,22 @@ class PolyOneForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyOneForm":
+        """The form that ``to_json`` wrote.  ``"schema"`` and ``"bidegree"``
+        may be left out; when present they must agree with schema "1" and
+        with the bidegree that the coefficients have."""
+        if "schema" in data and data["schema"] != "1":
+            raise ValueError(f"form schema {data['schema']!r} is not '1'")
         n = n_from_json(data["n"])
         blocks = data["dx"], data["dy"]
         if any(len(block) != n + 1 for block in blocks):
             raise ValueError(f"dx and dy need {n + 1} coefficients each")
-        return cls(n, [terms_from_json(n, t) for block in blocks for t in block])
+        form = cls(n, [terms_from_json(n, t) for block in blocks for t in block])
+        if "bidegree" in data and data["bidegree"] != list(form.bidegree):
+            raise ValueError(
+                f"stated bidegree {data['bidegree']} is not the coefficients' "
+                f"{list(form.bidegree)}"
+            )
+        return form
 
 
 # generic exterior algebra on dicts {sorted var tuple: BiPoly}

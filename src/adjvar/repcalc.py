@@ -10,20 +10,23 @@ each constituent is read off a signed dot-reduction by
 height comes from the weight system's offsets and the reduction's drop, and
 no constituent weight system is ever built.
 
-For squares of bundle weights the whole computation is done in the *ambient*
-weight lattice: the weights of an irreducible P-representation are obtained by
-subtracting unmarked simple roots from its highest weight, and W_L only
-reflects at unmarked nodes, so the marked-node coordinate of every constituent
-(and hence its twist) falls out of the bookkeeping with no separate
-first-Chern-class matching step.
+A Levi L is its node set throughout: :func:`weyl_dim` and
+:func:`weight_system` take the nodes of L and work in the *ambient* weight
+lattice of G, over the positive roots supported on those nodes, so no Levi
+factor's type is ever identified.  The weights of an irreducible
+P-representation E_lam are lam minus unmarked simple roots, and W_L only
+reflects at unmarked nodes, so the marked-node coordinate of every
+constituent of its square (and hence its twist) falls out of the
+bookkeeping with no separate first-Chern-class matching step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
-from .parabolic import MarkedDatum, branch_to_levi, is_bundle_weight, levi_diagram
+from .parabolic import MarkedDatum, is_bundle_weight
 from .rootsystem import RootDatum, Weight, highest_root, saturate
 from .weylgroup import dot_classify
 
@@ -113,7 +116,7 @@ def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
         coords = [lam[i - 1] for i in nodes]
     if any(a < 0 for a in coords):
         raise ValueError(f"{lam} is not dominant")
-    roots, den = datum.weyl_table(nodes)
+    roots, den, _, _ = datum.weyl_table(nodes)
     shifted = [a + 1 for a in lam]
     factors = [0]  # the zero root's slot, then (lam + delta, alpha) per root
     for p, j, dj in roots:
@@ -126,38 +129,52 @@ def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
 
 
 def weight_system(
-    datum: RootDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING
+    datum: RootDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING, nodes=None
 ) -> WeightSystem:
-    """Full weight multiset of V_lam with Freudenthal multiplicities.
+    """Full weight multiset of the irreducible of highest weight lam over the
+    Levi L with simple roots at ``nodes`` (1-indexed, any iterable, in any
+    order; all nodes, i.e. V_lam of G itself, by default), with Freudenthal
+    multiplicities, in the ambient fundamental coordinates of ``datum``.
 
-    The weight set is the saturation of {lam} (:func:`adjvar.rootsystem.saturate`),
-    with offsets lam - mu.  Weights are visited level by level (level =
-    height of lam - mu).  Multiplicities are W-invariant (Humphreys,
+    The weight set is the saturation of {lam} over ``nodes``
+    (:func:`adjvar.rootsystem.saturate`), with offsets lam - mu in ambient
+    simple-root coordinates.  Weights are visited level by level (level =
+    height of lam - mu).  Multiplicities are W_L-invariant (Humphreys,
     Introduction to Lie Algebras and Representation Theory, sections 21.2
     and 22.3; Moody-Patera, Bull. AMS 7, 1982), so Freudenthal's recursion
-    runs at the dominant weights only, with exact integer arithmetic:
+    runs at the weights dominant on ``nodes`` only, over the positive roots
+    alpha supported on them, with exact integer arithmetic:
 
         ((lam+delta, lam+delta) - (mu+delta, mu+delta)) m_mu
             = 2 sum_{alpha>0} sum_{k>=1} m_{mu+k alpha} (mu + k alpha, alpha)
 
-    A weight mu with a negative coordinate mu_i takes the multiplicity of
-    s_i(mu) = mu - mu_i alpha_i, a weight of lower level and so already
-    weighed; by induction that is the multiplicity of mu's dominant conjugate.
+    The delta of G serves for L, since <delta, alpha_i^vee> = 1 at every
+    node i of L.  The roots, their weights and norms come from the datum's
+    per-node-set table (:meth:`RootDatum.weyl_table`), which :func:`weyl_dim`
+    shares: each (mu, alpha) is its parent's plus d_j mu_j.  A weight mu with
+    a negative coordinate mu_i at a node i of ``nodes`` takes the
+    multiplicity of s_i(mu) = mu - mu_i alpha_i, a weight of lower level and
+    so already weighed; by induction that is the multiplicity of mu's
+    W_L-conjugate dominant on ``nodes``.
     """
-    dim = weyl_dim(datum, lam)
+    if nodes is not None:
+        nodes = tuple(nodes)
+    dim = weyl_dim(datum, lam, nodes)
     if dim > ceiling:
         raise DimensionCeilingError(
             f"dim V_{lam} = {dim} exceeds the ceiling {ceiling}"
         )
     rank = datum.rank
     cartan = datum.cartan
-    offsets = saturate(cartan, {lam: (0,) * rank}, dim)
+    offsets = saturate(cartan, {lam: (0,) * rank}, dim, nodes)
+    steps = range(rank) if nodes is None else [i - 1 for i in nodes]
 
     dd = datum.root_half_norms
-    pos = list(zip(datum.form_terms, datum.positive_root_weights, datum.root_norms))
+    roots, _, weights, norms = datum.weyl_table(nodes)
+    pos = list(zip(roots, weights, norms))
     mult: dict[Weight, int] = {}
     for w, off in sorted(offsets.items(), key=lambda kv: sum(kv[1])):
-        i = next((i for i, a in enumerate(w) if a < 0), None)
+        i = next((i for i in steps if w[i] < 0), None)
         if i is not None:
             a = w[i]
             up = tuple(x - a * y for x, y in zip(w, cartan[i]))
@@ -171,14 +188,15 @@ def weight_system(
             mult[w] = 1
             continue
         num = 0
-        for terms, aw, aa in pos:
-            base = sum([cd * w[j] for j, cd in terms])
-            k = 1
-            up = tuple(w[j] + aw[j] for j in range(rank))
+        pairings = [0]  # (w, alpha) per root, after the zero root's
+        for (p, j, dj), aw, aa in pos:
+            base = pairings[p] + dj * w[j]
+            pairings.append(base)
+            up = tuple(map(add, w, aw))
             while up in mult:
-                num += mult[up] * (base + k * aa)
-                k += 1
-                up = tuple(up[j] + aw[j] for j in range(rank))
+                base += aa  # (w + k alpha, alpha)
+                num += mult[up] * base
+                up = tuple(map(add, up, aw))
         den = sum(
             off[j] * dd[j] * (lam[j] + w[j] + 2) for j in range(rank)
         )
@@ -274,33 +292,15 @@ def ambient_weight_system(
     md: MarkedDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING
 ) -> WeightSystem:
     """Weight system of the irreducible P-representation E_lam in ambient
-    fundamental coordinates (full Cartan of g).
+    fundamental coordinates (full Cartan of g): :func:`weight_system` over
+    the Levi nodes.
 
-    Its weights are the saturation of {lam} over the Levi nodes: lam minus
-    non-negative combinations of *unmarked* simple roots, recorded in
-    ``offsets`` in ambient simple-root coordinates.  The multiplicity of mu
-    is the product over the Levi factors of the factor multiplicity at mu's
-    coordinates on the factor's nodes.
+    Its weights are lam minus non-negative combinations of *unmarked* simple
+    roots, recorded in ``offsets`` in ambient simple-root coordinates.
     """
-    comp_weights, _center = branch_to_levi(md, lam)
-    ambient, levi = md.ambient, md.levi_nodes
-    dim = weyl_dim(ambient, lam, levi)
-    if dim > ceiling:
-        raise DimensionCeilingError(
-            f"dim E_{lam} = {dim} exceeds the ceiling {ceiling}"
-        )
-    factors = [
-        (comp.ambient_nodes, weight_system(comp.datum, cw, ceiling).entries)
-        for comp, cw in zip(levi_diagram(md).components, comp_weights)
-    ]
-    offsets = saturate(ambient.cartan, {lam: (0,) * ambient.rank}, dim, levi)
-    entries = {
-        mu: prod(mults[tuple(mu[i - 1] for i in nodes)] for nodes, mults in factors)
-        for mu in offsets
-    }
-    if sum(entries.values()) != dim:
-        raise InternalConsistencyError(f"ambient multiplicities do not sum to {dim}")
-    return WeightSystem(highest=lam, entries=entries, offsets=offsets, total_dim=dim)
+    if not is_bundle_weight(md, lam):
+        raise ValueError(f"{lam} is not a bundle weight at node {md.marked_node}")
+    return weight_system(md.ambient, lam, ceiling, md.levi_nodes)
 
 
 def _fold_twist(md: MarkedDatum, w: Weight, lambda0: Weight):

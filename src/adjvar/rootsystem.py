@@ -106,31 +106,6 @@ class RootDatum:
         return self._half_norms
 
     @cached_property
-    def form_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per positive root alpha, the nonzero terms (j, c_j d_j) of
-        (w, alpha) = sum_j c_j d_j w_j, with alpha = sum_j c_j alpha_j and
-        d = root_half_norms; the j that occur are alpha's support.  Equal
-        terms are one shared tuple, which keeps the table small."""
-        dd = self._half_norms
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        return tuple(
-            tuple(
-                shared.setdefault((j, c * dd[j]), (j, c * dd[j]))
-                for j, c in enumerate(alpha)
-                if c
-            )
-            for alpha in self.positive_roots
-        )
-
-    @cached_property
-    def root_norms(self) -> tuple[int, ...]:
-        """(alpha, alpha) = 2 root_norm(alpha) per positive root, in order."""
-        return tuple(
-            sum(cd * m[j] for j, cd in terms)
-            for terms, m in zip(self.form_terms, self.positive_root_weights)
-        )
-
-    @cached_property
     def dynkin_neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node i (0-indexed), the pairs (j, cartan[i][j]) over the
         Dynkin neighbours j of i: the nonzero off-diagonal entries of row i.
@@ -170,9 +145,11 @@ class RootDatum:
             for i in range(self.rank)
         )
 
-    def weyl_table(self, nodes=None) -> tuple[tuple, int]:
-        """(roots, den) for Weyl's product over the positive roots supported
-        on ``nodes`` (1-indexed, any order or repeats; all roots by default).
+    def weyl_table(self, nodes=None) -> tuple[tuple, int, tuple, tuple]:
+        """(roots, den, weights, norms) for the positive roots supported on
+        ``nodes`` (1-indexed, any order or repeats; all roots by default):
+        the table that Weyl's product and Freudenthal's recursion over those
+        nodes share.
 
         ``roots`` holds, per root alpha in order, a triple (p, j, d_j) with
         alpha = parent + alpha_j and d = root_half_norms: p = 0 when the
@@ -180,23 +157,28 @@ class RootDatum:
         parent at position k of ``roots``.  So (w, alpha) = (w, parent) +
         d_j w_j, one addition per root.  A root supported on ``nodes`` has
         its parent supported there too, so the chain survives the filter.
-        den = prod (delta, alpha).  Built once per node set and kept on the
-        datum."""
+        den = prod (delta, alpha); ``weights`` and ``norms`` hold each root's
+        fundamental-weight coordinates and (alpha, alpha), at the same index
+        as in ``roots``.  Built once per node set and kept on the datum."""
         key = None if nodes is None else frozenset(nodes)
         table = self._weyl_tables.get(key)
         if table is None:
             dd = self._half_norms
             where = {0: 0}  # p of root_parents -> p in roots; 0 is the zero root
-            roots = []
+            roots, weights, norms = [], [], []
             pairings = [0]  # (delta, alpha), at the same index as in roots
-            for k, (alpha, (p, j)) in enumerate(
-                zip(self.positive_roots, self.root_parents), 1
+            for k, (alpha, (p, j), m) in enumerate(
+                zip(self.positive_roots, self.root_parents, self.positive_root_weights), 1
             ):
                 if key is None or all(i + 1 in key for i, c in enumerate(alpha) if c):
                     roots.append((where[p], j, dd[j]))
                     pairings.append(pairings[where[p]] + dd[j])
+                    weights.append(m)
+                    norms.append(sum(c * dd[i] * m[i] for i, c in enumerate(alpha)))
                     where[k] = len(roots)
-            table = self._weyl_tables[key] = (tuple(roots), prod(pairings[1:]))
+            table = self._weyl_tables[key] = (
+                tuple(roots), prod(pairings[1:]), tuple(weights), tuple(norms)
+            )
         return table
 
     def check_weight(self, w: Weight) -> None:
@@ -416,8 +398,9 @@ def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
         raise IndexError(
             f"coroot index {coroot_index} out of range 0..{len(datum.positive_roots)-1}"
         )
-    num = 2 * sum(cd * w[j] for j, cd in datum.form_terms[coroot_index])
-    den = datum.root_norms[coroot_index]
+    alpha = datum.positive_roots[coroot_index]
+    num = datum.form(w, alpha)
+    den = datum.root_norm(alpha)
     if num % den:
         raise ArithmeticError("non-integral pairing")
     return num // den

@@ -199,6 +199,35 @@ def test_fol_build_roundtrip(tmp_path, capsys):
     assert code == 0 and "integrable: True" in out
 
 
+@pytest.mark.parametrize("where", ["no/such/dir/pencil.json", "."])
+def test_fol_build_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    # a missing directory, or a path that is a directory, raised a traceback
+    # and exited 1
+    with pytest.raises(SystemExit) as info:
+        main(["fol", "build", "--builtin", "pencil", "--output", str(tmp_path / where)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {tmp_path / where}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key,value", [("bidegree", [5, 7]), ("schema", "9"), ("schema", 1)]
+)
+def test_fol_input_with_a_wrong_bidegree_or_schema_exits_2(tmp_path, capsys, key, value):
+    # such a pencil file was checked as the [2, 2] form and exited 0
+    path = tmp_path / "pencil.json"
+    code, _, _ = run(capsys, "fol", "build", "--builtin", "pencil", "--output", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as info:
+        main(["fol", "check-integrable", "--input", str(path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read form from {path}")
+
+
 def test_fol_invariant_surface(capsys):
     code, out, _ = run(
         capsys, "fol", "invariant", "--builtin", "affine", "--surface", "conic-x"

@@ -650,6 +650,24 @@ def test_form_from_json_rejects_misplaced_blocks():
         PolyOneForm.from_json(data)
 
 
+def test_form_from_json_checks_a_stated_schema_and_bidegree():
+    data = builtin_pencil(2).to_json()
+    assert data["schema"] == "1" and data["bidegree"] == [2, 2]
+    for key in ("schema", "bidegree"):
+        left_out = dict(data)
+        del left_out[key]
+        assert PolyOneForm.from_json(left_out).bidegree == (2, 2)
+    for key, value, message in [
+        ("schema", "9", "schema '9' is not '1'"),
+        ("schema", 1, "schema 1 is not '1'"),
+        ("bidegree", [5, 7], r"stated bidegree \[5, 7\] is not the coefficients' \[2, 2\]"),
+        ("bidegree", [2, 2, 0], "stated bidegree"),
+        ("bidegree", 2, "stated bidegree"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PolyOneForm.from_json({**data, key: value})
+
+
 def test_euler_checked_on_construction():
     n = 2
     bad = [x(1)] + [BiPoly.zero(n)] * 5

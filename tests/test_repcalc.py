@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -131,19 +132,21 @@ def test_weight_system_a5_wedge_rep():
     assert all(m == 1 for m in ws.entries.values())
 
 
-def level_by_level_offsets(cartan, starts, limit):
+def level_by_level_offsets(cartan, starts, limit, nodes=None):
     """Reference generator for weight_system, in place of saturate: the
-    weights of V_lam level by level (level = height of lam - mu), where
-    mu - alpha_i is a weight iff p + <mu, alpha_i^vee> >= 1 and p is the
-    length of the upward alpha_i-string through mu."""
+    weights of V_lam over the simple roots at ``nodes`` (all by default)
+    level by level (level = height of lam - mu), where mu - alpha_i is a
+    weight iff p + <mu, alpha_i^vee> >= 1 and p is the length of the upward
+    alpha_i-string through mu."""
     (lam, zero), = starts.items()
     rank = len(cartan)
+    steps = range(rank) if nodes is None else [i - 1 for i in nodes]
     offsets = {lam: zero}
     current = [lam]
     while current:
         nxt = []
         for w in current:
-            for i in range(rank):
+            for i in steps:
                 p = 0
                 up = w
                 while True:
@@ -469,7 +472,8 @@ def test_levi_routes_match_the_factor_products(letter, rank, node):
     )
 )
 def test_weyl_dim_over_nodes_is_the_product_over_components(case):
-    (letter, rank), nodes, lam = case
+    (letter, rank), flags, lam = case
+    nodes = [i for i, keep in enumerate(flags, 1) if keep]
     d = build_datum(letter, rank)
     lam = tuple(lam)
     expected = 1
@@ -606,3 +610,41 @@ def test_square_decompose_simple_matches_stripping(letter, rank, lam):
         assert [(p.weight, p.mult, p.dim) for p in got] == [
             (w, m, weyl_dim(d, w)) for w, m in stripped
         ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LEVI_TYPES).flatmap(
+        lambda t: st.tuples(
+            st.just(t),
+            st.lists(st.booleans(), min_size=t[1], max_size=t[1]),
+            st.lists(st.integers(-3, 3), min_size=t[1], max_size=t[1]),
+        )
+    )
+)
+def test_weight_system_over_nodes_sums_to_weyl_dim_and_is_levi_weyl_invariant(case):
+    (letter, rank), flags, lam = case
+    nodes = [i for i, keep in enumerate(flags, 1) if keep]
+    d = build_datum(letter, rank)
+    # dominant on the nodes; lowered at the last nodes until the module is
+    # small enough to keep the suite fast
+    lam = [abs(a) if i in nodes else a for i, a in enumerate(lam, 1)]
+    for i in sorted(set(nodes), reverse=True):
+        if weyl_dim(d, tuple(lam), nodes) <= 600:
+            break
+        lam[i - 1] = 0
+    lam = tuple(lam)
+    ws = weight_system(d, lam, 10**6, nodes)
+    assert sum(ws.entries.values()) == ws.total_dim == weyl_dim(d, lam, nodes)
+    assert ws.entries.keys() == ws.offsets.keys()
+    for mu, m in ws.entries.items():
+        for i in nodes:
+            assert ws.entries[simple_reflection(d, i, mu)] == m
+    # and each multiplicity is the product of the simple factors' ones
+    factors = []
+    for comp in _connected_components(d.cartan, nodes):
+        factor = _match_component(d, comp)
+        cw = tuple(lam[i - 1] for i in factor.ambient_nodes)
+        factors.append((factor.ambient_nodes, weight_system(factor.datum, cw, 10**6).entries))
+    for mu, m in ws.entries.items():
+        assert m == prod(mults[tuple(mu[i - 1] for i in f_nodes)] for f_nodes, mults in factors)

@@ -150,15 +150,22 @@ TYPES_TO_RANK_10 = (
 
 @pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_10)
 def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter, rank):
+    # the root weights and norms that weyl_table shares between Weyl's
+    # product and Freudenthal's recursion, over all nodes, none and each Levi
     d = build_datum(letter, rank)
-    # every c_j d_j is below 100, so (w, alpha) at w_j = 100^j spells them out
-    w = tuple(100**j for j in range(rank))
-    assert len(d.positive_root_weights) == len(d.root_norms) == len(d.positive_roots)
+    assert len(d.positive_root_weights) == len(d.positive_roots)
     for i, alpha in enumerate(d.positive_roots):
         assert d.positive_root_weights[i] == d.root_weight(alpha)
-        assert d.root_norms[i] == 2 * d.root_norm(alpha)
-        assert [j for j, _ in d.form_terms[i]] == [j for j, c in enumerate(alpha) if c]
-        assert sum(cd * w[j] for j, cd in d.form_terms[i]) == d.form(w, alpha)
+    levis = [None, ()] + [tuple(i for i in range(1, rank + 1) if i != m)
+                          for m in range(1, rank + 1)]
+    for nodes in levis:
+        roots, _, weights, norms = d.weyl_table(nodes)
+        kept = [alpha for alpha in d.positive_roots
+                if nodes is None or all(j + 1 in nodes for j, c in enumerate(alpha) if c)]
+        assert len(roots) == len(weights) == len(norms) == len(kept)
+        for alpha, m, norm in zip(kept, weights, norms):
+            assert m == d.root_weight(alpha)
+            assert norm == 2 * d.root_norm(alpha) == d.form(m, alpha)
 
 
 TYPES_TO_RANK_12 = (
@@ -186,7 +193,7 @@ def test_each_root_is_its_parent_plus_a_simple_root(letter, rank):
     levis = [None, ()] + [tuple(i for i in range(1, rank + 1) if i != m)
                           for m in range(1, rank + 1)]
     for nodes in levis:
-        roots, den = d.weyl_table(nodes)
+        roots, den, _, _ = d.weyl_table(nodes)
         kept = [alpha for alpha in d.positive_roots
                 if nodes is None or all(j + 1 in nodes for j, c in enumerate(alpha) if c)]
         kept_chain = [(0,) * rank] + kept
