@@ -472,8 +472,7 @@ def test_levi_routes_match_the_factor_products(letter, rank, node):
     )
 )
 def test_weyl_dim_over_nodes_is_the_product_over_components(case):
-    (letter, rank), flags, lam = case
-    nodes = [i for i, keep in enumerate(flags, 1) if keep]
+    (letter, rank), nodes, lam = case
     d = build_datum(letter, rank)
     lam = tuple(lam)
     expected = 1
