@@ -436,13 +436,16 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     y_0 != 0, each by one exact division of chart images
     (``_is_invariant_symbolic`` has the proof that two charts suffice).
 
-    At n = 1, X is a curve, every point of it is a leaf, and every V(F) ^ X
-    with F not in (q) is invariant.
+    A nonzero constant F raises ``ValueError``: V(F) ^ X is empty.  At n = 1,
+    X is a curve, every point of it is a leaf, and every V(F) ^ X with F
+    nonconstant and not in (q) is invariant.
     """
     _same_ambient(omega.n, f.n)
     if f.is_zero:
         raise ValueError("invariance of the zero divisor is undefined")
-    f.bidegree()  # V(F) is a subvariety of P^n x P^n only if F is bihomogeneous
+    # V(F) is a subvariety of P^n x P^n only if F is bihomogeneous
+    if f.bidegree() == (0, 0):
+        raise ValueError("F is a nonzero constant, so V(F) ^ X is empty")
     if omega.n == 1:
         if normal_form_mod_q(f).is_zero:
             raise ValueError("F lies in the ideal of X")

@@ -12,10 +12,15 @@ integer vectors, in Python ints only:
 * ``invariance_witness``: dq ^ dF ^ omega on three vectors, at a point of
   V(F) ^ X found by solving F = q = 0 as two linear equations.
 
-Coefficients are scaled by one common denominator per polynomial family,
-and gradients by the product P of the point's coordinates: the derivative
-of c * z^e along z_a is c * e_a * z^e / z_a, so P * z^e / z_a is an integer.
-Scaling by a nonzero constant does not change whether a value is zero.
+Coefficients are scaled by one common denominator den per polynomial
+family, and gradients by the product P of the point's coordinates.  Each
+polynomial p is summed once over its terms, into its value and into one
+integer G_a = sum e_a * m per coordinate z_a, where m = den * c * z^e is the
+scaled value of the term c * z^e.  Since the derivative of z^e along z_a is
+e_a * z^e / z_a, den * P * dp(u) = sum_a (P / z_a) * u_a * G_a: one dot
+product per vector u with the integers (P / z_a) * u_a, which are built
+once per call.  Scaling by a nonzero constant does not change whether a
+value is zero.
 
 A witness only ever proves False.  A zero value proves nothing, and the
 caller then runs its symbolic ideal test, which decides every True answer.
@@ -78,28 +83,27 @@ def _jet(polys, point, vectors=()):
     of the coordinates."""
     den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     big = prod(point)
-    monomials = {}  # exponent key -> (z^e, [d(z^e)(u) * P / z^e over u])
+    rows = [[big // z * t for z, t in zip(point, u)] for u in vectors]
+    monomials = {}  # exponent key -> (z^e, the nonzero (a, e_a))
     support, values, slopes = [], [], []
     for b, p in enumerate(polys):
         if not p.terms:
             continue
-        value, slope = 0, [0] * len(vectors)
+        value, grad = 0, [0] * len(point)
         for key, c in p.terms.items():
             mono = monomials.get(key)
             if mono is None:
-                z, d = 1, [0] * len(vectors)
-                for a, e in enumerate(key):
-                    if e:
-                        z *= point[a] ** e
-                        w = e * big // point[a]
-                        d = [s + w * u[a] for s, u in zip(d, vectors)]
-                mono = monomials[key] = (z, d)
+                mono = monomials[key] = (
+                    prod(map(pow, point, key)),
+                    [(a, e) for a, e in enumerate(key) if e],
+                )
             m = c.numerator * (den // c.denominator) * mono[0]
             value += m
-            slope = [s + m * t for s, t in zip(slope, mono[1])]
+            for a, e in mono[1]:
+                grad[a] += e * m
         support.append(b)
         values.append(value)
-        slopes.append(slope)
+        slopes.append([sum(map(mul, row, grad)) for row in rows])
     return support, values, slopes
 
 

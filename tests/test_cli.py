@@ -359,6 +359,18 @@ def test_fol_invariant_on_the_curve_n_1(tmp_path, capsys):
     assert code == 2 and "ideal of X" in err
 
 
+@pytest.mark.parametrize("n,builtin", [(2, "affine"), (1, "pencil")])
+def test_fol_invariant_constant_surface_exits_2(tmp_path, capsys, n, builtin):
+    # "invariant": true with exit 0, though V(F) ^ X is empty
+    path = tmp_path / "surface.json"
+    zeros = [0] * (n + 1)
+    path.write_text(json.dumps({"n": n, "terms": [{"x": zeros, "y": zeros, "c": "5"}]}))
+    code, out, err = run(capsys, "fol", "invariant", "--builtin", builtin,
+                         "--n", str(n), "--surface", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nonzero constant" in err
+
+
 def exit_code(*argv):
     """The exit status of the CLI, whether main returns it or raises it."""
     try:

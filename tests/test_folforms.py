@@ -390,6 +390,14 @@ def test_every_surface_is_invariant_on_the_curve_n_1(make):
             is_invariant(w, f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_surface_raises(n):
+    # V(c) ^ X is empty; a nonzero constant was called invariant at every n
+    for c in (5, Fraction(-2, 3)):
+        with pytest.raises(ValueError, match="nonzero constant"):
+            is_invariant(builtin_pencil(n), BiPoly.const(n, c))
+
+
 def test_divisorial_singularities_detected():
     h1, h2 = h_pair()
     w = pencil_form(h1, h2)

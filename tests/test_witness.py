@@ -8,6 +8,7 @@ at which a coefficient of the symbolic form is nonzero.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, reject, settings
@@ -100,6 +101,50 @@ def test_frame_point_lies_on_x_and_tangent_vectors_kill_dq(n):
     assert all(len(u) == 2 * n + 2 for u in vectors + tangent)
 
 
+# -- the jets ----------------------------------------------------------------
+
+
+@st.composite
+def jet_cases(draw):
+    """Polynomials on P^n x P^n (some zero, not all bihomogeneous) with int
+    and Fraction coefficients, a point with no zero coordinate, and up to
+    three integer vectors."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    width = 2 * n + 2
+    keys = st.tuples(*[st.integers(min_value=0, max_value=3)] * width)
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    polys = draw(st.lists(
+        st.dictionaries(keys, coeffs, max_size=6).map(lambda t: BiPoly(n, t)),
+        min_size=1, max_size=4,
+    ))
+    nonzero = st.integers(min_value=-7, max_value=7).filter(bool)
+    point = tuple(draw(st.lists(nonzero, min_size=width, max_size=width)))
+    entries = st.integers(min_value=-5, max_value=5)
+    vector = st.lists(entries, min_size=width, max_size=width).map(tuple)
+    vectors = tuple(draw(st.lists(vector, max_size=3)))
+    return n, polys, point, vectors
+
+
+@settings(max_examples=60)
+@given(jet_cases())
+def test_jet_matches_exact_values_and_derivatives(case):
+    # values are den * p(point) and slopes den * P * dp(point)(u), computed
+    # here in exact rationals from BiPoly.eval_point and BiPoly.dvar
+    n, polys, point, vectors = case
+    xs, ys = point[: n + 1], point[n + 1 :]
+    den = lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
+    scale = den * prod(point)
+    support, values, slopes = wt._jet(polys, point, vectors)
+    assert support == [b for b, p in enumerate(polys) if not p.is_zero]
+    assert values == [den * polys[b].eval_point(xs, ys) for b in support]
+    for b, slope in zip(support, slopes):
+        grad = [polys[b].dvar(a).eval_point(xs, ys) for a in range(2 * n + 2)]
+        assert slope == [scale * sum(g * t for g, t in zip(grad, u)) for u in vectors]
+
+
 # -- integrable --------------------------------------------------------------
 
 EULER_CASES = [(2, (2, 2)), (2, (2, 3)), (2, (3, 2)), (2, (3, 3)), (3, (2, 2))]
@@ -145,7 +190,7 @@ def test_perturbed_pencils_match_symbolic(seed, height):
 
 def test_builtin_forms_are_never_refuted():
     forms = [ff.builtin_affine(2)[0], ff.builtin_torus(2)]
-    for n in (2, 3):
+    for n in (2, 3, 4):
         forms += [ff.builtin_pencil(n), ff.builtin_log4(n),
                   ff.builtin_pullback(0, n), ff.builtin_pullback(1, n)]
     for omega in forms:
