@@ -25,6 +25,7 @@ stays as the tests' independent oracle for the normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 from operator import add, sub
 
@@ -413,6 +414,18 @@ def reduce_mod_quadric(f: BiPoly, elim: int | None = None) -> BiPoly:
     return _pseudo_rem(f, BiPoly.incidence_quadric(f.n), elim)
 
 
+@lru_cache(maxsize=None)
+def _q_shifts(n: int) -> tuple:
+    """The exponent shifts that trade the factor x_0 y_0 for x_i y_i,
+    i = 1..n: key + shift."""
+    y0 = n + 1
+    return tuple(
+        tuple(-1 if k in (0, y0) else 1 if k in (i, y0 + i) else 0
+              for k in range(2 * n + 2))
+        for i in range(1, n + 1)
+    )
+
+
 def normal_form_mod_q(p: BiPoly) -> BiPoly:
     """The remainder of p modulo q with no term divisible by x_0 y_0.
 
@@ -422,12 +435,7 @@ def normal_form_mod_q(p: BiPoly) -> BiPoly:
     the map is linear and never scales p."""
     n = p.n
     y0 = n + 1
-    # key + shift trades the factor x_0 y_0 for x_i y_i
-    shifts = [
-        tuple(-1 if k in (0, y0) else 1 if k in (i, y0 + i) else 0
-              for k in range(2 * n + 2))
-        for i in range(1, n + 1)
-    ]
+    shifts = _q_shifts(n)
     out: dict[Term, int | Fraction] = {}
     todo = p.terms
     while todo:

@@ -31,8 +31,9 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .bipoly import (
     EXPONENT_BOUND,
@@ -50,6 +51,7 @@ from .bipoly import (
     var_shift,
 )
 from . import witness
+from .linalg import nullspace
 
 
 class _MinusInfinity:
@@ -639,20 +641,28 @@ def foliation_numerics(normal_bidegree, n: int) -> FoliationNumerics:
 
 
 def linear_field(matrix, n: int):
-    """The vector field of a trace-free matrix A acting as x -> Ax on the
-    first factor and y -> -A^T y on the second; it kills q exactly."""
+    """The vector field of an (n+1) x (n+1) matrix A acting as x -> Ax on
+    the first factor and y -> -A^T y on the second.  It kills q exactly for
+    every A, since sum (Ax)_i y_i = sum x_j (A^T y)_j; the identity gives
+    the difference of the two Euler fields, which is zero on P^n x P^n.
+    Entries must be ints or Fractions."""
+    if len(matrix) != n + 1 or any(len(row) != n + 1 for row in matrix):
+        raise ValueError(f"linear_field at n = {n} needs an {n + 1} x {n + 1} matrix")
+    if not all(isinstance(a, (int, Fraction)) and not isinstance(a, bool)
+               for row in matrix for a in row):
+        raise ValueError("matrix entries must be ints or Fractions")
     comps = []
     for i in range(n + 1):
         c = BiPoly.zero(n)
         for j in range(n + 1):
             if matrix[i][j]:
-                c = c + BiPoly.x(n, j) * Fraction(matrix[i][j])
+                c = c + BiPoly.x(n, j) * matrix[i][j]
         comps.append(c)
     for j in range(n + 1):
         c = BiPoly.zero(n)
         for i in range(n + 1):
             if matrix[i][j]:
-                c = c - BiPoly.y(n, i) * Fraction(matrix[i][j])
+                c = c - BiPoly.y(n, i) * matrix[i][j]
         comps.append(c)
     return tuple(comps)
 
@@ -663,52 +673,6 @@ def field_apply(field, f: BiPoly) -> BiPoly:
         if not comp.is_zero:
             out = out + comp * f.dvar(v)
     return out
-
-
-def _nullspace(rows, ncols):
-    """Basis of the nullspace of a sparse rational matrix (rows are dicts),
-    one integer vector per free column.
-
-    Each row is scaled to integers and the matrix brought to reduced echelon
-    form by fraction-free row operations, every row kept primitive; a pivot
-    row then reads p x_pc + sum_free a_f x_f = 0, so setting one free
-    variable to the lcm of the pivots solves for the pivot variables in
-    integers."""
-    dense = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        vec = [0] * ncols
-        for c, v in row.items():
-            vec[c] = den // v.denominator * v.numerator
-        dense.append(vec)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(dense)) if dense[i][c]), None)
-        if piv is None:
-            continue
-        dense[r], dense[piv] = dense[piv], dense[r]
-        prow, p = dense[r], dense[r][c]
-        for i in range(len(dense)):
-            f = dense[i][c]
-            if i != r and f:
-                new = [p * a - f * b for a, b in zip(dense[i], prow)]
-                g = gcd(*new)
-                dense[i] = [a // g for a in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(dense):
-            break
-    scale = lcm(*(dense[ri][pc] for ri, pc in enumerate(pivots)))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = scale
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -dense[ri][fc] * scale // dense[ri][pc]
-        basis.append(vec)
-    return basis
 
 
 def foliation_from_fields(v1, v2) -> PolyOneForm:
@@ -739,7 +703,7 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     a normal bundle O_X(a, b) below O_X(2, 2): with omega' its form, every
     g omega' with g in H^0(O_X(2 - a, 2 - b)) solves the equations (raise).
     """
-    n = v1[0].n
+    n = _fields_ambient(v1, v2)
     if n != 2:
         raise ValueError("vector-field foliations are implemented for n = 2")
     q = BiPoly.incidence_quadric(n)
@@ -760,20 +724,24 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
                     continue
                 columns.append((v, xe + ye))
 
+    # one row per (equation, monomial), built from exponent sums: the Euler
+    # contractions vanish identically, and omega(v_k) = 0 mod q, where the
+    # normal form is linear, so each product of monomials is reduced once
+    reduced: dict = {}  # monomial -> its normal form's terms
     equations: dict = {}
     for col, (v, m) in enumerate(columns):
-        mono = BiPoly(n, {m: 1})
-        euler = BiPoly.x(n, v) if v <= n else BiPoly.y(n, v - n - 1)
-        # the Euler contractions vanish identically, and omega(v_k) = 0 mod q
-        for tag, poly in (
-            ("ex" if v <= n else "ey", mono * euler),
-            ("v1", normal_form_mod_q(mono * v1[v])),
-            ("v2", normal_form_mod_q(mono * v2[v])),
-        ):
-            for key, c in poly.terms.items():
-                equations.setdefault((tag, key), {})[col] = c
+        euler = tuple(e + (k == v) for k, e in enumerate(m))
+        equations.setdefault(("ex" if v <= n else "ey", euler), {})[col] = 1
+        for tag, field in (("v1", v1), ("v2", v2)):
+            for fkey, c in field[v].terms.items():
+                key = tuple(map(add, m, fkey))
+                if key not in reduced:
+                    reduced[key] = normal_form_mod_q(BiPoly._trusted(n, {key: 1})).terms
+                for nkey, d in reduced[key].items():
+                    row = equations.setdefault((tag, nkey), {})
+                    row[col] = row.get(col, 0) + c * d
 
-    kernel = _nullspace(list(equations.values()), len(columns))
+    kernel = nullspace(list(equations.values()), len(columns))
     if not kernel:
         raise ValueError("no foliation form of bidegree (2, 2) annihilates the fields")
     if len(kernel) > 1:
@@ -799,14 +767,59 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     return PolyOneForm(n, coeffs)
 
 
+def _fields_ambient(v1, v2) -> int:
+    """The n of the P^n x P^n both fields live on, each with one component
+    per x_i and y_j."""
+    if not v1 or not v2:
+        raise ValueError("a vector field has 2n+2 components, one per x_i and y_j, not 0")
+    n = v1[0].n
+    for v in (v1, v2):
+        for c in v:
+            _same_ambient(n, c.n)
+        if len(v) != 2 * n + 2:
+            raise ValueError(
+                f"a vector field on P^{n} x P^{n} has {2 * n + 2} components, "
+                f"one per x_i and y_j, not {len(v)}"
+            )
+    return n
+
+
 def _fields_independent(v1, v2) -> bool:
-    nvars = len(v1)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            minor = v1[i] * v2[j] - v1[j] * v2[i]
-            if not is_zero_mod_quadric(minor):
-                return True
-    return False
+    """Are v1 and v2 independent on X, that is, are v1, v2 and the Euler
+    fields R_x, R_y independent modulo q?  R_x and R_y are tangent to the
+    cone over X and zero on P^n x P^n, so this holds iff some 4 x 4 minor
+    of the 4 x (2n+2) matrix of components is nonzero modulo q.  One
+    integer point of X settles the common case; only if the four values
+    there are dependent are the minors tested symbolically."""
+    n = v1[0].n
+    x, y = witness.fixed_point(n)
+    euler = [x + (0,) * (n + 1), (0,) * (n + 1) + y]
+    values = [[c.eval_point(x, y) for c in v] for v in (v1, v2)] + euler
+    columns = [{r: vec[k] for r, vec in enumerate(values) if vec[k]}
+               for k in range(2 * n + 2)]
+    if not nullspace(columns, 4):
+        return True
+    zero = BiPoly.zero(n)
+    matrix = [list(v1), list(v2),
+              [BiPoly.x(n, i) for i in range(n + 1)] + [zero] * (n + 1),
+              [zero] * (n + 1) + [BiPoly.y(n, j) for j in range(n + 1)]]
+    return any(
+        not is_zero_mod_quadric(_det([[row[k] for k in cols] for row in matrix], n))
+        for cols in combinations(range(2 * n + 2), 4)
+    )
+
+
+def _det(matrix, n: int) -> BiPoly:
+    """Determinant of a square matrix of polynomials, by expansion along
+    the first row."""
+    if not matrix:
+        return BiPoly.const(n, 1)
+    out = BiPoly.zero(n)
+    for j, a in enumerate(matrix[0]):
+        if not a.is_zero:
+            minor = a * _det([row[:j] + row[j + 1:] for row in matrix[1:]], n)
+            out = out + minor if j % 2 == 0 else out - minor
+    return out
 
 
 def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:

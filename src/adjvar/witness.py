@@ -70,6 +70,11 @@ def _frame(n: int):
     return x, y, tuple(raw[:3]), transverse, tangent
 
 
+def fixed_point(n: int):
+    """The frame's integer point (x, y) of X, with no zero coordinate."""
+    return _frame(n)[:2]
+
+
 def _on(covector, u) -> int:
     return sum(map(mul, covector, u))
 

@@ -37,8 +37,10 @@ from adjvar.folforms import (
     pencil_form,
     same_foliation,
     tangency_degree,
-    _nullspace,
+    _fields_independent,
 )
+from adjvar import witness
+from adjvar.linalg import nullspace
 
 
 def x(i, n=2):
@@ -518,12 +520,12 @@ def test_nullspace_of_int_rows_is_exact():
     # with int or Fraction entries that solve every row
     rows = [{0: 2, 1: 3, 3: -1}, {1: 4, 2: 6, 3: 5}, {0: 1, 2: -7},
             {0: 2, 1: 7, 2: 6, 3: 4}]  # the sum of the first two
-    basis = _nullspace(rows, 4)
+    basis = nullspace(rows, 4)
     assert len(basis) == 1
     assert all(type(v) in (int, Fraction) for vec in basis for v in vec)
     assert all(sum(row.get(c, 0) * v for c, v in enumerate(vec)) == 0
                for vec in basis for row in rows)
-    basis = _nullspace([{0: Fraction(1, 2), 2: Fraction(2, 3)}, {1: 5}], 3)
+    basis = nullspace([{0: Fraction(1, 2), 2: Fraction(2, 3)}, {1: 5}], 3)
     assert [[Fraction(v, vec[2]) for v in vec] for vec in basis] == [
         [Fraction(-4, 3), 0, 1]
     ]
@@ -594,6 +596,68 @@ def test_dependent_fields_rejected():
     t = linear_field([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
     with pytest.raises(ValueError, match="dependent"):
         foliation_from_fields(t, tuple(c * 2 for c in t))
+
+
+def test_fields_dependent_modulo_the_euler_fields_rejected():
+    # the identity's field is R_x - R_y, zero on P^n x P^n
+    identity = linear_field([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+    t = linear_field([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
+    with pytest.raises(ValueError, match="dependent on X"):
+        foliation_from_fields(identity, t)
+    # t plus a multiple of R_x - R_y is t again on X
+    shifted = tuple(a + b * 3 for a, b in zip(t, identity))
+    with pytest.raises(ValueError, match="dependent on X"):
+        foliation_from_fields(t, shifted)
+
+
+def test_fields_independent_off_the_fixed_point():
+    # v2 vanishes at the fixed point of X, so the four values there are
+    # dependent and the symbolic minors decide
+    px, py = witness.fixed_point(2)
+    t = linear_field([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
+    e = linear_field([[0, 1, 0], [0, 0, 2], [0, 0, 0]], 2)
+    h = x(0) * px[1] - x(1) * px[0]  # zero at the fixed point
+    v2 = tuple(c * h for c in t)
+    assert all(c.eval_point(px, py) == 0 for c in v2)
+    assert _fields_independent(e, v2)
+    assert not _fields_independent(t, v2)
+
+
+def test_linear_field_rejects_bad_matrices():
+    for bad in ([[1, 0], [0, -1]], [[1, 0, 0], [0, 0], [0, 0, -1]],
+                [[1, 0, 0], [0, 0, 0], [0, 0, -1], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="3 x 3 matrix"):
+            linear_field(bad, 2)
+    for entry in (0.1, "1", True):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            linear_field([[entry, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
+    v = linear_field([[Fraction(1, 10), 0, 0], [0, 0, 0], [0, 0, 0]], 2)
+    assert v[0].terms == {(1, 0, 0, 0, 0, 0): Fraction(1, 10)}
+
+
+def test_linear_field_kills_q_for_any_matrix():
+    rng = random.Random(5)
+    q = BiPoly.incidence_quadric(3)
+    for _ in range(5):
+        m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        v = linear_field(m, 3)
+        assert sum((c * q.dvar(k) for k, c in enumerate(v)), BiPoly.zero(3)).is_zero
+
+
+def test_fields_must_share_one_ambient():
+    t = linear_field([[1, 0, 0], [0, 0, 0], [0, 0, -1]], 2)
+    e = linear_field([[0, 1, 0], [0, 0, 2], [0, 0, 0]], 2)
+    t3 = linear_field([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], 3)
+    with pytest.raises(ValueError, match="P\\^2 x P\\^2 and P\\^3 x P\\^3"):
+        foliation_from_fields(e, t3)
+    mixed = t[:5] + (BiPoly.zero(3),)
+    with pytest.raises(ValueError, match="P\\^2 x P\\^2 and P\\^3 x P\\^3"):
+        foliation_from_fields(mixed, e)
+    for short in (t[:5], t + (BiPoly.zero(2),), ()):
+        with pytest.raises(ValueError, match="one per x_i and y_j"):
+            foliation_from_fields(short, e)
+        with pytest.raises(ValueError, match="one per x_i and y_j"):
+            foliation_from_fields(e, short)
 
 
 def test_fields_of_a_lower_normal_bundle_rejected():
