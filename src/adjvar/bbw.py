@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
-from .repcalc import Decomposition, weyl_dim
+from .repcalc import Decomposition, _weyl_product
 from .rootsystem import Weight, highest_root
-from .weylgroup import dot_classify
+from .weylgroup import _chamber_reduce
 
 ALL_ZERO = "zero"
 CONCENTRATED = "concentrated"
@@ -48,26 +48,33 @@ class CohomologyResult:
         }
 
 
+_ZERO_RESULT = CohomologyResult(kind=ALL_ZERO)
+
+
 def cohomology(md: MarkedDatum, lam: Weight) -> CohomologyResult:
-    """All sheaf cohomology of E_lam on G/P(alpha_marked)."""
+    """All sheaf cohomology of E_lam on G/P(alpha_marked).
+
+    lam is checked once, by :func:`is_bundle_weight`; the chamber reduction
+    of :func:`adjvar.weylgroup.dot_classify` and Weyl's product of
+    :func:`adjvar.repcalc.weyl_dim` then run unchecked."""
     if not is_bundle_weight(md, lam):
         raise ValueError(
             f"{lam} is not a bundle weight for the parabolic at node {md.marked_node}"
         )
-    res = dot_classify(md.ambient, lam)
-    if not res.is_regular:
-        return CohomologyResult(kind=ALL_ZERO)
-    degree = res.index_p
+    ambient = md.ambient
+    out = _chamber_reduce(ambient, lam, range(ambient.rank))
+    if out is None:
+        return _ZERO_RESULT
+    degree, top, _ = out
     if degree > nilradical_size(md):
         raise ArithmeticError(
             f"BBW degree {degree} exceeds dim G/P = {nilradical_size(md)}"
         )
-    top = res.dominant_weight
     return CohomologyResult(
         kind=CONCENTRATED,
         degree=degree,
         top_weight=top,
-        dim=weyl_dim(md.ambient, top),
+        dim=_weyl_product(ambient, top, None),
     )
 
 

@@ -25,10 +25,9 @@ class MarkedDatum:
     marked_node: int
 
     def __post_init__(self):
-        if not 1 <= self.marked_node <= self.ambient.rank:
-            raise IndexError(
-                f"marked node {self.marked_node} out of range 1..{self.ambient.rank}"
-            )
+        node = self.marked_node
+        if not isinstance(node, int) or not 1 <= node <= self.ambient.rank:
+            raise IndexError(f"marked node {node!r} out of range 1..{self.ambient.rank}")
 
     @property
     def levi_nodes(self) -> tuple[int, ...]:

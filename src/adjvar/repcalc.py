@@ -5,8 +5,8 @@ multiplicities, and decomposition of exterior/symmetric squares of irreducible
 parabolic representations by the Brauer-Klimyk formula over the Levi Weyl
 group W_L (Humphreys, Introduction to Lie Algebras and Representation Theory,
 section 24; Klimyk 1968): only the weight system of V_lam itself is needed,
-each constituent is read off a signed dot-reduction by
-:func:`adjvar.weylgroup.dot_classify` restricted to the nodes of W_L, its
+each constituent is read off a signed dot-reduction, the chamber reduction
+of :func:`adjvar.weylgroup.dot_classify` restricted to the nodes of W_L, its
 height comes from the weight system's offsets and the reduction's drop, and
 no constituent weight system is ever built.
 
@@ -28,7 +28,7 @@ from operator import add
 
 from .parabolic import MarkedDatum, is_bundle_weight
 from .rootsystem import RootDatum, Weight, highest_root, saturate
-from .weylgroup import dot_classify
+from .weylgroup import _chamber_reduce
 
 DEFAULT_DIM_CEILING = 5000
 
@@ -110,17 +110,23 @@ def weyl_dim(datum: RootDatum, lam: Weight, nodes=None) -> int:
     datum.check_weight(lam)
     coords = lam
     if nodes is not None:
-        nodes = tuple(nodes)
-        if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
-            raise IndexError(f"nodes {list(nodes)} out of range 1..{datum.rank}")
+        nodes = datum.check_nodes(nodes)
         coords = [lam[i - 1] for i in nodes]
     if any(a < 0 for a in coords):
         raise ValueError(f"{lam} is not dominant")
+    return _weyl_product(datum, lam, nodes)
+
+
+def _weyl_product(datum: RootDatum, lam: Weight, nodes) -> int:
+    """The body of :func:`weyl_dim`, unchecked: ``lam`` must have ``rank``
+    integer coordinates and be dominant on ``nodes``, and ``nodes`` (None or
+    a collection) must lie in 1..rank.  The step d_j (lam_j + 1) is formed
+    once per node, so each root costs one addition."""
     roots, den, _, _ = datum.weyl_table(nodes)
-    shifted = [a + 1 for a in lam]
+    shifted = [d * (a + 1) for d, a in zip(datum.root_half_norms, lam)]
     factors = [0]  # the zero root's slot, then (lam + delta, alpha) per root
-    for p, j, dj in roots:
-        factors.append(factors[p] + dj * shifted[j])
+    for p, j, _ in roots:
+        factors.append(factors[p] + shifted[j])
     factors[0] = 1
     num = prod(factors)
     if num % den:
@@ -221,30 +227,36 @@ def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str):
 
         S^2 / wedge^2 V_lam = 1/2 sum_{mu in wt(lam)} m(mu) (chi_{lam+mu} +- chi_{2 mu})
 
-    chi_w is the signed dot-reduction of w over W_L by :func:`dot_classify`:
-    0 when singular, else (-1)^p [top].  The height of 2 lam - top is that of
-    2 lam - w, i.e. of lam - mu (read off ``ws.offsets``) or twice it, less
-    the drop of the reduction.  Returns (height, weight, mult, dim) tuples,
-    dim that of the W_L-irreducible by :func:`weyl_dim` over ``nodes``.
+    chi_w is the signed dot-reduction of w over W_L, as by
+    :func:`adjvar.weylgroup.dot_classify`: 0 when singular, else (-1)^p
+    [top].  The height of 2 lam - top is that of 2 lam - w, i.e. of lam - mu
+    (read off ``ws.offsets``) or twice it, less the drop of the reduction.
+    Returns (height, weight, mult, dim) tuples, dim that of the
+    W_L-irreducible as by :func:`weyl_dim` over ``nodes``.  The weights of
+    ``ws`` are checked already and ``nodes`` (None or a collection in
+    1..rank) comes from a checked caller, so the reduction and Weyl's
+    product run unchecked.
     """
     if kind not in (EXTERIOR, SYMMETRIC):
         raise ValueError(f"kind must be {EXTERIOR!r} or {SYMMETRIC!r}")
     sign = -1 if kind == EXTERIOR else 1
     lam = ws.highest
+    offsets = ws.offsets
+    steps = range(datum.rank) if nodes is None else [i - 1 for i in nodes]
     coeff: dict = {}
     heights: dict = {}
     for mu, m in ws.entries.items():
-        height = sum(ws.offsets[mu])
+        height = sum(offsets[mu])
         terms = (
-            (tuple(a + b for a, b in zip(lam, mu)), height, m),
-            (tuple(2 * a for a in mu), 2 * height, sign * m),
+            (tuple(map(add, lam, mu)), height, m),
+            (tuple(map(add, mu, mu)), 2 * height, sign * m),
         )
         for w, h, c in terms:
-            res = dot_classify(datum, w, nodes)
-            if res.is_regular:
-                top = res.dominant_weight
-                coeff[top] = coeff.get(top, 0) + (-c if res.index_p % 2 else c)
-                heights[top] = h - res.drop
+            out = _chamber_reduce(datum, w, steps)
+            if out is not None:
+                p, top, drop = out
+                coeff[top] = coeff.get(top, 0) + (-c if p % 2 else c)
+                heights[top] = h - drop
 
     pieces = []
     for w, c in coeff.items():
@@ -253,7 +265,7 @@ def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str):
                 f"Brauer-Klimyk coefficient {c} at {w} is not a non-negative even number"
             )
         if c:
-            pieces.append((heights[w], w, c // 2, weyl_dim(datum, w, nodes)))
+            pieces.append((heights[w], w, c // 2, _weyl_product(datum, w, nodes)))
     d = ws.total_dim
     expected = d * (d - 1) // 2 if kind == EXTERIOR else d * (d + 1) // 2
     total = sum(mult * size for _, _, mult, size in pieces)

@@ -63,6 +63,16 @@ class InvalidTypeError(ValueError):
     """Raised for a (letter, rank) pair that is not a supported simple type."""
 
 
+def _all_int(values) -> bool:
+    """True iff every value is an int (bool included).  One sum instead of a
+    test per value: a sum of ints is an int, and any float, Fraction or other
+    number among them makes it something else or raises TypeError."""
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable combinatorial data of a simple Lie type.
@@ -181,10 +191,34 @@ class RootDatum:
             )
         return table
 
+    @cached_property
+    def highest_root_weight(self) -> Weight:
+        """The unique root maximal in the root order, in fundamental
+        coordinates."""
+        heights = [sum(r) for r in self.positive_roots]
+        top = max(heights)
+        if heights.count(top) != 1:
+            raise ArithmeticError("highest root is not unique")
+        return self.positive_root_weights[heights.index(top)]
+
     def check_weight(self, w: Weight) -> None:
-        """Raise ValueError unless w has one coordinate per simple root."""
+        """Raise ValueError unless w has one integer coordinate per simple
+        root."""
         if len(w) != self.rank:
             raise ValueError(f"weight {w} needs {self.rank} coordinates")
+        if not _all_int(w):
+            raise ValueError(f"weight {w} needs integer coordinates")
+
+    def check_nodes(self, nodes) -> tuple[int, ...]:
+        """The node set ``nodes`` (1-indexed, any iterable, read once) as a
+        tuple; ValueError unless every node is an integer, IndexError unless
+        every node lies in 1..rank."""
+        nodes = tuple(nodes)
+        if not _all_int(nodes):
+            raise ValueError(f"nodes {list(nodes)} must be integers")
+        if nodes and (min(nodes) < 1 or max(nodes) > self.rank):
+            raise IndexError(f"nodes {list(nodes)} out of range 1..{self.rank}")
+        return nodes
 
     def simple_root_weight(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (1-indexed node)."""
@@ -379,12 +413,9 @@ def weyl_vector(datum: RootDatum) -> Weight:
 
 
 def highest_root(datum: RootDatum) -> Weight:
-    """The unique root maximal in the root order, in fundamental coordinates."""
-    heights = [sum(r) for r in datum.positive_roots]
-    top = max(heights)
-    if heights.count(top) != 1:
-        raise ArithmeticError("highest root is not unique")
-    return datum.positive_root_weights[heights.index(top)]
+    """The unique root maximal in the root order, in fundamental coordinates:
+    found once per datum (:attr:`RootDatum.highest_root_weight`)."""
+    return datum.highest_root_weight
 
 
 def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:

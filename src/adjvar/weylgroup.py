@@ -9,6 +9,10 @@ check other orders against it).  The chamber reduction reflects in place:
 s_i negates coordinate i and changes only the coordinates of the Dynkin
 neighbours of i (:attr:`RootDatum.dynkin_neighbours`), so each step costs
 the degree of node i, not the rank.
+
+:func:`dot_classify` is the checked face of the reduction; Bott-Borel-Weil
+and Brauer-Klimyk, whose weights are already checked, call its unchecked body
+:func:`_chamber_reduce` directly.
 """
 
 from __future__ import annotations
@@ -53,11 +57,40 @@ class DotResult:
 def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
     """s_i(w) = w - <w, alpha_i^vee> alpha_i, computed in fundamental coords."""
     datum.check_weight(w)
-    if not 1 <= i <= datum.rank:
-        raise IndexError(f"node {i} out of range 1..{datum.rank}")
+    if not isinstance(i, int) or not 1 <= i <= datum.rank:
+        raise IndexError(f"node {i!r} out of range 1..{datum.rank}")
     coeff = w[i - 1]
     alpha = datum.simple_root_weight(i)
     return tuple(w[j] - coeff * alpha[j] for j in range(datum.rank))
+
+
+def _chamber_reduce(datum: RootDatum, lam: Weight, steps):
+    """The chamber reduction of lambda + delta by the simple reflections at
+    ``steps`` (0-indexed nodes): (index_p, dominant weight, drop) as in
+    :class:`DotResult`, or None when singular.  Unchecked: ``lam`` must have
+    ``rank`` integer coordinates and ``steps`` must lie in 0..rank-1.
+    Callers holding validated data call it directly; everyone else goes
+    through :func:`dot_classify`."""
+    neighbours = datum.dynkin_neighbours
+    v = [a + 1 for a in lam]
+    drop = 0
+    for count in range(2 * len(datum.positive_roots) + 1):
+        for i in steps:
+            if v[i] <= 0:
+                break
+        else:
+            return count, tuple(a - 1 for a in v), drop
+        a = v[i]
+        if a == 0:
+            return None
+        drop -= a
+        v[i] = -a
+        for j, c in neighbours[i]:
+            v[j] -= a * c
+    raise ArithmeticError("chamber reduction exceeded its step bound")
+
+
+_SINGULAR_RESULT = DotResult(SINGULAR)
 
 
 def dot_classify(datum: RootDatum, lam: Weight, nodes=None) -> DotResult:
@@ -78,27 +111,11 @@ def dot_classify(datum: RootDatum, lam: Weight, nodes=None) -> DotResult:
     if nodes is None:
         steps = range(datum.rank)
     else:
-        nodes = list(nodes)
-        if nodes and (min(nodes) < 1 or max(nodes) > datum.rank):
-            raise IndexError(f"nodes {nodes} out of range 1..{datum.rank}")
-        steps = [i - 1 for i in nodes]
-    neighbours = datum.dynkin_neighbours
-    v = [a + 1 for a in lam]
-    drop = 0
-    for count in range(2 * len(datum.positive_roots) + 1):
-        for i in steps:
-            if v[i] <= 0:
-                break
-        else:
-            return DotResult(REGULAR, count, tuple(a - 1 for a in v), drop)
-        a = v[i]
-        if a == 0:
-            return DotResult(status=SINGULAR)
-        drop -= a
-        v[i] = -a
-        for j, c in neighbours[i]:
-            v[j] -= a * c
-    raise ArithmeticError("chamber reduction exceeded its step bound")
+        steps = [i - 1 for i in datum.check_nodes(nodes)]
+    out = _chamber_reduce(datum, lam, steps)
+    if out is None:
+        return _SINGULAR_RESULT
+    return DotResult(REGULAR, *out)
 
 
 def regular_index_oracle(datum: RootDatum, lam: Weight) -> int | None:

@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjvar.bbw import cohomology, cohomology_of_decomposition
+from adjvar.bbw import (
+    ALL_ZERO,
+    CONCENTRATED,
+    CohomologyResult,
+    cohomology,
+    cohomology_of_decomposition,
+)
 from adjvar.parabolic import MarkedDatum
 from adjvar.repcalc import Decomposition, Piece, weyl_dim
 from adjvar.rootsystem import build_datum, dim_g, highest_root
-from adjvar.weylgroup import regular_index_oracle
+from adjvar.weylgroup import dot_classify, regular_index_oracle
 
 ORACLE_TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -148,6 +154,24 @@ def test_cohomology_matches_the_regular_index_oracle(case):
     if index is not None:
         assert res.degree == index
         assert res.dim == weyl_dim(datum, res.top_weight)
+
+
+@settings(max_examples=300)
+@given(bundle_cases())
+def test_cohomology_is_dot_classify_then_weyl_dim(case):
+    # the checked route: public dot_classify over all of W, then weyl_dim of
+    # the top weight; cohomology runs their unchecked bodies
+    letter, rank, node, weight = case
+    datum = build_datum(letter, rank)
+    res = dot_classify(datum, weight)
+    if res.is_regular:
+        top = res.dominant_weight
+        expected = CohomologyResult(CONCENTRATED, res.index_p, top, weyl_dim(datum, top))
+    else:
+        expected = CohomologyResult(ALL_ZERO)
+    got = cohomology(MarkedDatum(ambient=datum, marked_node=node), weight)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
 
 
 def test_cohomology_rejects_a_weight_of_the_wrong_length():

@@ -31,7 +31,7 @@ from adjvar.repcalc import (
     weyl_dim,
 )
 from adjvar.rootsystem import RootDatum, build_datum, saturate
-from adjvar.weylgroup import simple_reflection
+from adjvar.weylgroup import dot_classify, simple_reflection
 
 
 @lru_cache(maxsize=None)
@@ -647,3 +647,59 @@ def test_weight_system_over_nodes_sums_to_weyl_dim_and_is_levi_weyl_invariant(ca
         factors.append((factor.ambient_nodes, weight_system(factor.datum, cw, 10**6).entries))
     for mu, m in ws.entries.items():
         assert m == prod(mults[tuple(mu[i - 1] for i in f_nodes)] for f_nodes, mults in factors)
+
+
+def square_pieces_reference(datum, nodes, ws, kind):
+    """Brauer-Klimyk through the public, checked dot_classify and weyl_dim
+    per weight: the oracle for ``repcalc._square_pieces``, which runs their
+    unchecked bodies."""
+    sign = -1 if kind == EXTERIOR else 1
+    lam = ws.highest
+    coeff, heights = {}, {}
+    for mu, m in ws.entries.items():
+        height = sum(ws.offsets[mu])
+        terms = (
+            (tuple(a + b for a, b in zip(lam, mu)), height, m),
+            (tuple(2 * a for a in mu), 2 * height, sign * m),
+        )
+        for w, h, c in terms:
+            res = dot_classify(datum, w, nodes)
+            if res.is_regular:
+                top = res.dominant_weight
+                coeff[top] = coeff.get(top, 0) + (-c if res.index_p % 2 else c)
+                heights[top] = h - res.drop
+    assert all(c >= 0 and c % 2 == 0 for c in coeff.values())
+    return [
+        (heights[w], w, c // 2, weyl_dim(datum, w, nodes))
+        for w, c in coeff.items()
+        if c
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LEVI_TYPES).flatmap(
+        lambda t: st.tuples(
+            st.just(t),
+            st.none() | st.lists(st.booleans(), min_size=t[1], max_size=t[1]),
+            st.lists(st.integers(-3, 3), min_size=t[1], max_size=t[1]),
+            st.sampled_from((EXTERIOR, SYMMETRIC)),
+        )
+    )
+)
+def test_square_pieces_match_the_checked_route(case):
+    (letter, rank), flags, lam, kind = case
+    nodes = None if flags is None else tuple(i for i, keep in enumerate(flags, 1) if keep)
+    on = range(1, rank + 1) if nodes is None else nodes
+    d = build_datum(letter, rank)
+    # dominant on the nodes; lowered at the last nodes until the module is
+    # small enough to keep the suite fast
+    lam = [abs(a) if i in on else a for i, a in enumerate(lam, 1)]
+    for i in sorted(on, reverse=True):
+        if weyl_dim(d, tuple(lam), nodes) <= 200:
+            break
+        lam[i - 1] = 0
+    ws = weight_system(d, tuple(lam), 10**6, nodes)
+    assert repcalc._square_pieces(d, nodes, ws, kind) == square_pieces_reference(
+        d, nodes, ws, kind
+    )

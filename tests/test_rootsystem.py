@@ -1,10 +1,16 @@
+from decimal import Decimal
+from fractions import Fraction
 from math import prod
 
 import pytest
 
+from adjvar.bbw import cohomology
+from adjvar.parabolic import MarkedDatum, is_bundle_weight
+from adjvar.repcalc import EXTERIOR, square_decompose, weight_system, weyl_dim
 from adjvar.rootsystem import (
     _DIM_FORMULA,
     InvalidTypeError,
+    RootDatum,
     _cartan_matrix,
     _generate_positive_roots,
     build_datum,
@@ -14,6 +20,7 @@ from adjvar.rootsystem import (
     saturate,
     weyl_vector,
 )
+from adjvar.weylgroup import dot_classify, regular_index_oracle, simple_reflection
 
 ALL_TYPES = (
     [("A", r) for r in range(1, 8)]
@@ -338,3 +345,57 @@ def test_saturate_keeps_discovery_order_and_offsets():
         ((-1, 1), (1, 0)),
         ((0, -1), (1, 1)),
     ]
+
+
+def test_highest_root_is_found_once_per_datum():
+    d = build_datum("E", 8)
+    fresh = RootDatum(d.letter, d.rank, d.cartan, d.symmetrizers, d.positive_roots)
+    assert "highest_root_weight" not in vars(fresh)
+    assert highest_root(fresh) == (0,) * 7 + (1,)
+    assert vars(fresh)["highest_root_weight"] is highest_root(fresh)
+
+
+G2 = build_datum("G", 2)
+G2_AT_1 = MarkedDatum(G2, 1)
+
+# each weight entry point, fed a weight with a non-integer coordinate; before
+# weights were checked for integers, dot_classify answered "regular" with a
+# half-integer dominant weight, cohomology a float dimension, weyl_dim a
+# misleading "non-integer" and weight_system a bare TypeError
+NON_INTEGER_WEIGHT_CALLS = {
+    "dot_classify": lambda: dot_classify(G2, (0.5, -3)),
+    "cohomology": lambda: cohomology(G2_AT_1, (-2.0, 1)),
+    "weyl_dim": lambda: weyl_dim(G2, (1.5, 0)),
+    "weight_system": lambda: weight_system(G2, (1.0, 0)),
+    "square_decompose": lambda: square_decompose(G2_AT_1, (Fraction(1), 0), EXTERIOR),
+    "is_bundle_weight": lambda: is_bundle_weight(G2_AT_1, (0, Fraction(1, 2))),
+    "simple_reflection": lambda: simple_reflection(G2, 1, (1, "0")),
+    "pairing": lambda: pairing(G2, (1.0, 0), 0),
+    "regular_index_oracle": lambda: regular_index_oracle(G2, (Decimal(1), 0)),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_WEIGHT_CALLS)
+def test_weights_must_have_integer_coordinates(name):
+    with pytest.raises(ValueError, match="needs integer coordinates"):
+        NON_INTEGER_WEIGHT_CALLS[name]()
+
+
+@pytest.mark.parametrize("nodes", [["1"], [1.0, 2], (Fraction(2),), [1, None]])
+def test_node_sets_must_be_integers(nodes):
+    # a "1" among the nodes used to raise a bare TypeError from min
+    for call in (
+        lambda: dot_classify(G2, (1, 1), nodes),
+        lambda: weyl_dim(G2, (1, 1), nodes),
+        lambda: weight_system(G2, (1, 1), nodes=nodes),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
+
+@pytest.mark.parametrize("node", ["1", 1.0, None])
+def test_single_nodes_must_be_integers(node):
+    with pytest.raises(IndexError, match="out of range"):
+        simple_reflection(G2, node, (1, 1))
+    with pytest.raises(IndexError, match="out of range"):
+        MarkedDatum(G2, node)
