@@ -5,8 +5,9 @@ For each supported simple type the marked node is *derived* as the unique node
 where the highest root has a nonzero fundamental coordinate; the contact line
 bundle is E_{lambda0} for lambda0 the highest root.  The weight of the contact
 distribution D is lambda0 - alpha_marked, and D^vee = D(-1).  The pipeline
-computes the exterior square of D^vee (twisted), pushes every piece through
-Bott-Borel-Weil, and resolves h^0(Omega^2(k)) via
+decomposes the exterior square of D^vee once per type, twists it by shifting
+its pieces, pushes every piece through Bott-Borel-Weil, and resolves
+h^0(Omega^2(k)) via
 
     0 -> D^vee(k-1) -> Omega^2_X(k) -> wedge^2 D^vee(k) -> 0.
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from .bbw import cohomology, cohomology_of_decomposition
 from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
 from .repcalc import (
-    DEFAULT_DIM_CEILING,
     EXTERIOR,
     Decomposition,
     Piece,
@@ -51,7 +51,9 @@ class AdjointData:
     dim_X = 2m + 1; the contact distribution D has rank 2m with
     c_1(D) = m lambda0-units, and -K_X = (m+1) lambda0-units.
     ``veronese`` flags type C, where O_X(1) is the square of the hyperplane
-    class of the underlying projective space.
+    class of the underlying projective space.  ``wedge2_Ddual`` is the
+    decomposition of wedge^2 D^vee at twist 0, computed once here; every
+    twist of it is a shift of its pieces' twists.
     """
 
     md: MarkedDatum
@@ -61,6 +63,7 @@ class AdjointData:
     index: int
     D_weight: Weight
     Ddual_weight: Weight
+    wedge2_Ddual: Decomposition
     veronese: bool = False
 
     @property
@@ -162,19 +165,18 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         index=index,
         D_weight=d_weight,
         Ddual_weight=ddual_weight,
+        wedge2_Ddual=square_decompose(md, ddual_weight, EXTERIOR),
         veronese=(letter == "C"),
     )
 
 
-def wedge2_Ddual_twisted(
-    ad: AdjointData, k: int, ceiling: int = DEFAULT_DIM_CEILING
-) -> Decomposition:
-    """Exterior square of the contact conormal sheaf, twisted by O(k)."""
-    dec = square_decompose(ad.md, ad.Ddual_weight, EXTERIOR, ceiling=ceiling)
+def wedge2_Ddual_twisted(ad: AdjointData, k: int) -> Decomposition:
+    """Exterior square of the contact conormal sheaf, twisted by O(k): the
+    pieces of ``ad.wedge2_Ddual`` with each twist raised by k."""
     return Decomposition(
         pieces=tuple(
             Piece(weight=p.weight, twist=p.twist + k, mult=p.mult, dim=p.dim)
-            for p in dec.pieces
+            for p in ad.wedge2_Ddual.pieces
         )
     )
 

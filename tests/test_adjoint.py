@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import adjvar.adjoint
 from adjvar.adjoint import (
     UnsupportedAdjointError,
     adjoint_data,
@@ -13,10 +14,16 @@ from adjvar.adjoint import (
     wedge2_Ddual_twisted,
 )
 from adjvar.bbw import cohomology
-from adjvar.repcalc import ambient_weight_system, bundle_rank
+from adjvar.repcalc import (
+    EXTERIOR,
+    ambient_weight_system,
+    bundle_rank,
+    square_decompose,
+)
 from adjvar.rootsystem import dim_g
 
 SUPPORTED = section4_types(max_classical_rank=7)
+DESK = section4_types(10)
 
 
 def full_weights(ad, dec):
@@ -235,6 +242,30 @@ def test_b4_printed_weight_differs_only_by_twist():
     assert cmp["flag"] == "disagree"
     assert sparse(ad, {1: 2, 4: 2}, twist=-1) in full_weights(ad, dec)
     assert [2, -2, 0, 2] in cmp["printed"]
+
+
+@pytest.mark.parametrize("letter,rank", DESK)
+def test_one_decomposition_per_row(monkeypatch, letter, rank):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return square_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(adjvar.adjoint, "square_decompose", counting)
+    section4_row(letter, rank, compare_paper=True)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("letter,rank", DESK)
+def test_twists_shift_one_fresh_decomposition(letter, rank):
+    # oracle: decompose wedge^2 D^vee afresh, then raise every twist by k
+    ad = adjoint_data(letter, rank)
+    fresh = square_decompose(ad.md, ad.Ddual_weight, EXTERIOR)
+    assert ad.wedge2_Ddual == fresh
+    for k in (-1, 0, 1, 2, 3):
+        shifted = [dict(p, twist=p["twist"] + k) for p in fresh.to_json()["pieces"]]
+        assert wedge2_Ddual_twisted(ad, k).to_json() == {"pieces": shifted}
 
 
 def test_table_rows_deterministic():
