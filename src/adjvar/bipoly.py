@@ -15,11 +15,24 @@ both types.  Callers that divide two coefficients write ``Fraction(a, b)``,
 never ``a / b``.
 
 Everything downstream needs only four primitives, all implemented here with
-no dependencies: multivariate gcd by recursive content extraction, exact
-single-divisor division, the normal form modulo the incidence quadric
-q = sum x_i y_i, and exact division by a coordinate modulo q.
-Pseudo-reduction modulo q in a chosen variable (``reduce_mod_quadric``)
-stays as the tests' independent oracle for the normal form.
+no dependencies: multivariate gcd, exact single-divisor division, the normal
+form modulo the incidence quadric q = sum x_i y_i, and exact division by a
+coordinate modulo q.  Pseudo-reduction modulo q in a chosen variable
+(``reduce_mod_quadric``) stays as the tests' independent oracle for the
+normal form.
+
+The gcd first tries to prove the pair coprime from mod-p images, with
+p = 2^31 - 1.  For each variable v that both f and g use, the other
+variables are set to a fixed integer point.  The images are reduced mod p
+and their univariate gcd in F_p[v] is taken, at a point where the leading
+coefficient in v of f or of g does not vanish.  This is a proof: with
+H = gcd(f, g) in Z[vars] (Gauss's lemma), lc_v(H) divides lc_v(f), so the
+image of H keeps degree deg_v H and divides both images.  A gcd of degree 0
+for every v therefore proves H = 1, with no probability involved.  A
+positive degree, or leading coefficients that vanish at both of the two
+fixed points, leaves the pair to the fallback: recursive content extraction
+variable by variable and a primitive pseudo-remainder sequence (PRS), which
+also computes every nonconstant gcd.
 """
 
 from __future__ import annotations
@@ -351,14 +364,134 @@ def _content_wrt(f: BiPoly, v: int):
     parts = [var_coefficient(f, v, k) for k in range(var_degree(f, v) + 1)]
     cont = BiPoly.zero(f.n)
     for p in parts:
-        cont = poly_gcd(cont, p)
+        cont = _prs_gcd(cont, p)
     pp = poly_divexact(f, cont)
     if pp is None:
         raise ArithmeticError("content failed to divide its polynomial")
     return cont, pp
 
 
+#: the prime of the coprimality certificate, 2^31 - 1
+_CERT_PRIME = (1 << 31) - 1
+
+
+@lru_cache(maxsize=None)
+def _cert_points(nvars: int) -> tuple:
+    """The certificate's two fixed points of (Z/p)^nvars: successive powers
+    of 7^5 = 16807 modulo p, the first nvars for the first point and the
+    next nvars for the second, so no coordinate is zero."""
+    powers = [pow(16807, k, _CERT_PRIME) for k in range(1, 2 * nvars + 1)]
+    return tuple(powers[:nvars]), tuple(powers[nvars:])
+
+
+def _values_mod_p(f: BiPoly, point) -> list | None:
+    """[(exponent tuple, c * point^exponent mod p)] for the terms c of f, or
+    None when p divides a denominator."""
+    p = _CERT_PRIME
+    out = []
+    for key, c in f.terms.items():
+        if type(c) is int:
+            m = c % p
+        elif c.denominator % p:
+            m = c.numerator * pow(c.denominator, -1, p) % p
+        else:
+            return None
+        for z, e in zip(point, key):
+            if e:
+                m = m * (z if e == 1 else pow(z, e, p)) % p
+        out.append((key, m))
+    return out
+
+
+def _image_in(values, v: int, z: int, degree: int) -> list:
+    """Coefficients, low to high and with no trailing zero, of the image in
+    F_p[v] of the polynomial whose term values are ``values``: each value
+    divided by z^(its exponent of v)."""
+    p = _CERT_PRIME
+    inv = pow(z, -1, p)
+    scale = [pow(inv, e, p) for e in range(degree + 1)]
+    coeffs = [0] * (degree + 1)
+    for key, m in values:
+        e = key[v]
+        coeffs[e] += m * scale[e]
+    coeffs = [c % p for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _gcd_degree_mod_p(a: list, b: list) -> int:
+    """Degree of the gcd in F_p[v] of two coefficient lists (low to high, no
+    trailing zero; [] is zero, whose gcd with a is a)."""
+    p = _CERT_PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        nb = len(b)
+        a = a[:]
+        while len(a) >= nb:
+            c = a[-1] * inv % p
+            shift = len(a) - nb
+            for i in range(nb - 1):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_certificate(f: BiPoly, g: BiPoly) -> bool:
+    """True only if the nonzero f and g are proved coprime over Q; False
+    means undecided.
+
+    Each variable v of both is decided by the univariate gcd in F_p[v] of
+    the images at the first fixed point where the leading coefficient in v
+    of f or of g survives; the module docstring gives the proof.  A
+    rational coefficient maps to numerator / denominator in F_p, so each
+    image is that of the primitive integer part times a unit.  A
+    denominator divisible by p leaves the pair undecided, as do a positive
+    degree and a variable whose leading coefficients vanish at both
+    points."""
+    pending = sorted(used_vars(f) & used_vars(g))
+    for point in _cert_points(2 * f.n + 2):
+        if not pending:
+            return True
+        fv = _values_mod_p(f, point)
+        gv = _values_mod_p(g, point)
+        if fv is None or gv is None:
+            return False
+        skipped = []
+        for v in pending:
+            df, dg = var_degree(f, v), var_degree(g, v)
+            a = _image_in(fv, v, point[v], df)
+            b = _image_in(gv, v, point[v], dg)
+            if len(a) <= df and len(b) <= dg:
+                skipped.append(v)
+            elif _gcd_degree_mod_p(a, b) > 0:
+                return False
+        pending = skipped
+    return not pending
+
+
 def poly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Primitive multivariate gcd over Q.
+
+    A coprime pair is proved so by ``_coprime_certificate``, from univariate
+    gcds of mod-p images, and gets 1 at once.  Any other pair, one with a
+    common factor or one the certificate leaves undecided, goes to
+    ``_prs_gcd``: recursive content extraction variable by variable and a
+    primitive pseudo-remainder sequence, which returns the same 1 on a
+    coprime pair."""
+    if f.is_zero:
+        return g.primitive()
+    if g.is_zero:
+        return f.primitive()
+    if _coprime_certificate(f, g):
+        return BiPoly.const(f.n, 1)
+    return _prs_gcd(f, g)
+
+
+def _prs_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """Primitive multivariate gcd over Q, by recursive content extraction
     variable by variable and a primitive pseudo-remainder sequence."""
     if f.is_zero:
@@ -370,14 +503,14 @@ def poly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         return BiPoly.const(f.n, 1)
     v = max(vs)
     if var_degree(g, v) == 0:
-        return poly_gcd(_content_wrt(f, v)[0], g)
+        return _prs_gcd(_content_wrt(f, v)[0], g)
     if var_degree(f, v) == 0:
-        return poly_gcd(f, _content_wrt(g, v)[0])
+        return _prs_gcd(f, _content_wrt(g, v)[0])
     if var_degree(f, v) < var_degree(g, v):
         f, g = g, f
     cf, pf = _content_wrt(f, v)
     cg, pg = _content_wrt(g, v)
-    cont = poly_gcd(cf, cg)
+    cont = _prs_gcd(cf, cg)
     a, b = pf, pg
     while True:
         r = _pseudo_rem(a, b, v)

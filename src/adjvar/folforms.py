@@ -493,10 +493,12 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     True means that every coefficient vanishes on one coordinate section
     V(z) ^ X (tested modulo q), or that the coefficients share an ambient
     factor.  A form in (q), zero on X, passes the coordinate test, since
-    (q) lies in every (z, q), and so never reaches the gcd.  A divisor
-    V(h) ^ X with h neither a coordinate nor a common factor of the
-    coefficients is missed: the coefficients can lie in (h, q) with ambient
-    gcd 1, and the answer is then False.
+    (q) lies in every (z, q), and so never reaches the gcd.  The gcd half
+    of a False answer is proved: ``poly_gcd`` answers 1 for a coprime pair
+    by its mod-p certificate, or else by the exact PRS.  A divisor V(h) ^ X
+    with h neither a coordinate nor a common factor of the coefficients is
+    still missed: the coefficients can lie in (h, q) with ambient gcd 1,
+    and the answer is then False.
     """
     n = omega.n
     coeffs = list(_integral(omega.as_dict()).values())

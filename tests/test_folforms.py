@@ -39,7 +39,8 @@ from adjvar.folforms import (
     tangency_degree,
     _fields_independent,
 )
-from adjvar import witness
+from adjvar import bipoly, witness
+from adjvar.cli import main
 from adjvar.linalg import nullspace
 
 
@@ -429,6 +430,46 @@ def test_divisor_off_the_coordinates_detected():
 def test_log_coprime_factors_saturated():
     w = builtin_log4(3)
     assert not has_divisorial_singularities(w)
+
+
+@pytest.fixture
+def no_prs(monkeypatch):
+    """The primitive-PRS gcd raises, so a test passes only if the mod-p
+    coprimality certificate decides every gcd it makes."""
+
+    def refuse(f, g):
+        raise AssertionError("the pseudo-remainder sequence was reached")
+
+    monkeypatch.setattr(bipoly, "_prs_gcd", refuse)
+
+
+def seeded_log3(n, seed):
+    s = FolSampler(n, seed=seed)
+    return log_form([1, 2, -3], [s.section11() for _ in range(3)])
+
+
+@pytest.mark.parametrize("seed", [2024, 7, 11])
+@pytest.mark.parametrize("n", [2, 3])
+def test_log3_saturation_decided_by_the_certificate(no_prs, n, seed):
+    # at n = 2 and seed 2024 the PRS gives no answer within 20 s on the
+    # first two coefficients
+    assert not has_divisorial_singularities(seeded_log3(n, seed))
+
+
+def test_euler_23_saturation_decided_by_the_certificate(no_prs):
+    # the PRS gives no answer within 20 s on the first two coefficients
+    s = FolSampler(2, seed=7, height=9)
+    s.euler_form((2, 2))
+    assert not has_divisorial_singularities(s.euler_form((2, 3)))
+
+
+def test_check_integrable_answers_on_a_seeded_log3(no_prs, tmp_path, capsys):
+    path = tmp_path / "log3.json"
+    path.write_text(json.dumps(seeded_log3(2, 2024).to_json()))
+    code = main(["fol", "check-integrable", "--input", str(path), "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["integrable"] is True and data["saturated"] is True
 
 
 # -- vector-field foliations -------------------------------------------------

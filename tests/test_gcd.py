@@ -1,0 +1,136 @@
+"""The gcd's mod-p coprimality certificate against the primitive PRS.
+
+``poly_gcd`` first tries ``_coprime_certificate``: univariate gcds of the
+images in F_p[v] at fixed points, each used only where a leading coefficient
+in v survives.  Degree 0 for every shared variable proves the gcd is 1;
+anything else goes to ``_prs_gcd``, the primitive pseudo-remainder sequence,
+which stays the oracle here.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjvar import bipoly
+from adjvar.bipoly import (
+    BiPoly,
+    _cert_points,
+    _CERT_PRIME,
+    _coprime_certificate,
+    _gcd_degree_mod_p,
+    _image_in,
+    _prs_gcd,
+    _values_mod_p,
+    poly_divexact,
+    poly_gcd,
+    used_vars,
+)
+
+ns = st.integers(min_value=1, max_value=2)
+integers = st.integers(min_value=-9, max_value=9)
+coefficients = st.one_of(
+    integers, st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+
+
+def bipoly_of(n, coefficient, max_size=4):
+    key = st.tuples(*[st.integers(min_value=0, max_value=2)] * (2 * n + 2))
+    return st.dictionaries(key, coefficient, max_size=max_size).map(
+        lambda terms: BiPoly(n, terms)
+    )
+
+
+@st.composite
+def pairs(draw, coefficient=integers):
+    n = draw(ns)
+    return draw(bipoly_of(n, coefficient)), draw(bipoly_of(n, coefficient))
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """(a*b, a*c, a) with a nonconstant and b, c nonzero."""
+    n = draw(ns)
+    a = draw(bipoly_of(n, integers, 3).filter(lambda p: used_vars(p)))
+    b, c = (draw(bipoly_of(n, integers, 3).filter(bool)) for _ in "bc")
+    return a * b, a * c, a
+
+
+@settings(max_examples=150)
+@given(pairs())
+def test_gcd_matches_the_prs(pair):
+    f, g = pair
+    assert poly_gcd(f, g) == _prs_gcd(f, g)
+
+
+@settings(max_examples=100)
+@given(shared_factor_pairs())
+def test_a_common_factor_is_never_certified_coprime(case):
+    f, g, a = case
+    assert not _coprime_certificate(f, g)
+    d = poly_gcd(f, g)
+    assert d == _prs_gcd(f, g)
+    assert poly_divexact(d, a) is not None
+    assert poly_divexact(f, d) is not None and poly_divexact(g, d) is not None
+
+
+@settings(max_examples=100)
+@given(pairs(coefficients))
+def test_fraction_inputs_give_the_gcd_of_their_primitive_parts(pair):
+    f, g = pair
+    if f and g:
+        assert poly_gcd(f, g) == poly_gcd(f.primitive(), g.primitive())
+    assert poly_gcd(f, g) == _prs_gcd(f, g)
+
+
+def test_coprime_pairs_are_certified():
+    x0, x1, y0, y1 = (BiPoly.x(1, 0), BiPoly.x(1, 1), BiPoly.y(1, 0), BiPoly.y(1, 1))
+    assert _coprime_certificate(x0 * y0 + x1 * y1, x0 * y1 - x1 * y0)
+    # no shared variable: nothing to evaluate
+    assert _coprime_certificate(x0 * x0 + x1 * x1 * 3, y0 - y1 * 2)
+    assert _coprime_certificate(x0 + x1, BiPoly.const(1, Fraction(2, 3)))
+
+
+def spy_on_prs(monkeypatch):
+    """The arguments of every ``_prs_gcd`` call, its own recursion included."""
+    calls = []
+
+    def prs(f, g):
+        calls.append((f, g))
+        return _prs_gcd(f, g)
+
+    monkeypatch.setattr(bipoly, "_prs_gcd", prs)
+    return calls
+
+
+def test_vanishing_leading_coefficients_reach_the_prs(monkeypatch):
+    # a = (x0 - s0)(x0 - t0)(x1 - s1)(x1 - t1) + 1 with s and t the two fixed
+    # points: a's leading coefficient in x0 and in x1 vanishes at both, and
+    # a itself evaluates to 1 there, so the images of a*b and a*c drop a.
+    n = 1
+    first, second = _cert_points(2 * n + 2)
+    x0, x1 = BiPoly.x(n, 0), BiPoly.x(n, 1)
+    a = ((x0 - BiPoly.const(n, first[0])) * (x0 - BiPoly.const(n, second[0]))
+         * (x1 - BiPoly.const(n, first[1])) * (x1 - BiPoly.const(n, second[1]))
+         + BiPoly.const(n, 1))
+    f = a * (x0 + x1 + BiPoly.const(n, 1))
+    g = a * (x0 - x1 + BiPoly.const(n, 2))
+    # unguarded, the images would have a gcd of degree 0 in both variables
+    fv, gv = _values_mod_p(f, first), _values_mod_p(g, first)
+    for v in (0, 1):
+        images = (_image_in(fv, v, first[v], 3), _image_in(gv, v, first[v], 3))
+        assert _gcd_degree_mod_p(*images) == 0
+    assert not _coprime_certificate(f, g)
+    calls = spy_on_prs(monkeypatch)
+    assert poly_gcd(f, g) == a
+    assert calls[0] == (f, g)
+
+
+def test_a_denominator_divisible_by_p_reaches_the_prs(monkeypatch):
+    n = 1
+    f = (BiPoly.x(n, 0) + BiPoly.x(n, 1)) * Fraction(1, _CERT_PRIME)
+    g = BiPoly.x(n, 0) - BiPoly.x(n, 1)
+    assert not _coprime_certificate(f, g)
+    calls = spy_on_prs(monkeypatch)
+    assert poly_gcd(f, g) == BiPoly.const(n, 1)
+    assert calls[0] == (f, g)
