@@ -78,11 +78,10 @@ def cohomology(md: MarkedDatum, lam: Weight) -> CohomologyResult:
     )
 
 
-def cohomology_of_decomposition(
-    md: MarkedDatum, dec: Decomposition, contact_weight: Weight | None = None
-) -> dict[int, int]:
-    """Per-degree dimension table for a formal sum of twisted pieces."""
-    lambda0 = contact_weight if contact_weight is not None else highest_root(md.ambient)
+def cohomology_of_decomposition(md: MarkedDatum, dec: Decomposition) -> dict[int, int]:
+    """Per-degree dimension table for a formal sum of twisted pieces, each
+    twist a multiple of the highest root, the unit of ``square_decompose``."""
+    lambda0 = highest_root(md.ambient)
     table: dict[int, int] = {}
     for piece in dec.pieces:
         full = piece.full_weight(lambda0)

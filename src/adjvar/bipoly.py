@@ -21,24 +21,25 @@ coordinate modulo q.  Pseudo-reduction modulo q in a chosen variable
 (``reduce_mod_quadric``) stays as the tests' independent oracle for the
 normal form.
 
-The gcd first tries to prove the pair coprime from mod-p images, with
-p = 2^31 - 1.  For each variable v that both f and g use, the other
-variables are set to a fixed integer point.  The images are reduced mod p
-and their univariate gcd in F_p[v] is taken, at a point where the leading
-coefficient in v of f or of g does not vanish.  This is a proof: with
-H = gcd(f, g) in Z[vars] (Gauss's lemma), lc_v(H) divides lc_v(f), so the
-image of H keeps degree deg_v H and divides both images.  A gcd of degree 0
-for every v therefore proves H = 1, with no probability involved.  A
-positive degree, or leading coefficients that vanish at both of the two
-fixed points, leaves the pair to the fallback: recursive content extraction
-variable by variable and a primitive pseudo-remainder sequence (PRS), which
-also computes every nonconstant gcd.
+The gcd of a list f_1..f_k first tries to prove the list coprime from
+mod-p images, with p = 2^31 - 1.  For each variable v that every f_i uses,
+the other variables are set to a fixed integer point.  The images are
+reduced mod p and their univariate gcd in F_p[v] is taken, at a point
+where the leading coefficient in v of some f_j does not vanish.  This is a
+proof: with H = gcd(f_1..f_k) in Z[vars] (Gauss's lemma), lc_v(H) divides
+lc_v(f_j), so the image of H keeps degree deg_v H and divides every image.
+A gcd of degree 0 for every v therefore proves H = 1, with no probability
+involved.  A positive degree, or leading coefficients that all vanish at
+both of the two fixed points, leaves the list to the fallback: recursive
+content extraction variable by variable and a primitive pseudo-remainder
+sequence (PRS), folded over the list, which also computes every
+nonconstant gcd.  The gcd of two polynomials is that of the list of two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd as int_gcd
 from operator import add, sub
 
@@ -420,9 +421,9 @@ def _image_in(values, v: int, z: int, degree: int) -> list:
     return coeffs
 
 
-def _gcd_degree_mod_p(a: list, b: list) -> int:
-    """Degree of the gcd in F_p[v] of two coefficient lists (low to high, no
-    trailing zero; [] is zero, whose gcd with a is a)."""
+def _gcd_mod_p(a: list, b: list) -> list:
+    """The gcd in F_p[v] of two coefficient lists (low to high, no trailing
+    zero; [] is zero, whose gcd with a is a), up to a unit."""
     p = _CERT_PRIME
     while b:
         inv = pow(b[-1], -1, p)
@@ -437,58 +438,44 @@ def _gcd_degree_mod_p(a: list, b: list) -> int:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) - 1
+    return a
 
 
-def _coprime_certificate(f: BiPoly, g: BiPoly) -> bool:
-    """True only if the nonzero f and g are proved coprime over Q; False
-    means undecided.
+def _coprime_certificate(polys) -> bool:
+    """True only if the nonzero polynomials in the list are proved coprime
+    over Q; False means undecided.
 
-    Each variable v of both is decided by the univariate gcd in F_p[v] of
-    the images at the first fixed point where the leading coefficient in v
-    of f or of g survives; the module docstring gives the proof.  A
-    rational coefficient maps to numerator / denominator in F_p, so each
-    image is that of the primitive integer part times a unit.  A
-    denominator divisible by p leaves the pair undecided, as do a positive
-    degree and a variable whose leading coefficients vanish at both
-    points."""
-    pending = sorted(used_vars(f) & used_vars(g))
-    for point in _cert_points(2 * f.n + 2):
+    Each variable v that all of them use is decided by the univariate gcd
+    in F_p[v] of their images at the first fixed point where the leading
+    coefficient in v of at least one of them survives; the module docstring
+    gives the proof.  A rational coefficient maps to numerator / denominator
+    in F_p, so each image is that of the primitive integer part times a
+    unit.  A denominator divisible by p leaves the list undecided, as do a
+    positive degree and a variable whose leading coefficients all vanish
+    at both points."""
+    pending = sorted(set.intersection(*(used_vars(f) for f in polys)))
+    for point in _cert_points(2 * polys[0].n + 2):
         if not pending:
             return True
-        fv = _values_mod_p(f, point)
-        gv = _values_mod_p(g, point)
-        if fv is None or gv is None:
+        values = [_values_mod_p(f, point) for f in polys]
+        if None in values:
             return False
         skipped = []
         for v in pending:
-            df, dg = var_degree(f, v), var_degree(g, v)
-            a = _image_in(fv, v, point[v], df)
-            b = _image_in(gv, v, point[v], dg)
-            if len(a) <= df and len(b) <= dg:
+            degrees = [var_degree(f, v) for f in polys]
+            images = [_image_in(fv, v, point[v], d) for fv, d in zip(values, degrees)]
+            if all(len(a) <= d for a, d in zip(images, degrees)):
                 skipped.append(v)
-            elif _gcd_degree_mod_p(a, b) > 0:
+            elif len(reduce(_gcd_mod_p, images)) > 1:
                 return False
         pending = skipped
     return not pending
 
 
 def poly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Primitive multivariate gcd over Q.
-
-    A coprime pair is proved so by ``_coprime_certificate``, from univariate
-    gcds of mod-p images, and gets 1 at once.  Any other pair, one with a
-    common factor or one the certificate leaves undecided, goes to
-    ``_prs_gcd``: recursive content extraction variable by variable and a
-    primitive pseudo-remainder sequence, which returns the same 1 on a
-    coprime pair."""
-    if f.is_zero:
-        return g.primitive()
-    if g.is_zero:
-        return f.primitive()
-    if _coprime_certificate(f, g):
-        return BiPoly.const(f.n, 1)
-    return _prs_gcd(f, g)
+    """Primitive multivariate gcd over Q of two polynomials: the gcd of the
+    list (f, g)."""
+    return poly_gcd_list((f, g))
 
 
 def _prs_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -522,13 +509,28 @@ def _prs_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         a, b = b, _content_wrt(r, v)[1]
 
 
-def poly_gcd_list(polys) -> BiPoly:
-    out = None
-    for p in polys:
-        out = p if out is None else poly_gcd(out, p)
-        if out and not used_vars(out):
+def poly_gcd_list(polys) -> BiPoly | None:
+    """Primitive multivariate gcd over Q of the polynomials in ``polys``:
+    None for no polynomial, 0 when all of them are 0.
+
+    A coprime list is proved so by ``_coprime_certificate``, from univariate
+    gcds of mod-p images, and gets 1 at once.  Any other list, one with a
+    common factor or one the certificate leaves undecided, is folded with
+    ``_prs_gcd``: recursive content extraction variable by variable and a
+    primitive pseudo-remainder sequence, stopped once the running gcd is
+    constant."""
+    polys = list(polys)
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        return polys[0] if polys else None
+    if _coprime_certificate(nonzero):
+        return BiPoly.const(nonzero[0].n, 1)
+    out = nonzero[0]
+    for p in nonzero[1:]:
+        out = _prs_gcd(out, p)
+        if not used_vars(out):
             break
-    return out.primitive() if out is not None else out
+    return out.primitive()
 
 
 def reduce_mod_quadric(f: BiPoly, elim: int | None = None) -> BiPoly:

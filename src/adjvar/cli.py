@@ -18,8 +18,7 @@ from .bbw import cohomology
 from .parabolic import MarkedDatum
 from .rootsystem import build_datum, dim_g
 from . import folforms as ff
-
-SCHEMA = "1"
+from .folforms import SCHEMA
 
 
 def _emit(data: dict, as_json: bool, text_lines) -> None:

@@ -82,6 +82,9 @@ MINUS_INFINITY = _MinusInfinity()
 # forms
 # ---------------------------------------------------------------------------
 
+#: the JSON schema marker of a form and of every ``adjvar`` JSON output
+SCHEMA = "1"
+
 
 class PolyOneForm:
     """A global section of Omega^1(a, b) on P^n x P^n in ambient coordinates.
@@ -139,7 +142,7 @@ class PolyOneForm:
 
     def to_json(self) -> dict:
         return {
-            "schema": "1",
+            "schema": SCHEMA,
             "n": self.n,
             "bidegree": list(self.bidegree),
             "dx": [terms_to_json(c) for c in self.coeffs[: self.n + 1]],
@@ -149,10 +152,10 @@ class PolyOneForm:
     @classmethod
     def from_json(cls, data: dict) -> "PolyOneForm":
         """The form that ``to_json`` wrote.  ``"schema"`` and ``"bidegree"``
-        may be left out; when present they must agree with schema "1" and
+        may be left out; when present they must agree with ``SCHEMA`` and
         with the bidegree that the coefficients have."""
-        if "schema" in data and data["schema"] != "1":
-            raise ValueError(f"form schema {data['schema']!r} is not '1'")
+        if "schema" in data and data["schema"] != SCHEMA:
+            raise ValueError(f"form schema {data['schema']!r} is not {SCHEMA!r}")
         n = n_from_json(data["n"])
         blocks = data["dx"], data["dy"]
         if any(len(block) != n + 1 for block in blocks):
@@ -494,11 +497,11 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     V(z) ^ X (tested modulo q), or that the coefficients share an ambient
     factor.  A form in (q), zero on X, passes the coordinate test, since
     (q) lies in every (z, q), and so never reaches the gcd.  The gcd half
-    of a False answer is proved: ``poly_gcd`` answers 1 for a coprime pair
-    by its mod-p certificate, or else by the exact PRS.  A divisor V(h) ^ X
-    with h neither a coordinate nor a common factor of the coefficients is
-    still missed: the coefficients can lie in (h, q) with ambient gcd 1,
-    and the answer is then False.
+    of a False answer is proved: ``poly_gcd_list`` answers 1 for the whole
+    coefficient list by its mod-p certificate, or else by the exact PRS.  A
+    divisor V(h) ^ X with h neither a coordinate nor a common factor of the
+    coefficients is still missed: the coefficients can lie in (h, q) with
+    ambient gcd 1, and the answer is then False.
     """
     n = omega.n
     coeffs = list(_integral(omega.as_dict()).values())

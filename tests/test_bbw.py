@@ -119,10 +119,9 @@ def test_decomposition_table_additivity():
     md = MarkedDatum(ambient=datum, marked_node=1)
     p1 = Piece(weight=(2, 0, 0), twist=0, mult=1, dim=1)
     p2 = Piece(weight=(-6, 0, 0), twist=0, mult=2, dim=1)
-    lam0 = highest_root(datum)
-    t1 = cohomology_of_decomposition(md, Decomposition(pieces=(p1,)), lam0)
-    t2 = cohomology_of_decomposition(md, Decomposition(pieces=(p2,)), lam0)
-    both = cohomology_of_decomposition(md, Decomposition(pieces=(p1, p2)), lam0)
+    t1 = cohomology_of_decomposition(md, Decomposition(pieces=(p1,)))
+    t2 = cohomology_of_decomposition(md, Decomposition(pieces=(p2,)))
+    both = cohomology_of_decomposition(md, Decomposition(pieces=(p1, p2)))
     merged = dict(t1)
     for k, v in t2.items():
         merged[k] = merged.get(k, 0) + v

@@ -463,6 +463,23 @@ def test_euler_23_saturation_decided_by_the_certificate(no_prs):
     assert not has_divisorial_singularities(s.euler_form((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_torus(2),
+        *(lambda n=n: builtin_log4(n) for n in (2, 3, 4)),
+        *(lambda n=n: builtin_pullback(1, n) for n in (2, 3, 4)),
+        lambda: builtin_affine(2)[0],
+    ],
+    ids=["torus_n2", "log4_n2", "log4_n3", "log4_n4",
+         "pullback-d1_n2", "pullback-d1_n3", "pullback-d1_n4", "affine_n2"],
+)
+def test_builtin_saturation_decided_for_the_whole_coefficient_list(no_prs, make):
+    # gcd 1, but a running gcd of the coefficients stays nonconstant for a
+    # while, so a pairwise fold would reach the PRS
+    assert not has_divisorial_singularities(make())
+
+
 def test_check_integrable_answers_on_a_seeded_log3(no_prs, tmp_path, capsys):
     path = tmp_path / "log3.json"
     path.write_text(json.dumps(seeded_log3(2, 2024).to_json()))

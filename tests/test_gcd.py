@@ -1,13 +1,15 @@
 """The gcd's mod-p coprimality certificate against the primitive PRS.
 
-``poly_gcd`` first tries ``_coprime_certificate``: univariate gcds of the
-images in F_p[v] at fixed points, each used only where a leading coefficient
-in v survives.  Degree 0 for every shared variable proves the gcd is 1;
-anything else goes to ``_prs_gcd``, the primitive pseudo-remainder sequence,
-which stays the oracle here.
+``poly_gcd_list``, and ``poly_gcd`` as the list of two, first tries
+``_coprime_certificate`` on the whole list: univariate gcds of the images in
+F_p[v] at fixed points, each used only where a leading coefficient in v of
+some member survives.  Degree 0 for every variable of all the members
+proves the gcd is 1; anything else is a fold of ``_prs_gcd``, the primitive
+pseudo-remainder sequence, which stays the oracle here.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,13 @@ from adjvar.bipoly import (
     _cert_points,
     _CERT_PRIME,
     _coprime_certificate,
-    _gcd_degree_mod_p,
+    _gcd_mod_p,
     _image_in,
     _prs_gcd,
     _values_mod_p,
     poly_divexact,
     poly_gcd,
+    poly_gcd_list,
     used_vars,
 )
 
@@ -56,6 +59,15 @@ def shared_factor_pairs(draw):
     return a * b, a * c, a
 
 
+@st.composite
+def shared_factor_lists(draw):
+    """([a*b for 2 to 4 nonzero b], a) with a nonconstant."""
+    n = draw(ns)
+    a = draw(bipoly_of(n, integers, 3).filter(lambda p: used_vars(p)))
+    bs = draw(st.lists(bipoly_of(n, integers, 3).filter(bool), min_size=2, max_size=4))
+    return [a * b for b in bs], a
+
+
 @settings(max_examples=150)
 @given(pairs())
 def test_gcd_matches_the_prs(pair):
@@ -67,7 +79,7 @@ def test_gcd_matches_the_prs(pair):
 @given(shared_factor_pairs())
 def test_a_common_factor_is_never_certified_coprime(case):
     f, g, a = case
-    assert not _coprime_certificate(f, g)
+    assert not _coprime_certificate([f, g])
     d = poly_gcd(f, g)
     assert d == _prs_gcd(f, g)
     assert poly_divexact(d, a) is not None
@@ -83,12 +95,81 @@ def test_fraction_inputs_give_the_gcd_of_their_primitive_parts(pair):
     assert poly_gcd(f, g) == _prs_gcd(f, g)
 
 
+@settings(max_examples=100)
+@given(shared_factor_lists())
+def test_a_factor_common_to_a_list_is_never_certified_coprime(case):
+    polys, a = case
+    assert not _coprime_certificate(polys)
+    d = poly_gcd_list(polys)
+    assert d == reduce(_prs_gcd, polys)
+    assert poly_divexact(d, a) is not None
+    assert all(poly_divexact(f, d) is not None for f in polys)
+
+
+@settings(max_examples=100)
+@given(ns.flatmap(lambda n: st.lists(bipoly_of(n, coefficients), min_size=2, max_size=4)))
+def test_list_gcd_matches_a_fold_of_the_prs(polys):
+    assert poly_gcd_list(polys) == reduce(_prs_gcd, polys)
+
+
 def test_coprime_pairs_are_certified():
     x0, x1, y0, y1 = (BiPoly.x(1, 0), BiPoly.x(1, 1), BiPoly.y(1, 0), BiPoly.y(1, 1))
-    assert _coprime_certificate(x0 * y0 + x1 * y1, x0 * y1 - x1 * y0)
+    assert _coprime_certificate([x0 * y0 + x1 * y1, x0 * y1 - x1 * y0])
     # no shared variable: nothing to evaluate
-    assert _coprime_certificate(x0 * x0 + x1 * x1 * 3, y0 - y1 * 2)
-    assert _coprime_certificate(x0 + x1, BiPoly.const(1, Fraction(2, 3)))
+    assert _coprime_certificate([x0 * x0 + x1 * x1 * 3, y0 - y1 * 2])
+    assert _coprime_certificate([x0 + x1, BiPoly.const(1, Fraction(2, 3))])
+
+
+def test_pairwise_common_factors_with_gcd_1_are_certified():
+    x0, x1, y0, y1 = (BiPoly.x(1, 0), BiPoly.x(1, 1), BiPoly.y(1, 0), BiPoly.y(1, 1))
+    # three distinct irreducible (1,1) forms, each in all four variables
+    a = x0 * y0 + x1 * y1
+    b = x0 * y1 - x1 * y0
+    c = x0 * y0 + x1 * y0 + x1 * y1 + x0 * y1 * 2
+    polys = [a * b, a * c, b * c]
+    assert all(used_vars(f) == {0, 1, 2, 3} for f in polys)
+    assert _coprime_certificate(polys)
+    assert poly_gcd_list(polys) == BiPoly.const(1, 1)
+    assert [poly_gcd(a * b, a * c), poly_gcd(a * b, b * c), poly_gcd(a * c, b * c)] == [
+        a, b.primitive(), c
+    ]
+
+
+def vanishing_at_both_points(n, v):
+    """(x_v - s_v)(x_v - t_v) for the certificate's fixed points s and t."""
+    first, second = _cert_points(2 * n + 2)
+    xv = BiPoly.x(n, v)
+    return (xv - BiPoly.const(n, first[v])) * (xv - BiPoly.const(n, second[v]))
+
+
+def test_one_surviving_leading_coefficient_decides_a_variable():
+    # in x0, f and g have the leading coefficient (x1 - s1)(x1 - t1), which
+    # vanishes at both points; only h's leading coefficient 1 survives
+    n = 1
+    x0, x1 = BiPoly.x(n, 0), BiPoly.x(n, 1)
+    lead = vanishing_at_both_points(n, 1)
+    f = lead * x0 + BiPoly.const(n, 1)
+    g = lead * x0 + BiPoly.const(n, 2)
+    h = x0 + x1
+    for point in _cert_points(2 * n + 2):
+        images = [_image_in(_values_mod_p(p, point), 0, point[0], 1) for p in (f, g, h)]
+        assert [len(image) for image in images] == [1, 1, 2]
+    assert _coprime_certificate([f, g, h])
+    # without h, no member keeps its degree in x0 at either point
+    assert not _coprime_certificate([f, g])
+    assert poly_gcd_list([f, g]) == BiPoly.const(n, 1)
+
+
+def test_list_contracts():
+    n = 1
+    x0, y1 = BiPoly.x(n, 0), BiPoly.y(n, 1)
+    zero = BiPoly.zero(n)
+    assert poly_gcd_list([]) is None
+    assert poly_gcd_list([zero, zero]) == zero
+    f = (x0 * y1 * 6 - x0 * x0 * 4) * Fraction(-1, 5)
+    assert poly_gcd_list([f]) == f.primitive() == x0 * x0 * 2 - x0 * y1 * 3
+    assert poly_gcd_list(iter([zero, f, zero])) == f.primitive()
+    assert poly_gcd_list([BiPoly.const(n, Fraction(-2, 3))]) == BiPoly.const(n, 1)
 
 
 def spy_on_prs(monkeypatch):
@@ -119,8 +200,8 @@ def test_vanishing_leading_coefficients_reach_the_prs(monkeypatch):
     fv, gv = _values_mod_p(f, first), _values_mod_p(g, first)
     for v in (0, 1):
         images = (_image_in(fv, v, first[v], 3), _image_in(gv, v, first[v], 3))
-        assert _gcd_degree_mod_p(*images) == 0
-    assert not _coprime_certificate(f, g)
+        assert len(_gcd_mod_p(*images)) == 1
+    assert not _coprime_certificate([f, g])
     calls = spy_on_prs(monkeypatch)
     assert poly_gcd(f, g) == a
     assert calls[0] == (f, g)
@@ -130,7 +211,7 @@ def test_a_denominator_divisible_by_p_reaches_the_prs(monkeypatch):
     n = 1
     f = (BiPoly.x(n, 0) + BiPoly.x(n, 1)) * Fraction(1, _CERT_PRIME)
     g = BiPoly.x(n, 0) - BiPoly.x(n, 1)
-    assert not _coprime_certificate(f, g)
+    assert not _coprime_certificate([f, g])
     calls = spy_on_prs(monkeypatch)
     assert poly_gcd(f, g) == BiPoly.const(n, 1)
     assert calls[0] == (f, g)

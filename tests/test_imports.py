@@ -1,15 +1,14 @@
 """Every module-level import in src/adjvar is used (``__init__`` re-exports
-its imports, so it is exempt)."""
+its imports, so it is exempt), and so is every module-level private function
+and class."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "adjvar").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "adjvar").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +32,36 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_definitions(sources: dict) -> list:
+    """(module, name) of each top-level ``def`` or ``class`` named ``_x``
+    (not a dunder) whose name is loaded, or read as an attribute, nowhere in
+    ``sources`` ({module: source}) outside its own definition."""
+    loads = []  # (module, top-level statement, names it reads)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            loads.append((module, node, names))
+    return [
+        (module, node.name)
+        for module, node, _ in loads
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in names for _, other, names in loads if other is not node)
+    ]
+
+
+def test_the_check_sees_an_unused_private_definition():
+    sources = {
+        "a": "def _used():\n    return 1\n\n\ndef _recursive(k):\n"
+             "    return _recursive(k - 1) if k else 0\n\n\nclass _Lone:\n    pass\n",
+        "b": "from a import _used\n\nprint(_used())\n",
+    }
+    assert unused_private_definitions(sources) == [("a", "_recursive"), ("a", "_Lone")]
+
+
+def test_no_unused_private_definition():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unused_private_definitions(sources) == []
