@@ -5,9 +5,11 @@ For each supported simple type the marked node is *derived* as the unique node
 where the highest root has a nonzero fundamental coordinate; the contact line
 bundle is E_{lambda0} for lambda0 the highest root.  The weight of the contact
 distribution D is lambda0 - alpha_marked, and D^vee = D(-1).  The pipeline
-decomposes the exterior square of D^vee once per type, twists it by shifting
-its pieces, pushes every piece through Bott-Borel-Weil, and resolves
-h^0(Omega^2(k)) via
+builds one Levi weight system per type, that of D^vee: lambda0 is central for
+the Levi, so it is D's shifted by -lambda0, and both the checks rank D = 2m,
+c_1(D) = m lambda0 and the Brauer-Klimyk decomposition of the exterior square
+of D^vee read it.  It twists that square by shifting its pieces, pushes every
+piece through Bott-Borel-Weil, and resolves h^0(Omega^2(k)) via
 
     0 -> D^vee(k-1) -> Omega^2_X(k) -> wedge^2 D^vee(k) -> 0.
 
@@ -19,6 +21,7 @@ silently asserted value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .bbw import cohomology, cohomology_of_decomposition
 from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
@@ -26,8 +29,8 @@ from .repcalc import (
     EXTERIOR,
     Decomposition,
     Piece,
+    _square_decomposition,
     ambient_weight_system,
-    square_decompose,
     weyl_dim,
 )
 from .rootsystem import (
@@ -52,7 +55,8 @@ class AdjointData:
     c_1(D) = m lambda0-units, and -K_X = (m+1) lambda0-units.
     ``veronese`` flags type C, where O_X(1) is the square of the hyperplane
     class of the underlying projective space.  ``wedge2_Ddual`` is the
-    decomposition of wedge^2 D^vee at twist 0, computed once here; every
+    decomposition of wedge^2 D^vee at twist 0, computed once here from the
+    weight system of E_{D^vee} on which the rank and c_1 checks ran; every
     twist of it is a shift of its pieces' twists.
     """
 
@@ -76,13 +80,9 @@ class AdjointData:
 
 
 def _weight_sum(weights: dict) -> Weight:
-    items = list(weights.items())
-    n = len(items[0][0])
-    out = [0] * n
-    for w, m in items:
-        for j in range(n):
-            out[j] += m * w[j]
-    return tuple(out)
+    """Sum of the weights of ``weights``, each times its multiplicity."""
+    mults = tuple(weights.values())
+    return tuple(sum(map(mul, column, mults)) for column in zip(*weights))
 
 
 def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> AdjointData:
@@ -149,13 +149,16 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
             f"sum of nilradical roots {canon} is not (m+1) lambda0"
         )
 
-    # rank(D) = 2m and c_1(D) = m lambda0, via the weight system of E_{D_weight}
-    d_system = ambient_weight_system(md, d_weight)
-    if d_system.total_dim != 2 * m:
+    # rank(D) = 2m and c_1(D) = m lambda0, checked on D^vee = D(-1): lambda0
+    # is central for the Levi, so the weight system of E_{D^vee} is that of
+    # E_D shifted by -lambda0, and c_1(D^vee) = c_1(D) - 2m lambda0 = -m lambda0.
+    # The same system is the one whose exterior square is decomposed below.
+    system = ambient_weight_system(md, ddual_weight)
+    if system.total_dim != 2 * m:
         raise ArithmeticError("contact distribution rank is not dim X - 1")
-    c1 = _weight_sum(d_system.entries)
-    if c1 != tuple(m * a for a in lambda0):
-        raise ArithmeticError(f"c_1(D) = {c1} is not m lambda0")
+    c1 = _weight_sum(system.entries)
+    if c1 != tuple(-m * a for a in lambda0):
+        raise ArithmeticError(f"c_1(D^vee) = {c1} is not -m lambda0")
 
     return AdjointData(
         md=md,
@@ -165,14 +168,22 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         index=index,
         D_weight=d_weight,
         Ddual_weight=ddual_weight,
-        wedge2_Ddual=square_decompose(md, ddual_weight, EXTERIOR),
+        wedge2_Ddual=_square_decomposition(md, system, EXTERIOR),
         veronese=(letter == "C"),
     )
 
 
+def _check_twist(k) -> None:
+    """A twist O(k) needs an integer k; a bool is not taken for one."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"twist k must be an int, not {k!r}")
+
+
 def wedge2_Ddual_twisted(ad: AdjointData, k: int) -> Decomposition:
     """Exterior square of the contact conormal sheaf, twisted by O(k): the
-    pieces of ``ad.wedge2_Ddual`` with each twist raised by k."""
+    pieces of ``ad.wedge2_Ddual`` with each twist raised by k.  A k that is
+    not an int, or is a bool, raises ``ValueError``."""
+    _check_twist(k)
     return Decomposition(
         pieces=tuple(
             Piece(weight=p.weight, twist=p.twist + k, mult=p.mult, dim=p.dim)
@@ -201,7 +212,10 @@ class H0Omega2:
 
 
 def h0_omega2(ad: AdjointData, k: int) -> H0Omega2:
-    """h^0 of the twisted 2-forms via 0 -> D^vee(k-1) -> Omega^2(k) -> wedge^2 D^vee(k) -> 0."""
+    """h^0 of the twisted 2-forms via 0 -> D^vee(k-1) -> Omega^2(k) -> wedge^2 D^vee(k) -> 0.
+
+    A k that is not an int, or is a bool, raises ``ValueError``."""
+    _check_twist(k)
     md = ad.md
     lam0 = ad.lambda0
     lower = tuple(

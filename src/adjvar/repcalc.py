@@ -336,11 +336,18 @@ def square_decompose(
     nodes), from the ambient weights of E_lam alone.  Pieces are ordered by
     height below 2 lam, then by ambient weight descending.
     """
-    ambient = md.ambient
-    lambda0 = highest_root(ambient)
-    pieces = _square_pieces(
-        ambient, md.levi_nodes, ambient_weight_system(md, lam, ceiling), kind
-    )
+    return _square_decomposition(md, ambient_weight_system(md, lam, ceiling), kind)
+
+
+def _square_decomposition(
+    md: MarkedDatum, ws: WeightSystem, kind: str
+) -> Decomposition:
+    """The body of :func:`square_decompose`, unchecked: ``ws`` must be
+    :func:`ambient_weight_system` of a bundle weight of ``md``.  A caller
+    that already holds that system decomposes its square without building
+    it again."""
+    lambda0 = highest_root(md.ambient)
+    pieces = _square_pieces(md.ambient, md.levi_nodes, ws, kind)
     pieces.sort(key=lambda p: (p[0], tuple(-a for a in p[1])))
     return Decomposition(
         pieces=tuple(

@@ -1,8 +1,11 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 import adjvar.adjoint
+import adjvar.repcalc
 from adjvar.adjoint import (
     UnsupportedAdjointError,
     adjoint_data,
@@ -16,6 +19,7 @@ from adjvar.adjoint import (
 from adjvar.bbw import cohomology
 from adjvar.repcalc import (
     EXTERIOR,
+    WeightSystem,
     ambient_weight_system,
     bundle_rank,
     square_decompose,
@@ -246,15 +250,80 @@ def test_b4_printed_weight_differs_only_by_twist():
 
 @pytest.mark.parametrize("letter,rank", DESK)
 def test_one_decomposition_per_row(monkeypatch, letter, rank):
-    calls = []
+    # and one Levi weight system: E_{D^vee}'s serves the contact checks too
+    calls = {"weight_system": 0, "_square_decomposition": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return square_decompose(*args, **kwargs)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(adjvar.adjoint, "square_decompose", counting)
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(adjvar.repcalc, "weight_system")
+    spy(adjvar.adjoint, "_square_decomposition")
     section4_row(letter, rank, compare_paper=True)
-    assert len(calls) == 1
+    assert calls == {"weight_system": 1, "_square_decomposition": 1}
+
+
+@pytest.mark.parametrize("letter,rank", DESK)
+def test_dual_weight_system_is_the_contact_one_shifted(letter, rank):
+    # the identity adjoint_data rests on: lambda0 is central for the Levi, so
+    # E_{D^vee} = E_D(-1) has E_D's weights shifted by -lambda0, with the same
+    # multiplicities and offsets
+    ad = adjoint_data(letter, rank)
+    d = ambient_weight_system(ad.md, ad.D_weight)
+    dual = ambient_weight_system(ad.md, ad.Ddual_weight)
+
+    def shift(w):
+        return tuple(a - b for a, b in zip(w, ad.lambda0))
+
+    assert dual.highest == shift(d.highest) == ad.Ddual_weight
+    assert dual.entries == {shift(w): m for w, m in d.entries.items()}
+    assert dual.offsets == {shift(w): off for w, off in d.offsets.items()}
+    assert dual.total_dim == d.total_dim == 2 * ad.m
+
+
+def _dropped(ws):
+    lowest = max(ws.entries, key=lambda mu: sum(ws.offsets[mu]))
+    entries = {w: m for w, m in ws.entries.items() if w != lowest}
+    offsets = {w: o for w, o in ws.offsets.items() if w != lowest}
+    return WeightSystem(ws.highest, entries, offsets, sum(entries.values()))
+
+
+def _shifted(ws):
+    lowest = max(ws.entries, key=lambda mu: sum(ws.offsets[mu]))
+    moved = (lowest[0] + 1,) + lowest[1:]
+    entries = {moved if w == lowest else w: m for w, m in ws.entries.items()}
+    offsets = {moved if w == lowest else w: o for w, o in ws.offsets.items()}
+    return WeightSystem(ws.highest, entries, offsets, ws.total_dim)
+
+
+@pytest.mark.parametrize("letter,rank", [("B", 3), ("D", 5), ("E", 8), ("G", 2)])
+@pytest.mark.parametrize("corrupt,message", [(_dropped, "rank"), (_shifted, "c_1")])
+def test_contact_checks_fire_on_a_wrong_weight_system(
+    monkeypatch, letter, rank, corrupt, message
+):
+    real = adjvar.adjoint.ambient_weight_system
+    monkeypatch.setattr(
+        adjvar.adjoint,
+        "ambient_weight_system",
+        lambda *args, **kwargs: corrupt(real(*args, **kwargs)),
+    )
+    with pytest.raises(ArithmeticError, match=message):
+        adjoint_data(letter, rank)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, Fraction(2), "2", None, True, False])
+def test_twist_must_be_an_int(k):
+    ad = adjoint_data("G", 2)
+    message = re.escape(f"twist k must be an int, not {k!r}")
+    with pytest.raises(ValueError, match=message):
+        wedge2_Ddual_twisted(ad, k)
+    with pytest.raises(ValueError, match=message):
+        h0_omega2(ad, k)
 
 
 @pytest.mark.parametrize("letter,rank", DESK)
