@@ -1,7 +1,7 @@
 """Command-line frontend: root-system dumps, single Bott-Borel-Weil queries,
 the per-type adjoint table, and foliation checks, in text or JSON.
 
-All output is deterministic: randomness flows from --seed only, JSON is
+All output is deterministic: no answer draws a random number, and JSON is
 emitted with sorted keys and a schema marker.  Exit status is 0 when every
 requested check passed, 1 when a check failed, and 2 for a usage or input
 error.
@@ -204,32 +204,17 @@ def cmd_fol(args) -> int:
         return 0 if ok else 1
 
     if args.fol_command == "degree":
-        sampler = ff.FolSampler(form.n, seed=args.seed, height=args.height_bound)
-        degs = []
-        for family in (1, 2):
-            trials = [
-                ff.tangency_degree(form, sampler.line(family))
-                for _ in range(args.samples)
-            ]
-            if len(set(map(str, trials))) != 1:
-                print(
-                    f"error: family {family} tangency degrees not constant: {trials}",
-                    file=sys.stderr,
-                )
-                return 1
-            degs.append(trials[0])
+        # --samples and --seed no longer change the answer; their JSON keys
+        # stay until the next output schema
+        deg1, deg2 = (ff.family_degree(form, family) for family in (1, 2))
         data = {
             "bidegree": list(form.bidegree),
-            "deg_H1": _deg_json(degs[0]),
-            "deg_H2": _deg_json(degs[1]),
+            "deg_H1": _deg_json(deg1),
+            "deg_H2": _deg_json(deg2),
             "samples": args.samples,
             "seed": args.seed,
         }
-        _emit(
-            data,
-            args.json,
-            [f"deg_H1 = {degs[0]}, deg_H2 = {degs[1]} ({args.samples} lines per family)"],
-        )
+        _emit(data, args.json, [f"deg_H1 = {deg1}, deg_H2 = {deg2}"])
         return 0
 
     # "invariant", the last of the subcommands argparse admits
@@ -243,12 +228,9 @@ def cmd_fol(args) -> int:
 def _parse_surface(args) -> ff.BiPoly:
     if not args.surface:
         raise _input_error("provide --surface conic-x|conic-y|FILE")
-    if args.surface == "conic-x":
-        _, f1, _ = ff.builtin_affine(args.n)
-        return f1
-    if args.surface == "conic-y":
-        _, _, f2 = ff.builtin_affine(args.n)
-        return f2
+    if args.surface in ("conic-x", "conic-y"):
+        f1, f2 = ff._affine_conics(args.n)
+        return f1 if args.surface == "conic-x" else f2
     try:
         with open(args.surface) as fh:
             return ff.BiPoly.from_json(json.load(fh))

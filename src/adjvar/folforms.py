@@ -608,6 +608,33 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     return MINUS_INFINITY
 
 
+def family_degree(omega: PolyOneForm, family: int):
+    """The degree of the foliation against the general line of a family:
+    ``foliation_numerics``' deg_H1 (family 1) or deg_H2 (family 2), or
+    MINUS_INFINITY when the general line lies in a leaf.
+
+    A line of family 1 fixes x and moves y inside x^perp.  The general one
+    lies in a leaf iff all do, iff the dy-block of omega kills x^perp at
+    every point of X, that is iff it is parallel to x there: every minor
+    omega_{y_i} x_j - omega_{y_j} x_i lies in (q), which is prime.  Family
+    2 swaps the blocks.  Adding q alpha to omega changes no minor modulo q.
+    """
+    if family not in (1, 2):
+        raise ValueError("family must be 1 or 2")
+    n = omega.n
+    if n < 2:
+        raise ValueError(f"at n = {n} the fibres of X are points, so they hold no lines")
+    numerics = foliation_numerics(omega.bidegree, n)
+    if family == 1:
+        block, fixed, degree = omega.coeffs[n + 1 :], BiPoly.x, numerics.deg_H1
+    else:
+        block, fixed, degree = omega.coeffs[: n + 1], BiPoly.y, numerics.deg_H2
+    for i, j in combinations(range(n + 1), 2):
+        if not is_zero_mod_quadric(block[i] * fixed(n, j) - block[j] * fixed(n, i)):
+            return degree
+    return MINUS_INFINITY
+
+
 # ---------------------------------------------------------------------------
 # numerics
 # ---------------------------------------------------------------------------
@@ -860,11 +887,17 @@ def builtin_affine(n: int = 2):
     v_s = linear_field(s, n)
     v_e = linear_field(e, n)
     omega = foliation_from_fields(v_s, v_e)
+    return (omega, *_affine_conics(n))
+
+
+def _affine_conics(n: int):
+    """The conic orbit closure x1^2 - 4 x0 x2 of the affine action and its
+    dual y1^2 - y0 y2 on the second factor, on P^n x P^n for any n >= 2."""
+    if n < 2:
+        raise ValueError(f"the conics need n >= 2, not n = {n}")
     x = lambda i: BiPoly.x(n, i)
     y = lambda j: BiPoly.y(n, j)
-    f1 = x(1) * x(1) - x(0) * x(2) * 4  # the conic orbit closure
-    f2 = y(1) * y(1) - y(0) * y(2)  # its dual on the second factor
-    return omega, f1, f2
+    return x(1) * x(1) - x(0) * x(2) * 4, y(1) * y(1) - y(0) * y(2)
 
 
 def builtin_torus(n: int = 2):

@@ -193,7 +193,8 @@ def test_criterion_6_representation_cross_checks():
 
 
 def test_criterion_7_foliation_degrees():
-    """Tangency degrees on 10 seeded lines per family, exact integers."""
+    """The family degrees, and the tangency degrees of 10 seeded lines per
+    family, exact integers."""
     for n in (2, 3):
         expectations = [
             (ff.builtin_pencil(n), 0, 0),
@@ -204,6 +205,7 @@ def test_criterion_7_foliation_degrees():
         sampler = ff.FolSampler(n, seed=2024)
         for form, d1, d2 in expectations:
             for family, expected in ((1, d1), (2, d2)):
+                assert ff.family_degree(form, family) == expected, (n, family)
                 for _ in range(10):
                     got = ff.tangency_degree(form, sampler.line(family))
                     if expected is ff.MINUS_INFINITY:

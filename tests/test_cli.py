@@ -138,7 +138,7 @@ def test_bbw_p3_serre_dual(capsys):
 def test_fol_degree_pencil(capsys):
     code, out, _ = run(capsys, "fol", "degree", "--builtin", "pencil", "--n", "2")
     assert code == 0
-    assert "deg_H1 = 0, deg_H2 = 0" in out
+    assert out == "deg_H1 = 0, deg_H2 = 0\n"
 
 
 def test_fol_degree_pullback_json(capsys):
@@ -467,15 +467,38 @@ def test_fol_zero_denominator_exits_2_with_the_file_context(tmp_path, capsys, fl
     assert "zero denominator in the coefficient '1/0' of x=" in err
 
 
-def test_fol_degree_non_constant_tangency_exits_1(capsys, monkeypatch):
+def test_fol_degree_draws_no_line(capsys, monkeypatch):
     from adjvar import folforms
 
-    degrees = iter([0, 1])
-    monkeypatch.setattr(folforms, "tangency_degree", lambda form, line: next(degrees))
-    code, out, err = run(capsys, "fol", "degree", "--builtin", "pencil", "--n", "2",
-                         "--samples", "2")
-    assert code == 1 and out == ""
-    assert err == "error: family 1 tangency degrees not constant: [0, 1]\n"
+    def refuse(*args, **kwargs):
+        raise AssertionError("fol degree must not sample lines")
+
+    monkeypatch.setattr(folforms, "FolSampler", refuse)
+    monkeypatch.setattr(folforms, "tangency_degree", refuse)
+    code, out, _ = run(capsys, "fol", "degree", "--builtin", "pullback-d1", "--n", "3")
+    assert code == 0 and out == "deg_H1 = -inf, deg_H2 = 1\n"
+
+
+@pytest.mark.parametrize("surface,bidegree", [("conic-x", [2, 0]), ("conic-y", [0, 2])])
+def test_fol_conics_on_the_pencil_at_n_3(capsys, surface, bidegree):
+    # the conics exist at every n >= 2, whatever the form
+    from adjvar.folforms import _affine_conics, builtin_pencil, is_invariant
+
+    conic = dict(zip(("conic-x", "conic-y"), _affine_conics(3)))[surface]
+    assert not is_invariant(builtin_pencil(3), conic)
+    code, out, _ = run(capsys, "fol", "invariant", "--builtin", "pencil", "--n", "3",
+                       "--surface", surface, "--json")
+    assert code == 1
+    assert json.loads(out) == {"invariant": False, "schema": "1",
+                               "surface_bidegree": bidegree}
+
+
+@pytest.mark.parametrize("surface", ["conic-x", "conic-y"])
+def test_fol_conics_at_n_1_exit_2(capsys, surface):
+    code, out, err = run(capsys, "fol", "invariant", "--builtin", "pencil", "--n", "1",
+                         "--surface", surface)
+    assert code == 2 and out == ""
+    assert err == "error: the conics need n >= 2, not n = 1\n"
 
 
 # -- the fixed command set: its output must stay byte-identical ---------------
@@ -500,6 +523,24 @@ BUILD_DIGESTS = {
     ("affine", 2): "e91bdab9ac753b297e3e367b68f83f5f810e947d2d40c4e8928c77a7b81fafc8",
     ("torus", 2): "45797accdc492cba49645a176235ea6aa921c785bbea415edd38185a10bda6bc",
 }
+# sha256 of the stdout of `adjvar fol degree --builtin B --n N --json`, at every
+# n >= 2 (X holds no lines at n = 1) up to 4 where the builtin exists
+DEGREE_DIGESTS = {
+    ("pencil", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("pencil", 3): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("pencil", 4): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("log4", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("log4", 3): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("log4", 4): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("pullback-d0", 2): "4b81d3c73059c8444753009594db1fcd6fd4968c5107fd84d7bbe8e197598689",
+    ("pullback-d0", 3): "4b81d3c73059c8444753009594db1fcd6fd4968c5107fd84d7bbe8e197598689",
+    ("pullback-d0", 4): "4b81d3c73059c8444753009594db1fcd6fd4968c5107fd84d7bbe8e197598689",
+    ("pullback-d1", 2): "4bdcded40898143e9a7c26f7dc7101e5ff6b72c79e3a0e0d7e69f99853657b94",
+    ("pullback-d1", 3): "4bdcded40898143e9a7c26f7dc7101e5ff6b72c79e3a0e0d7e69f99853657b94",
+    ("pullback-d1", 4): "4bdcded40898143e9a7c26f7dc7101e5ff6b72c79e3a0e0d7e69f99853657b94",
+    ("affine", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("torus", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+}
 TABLE_DIGEST = "1c27316b0fd4ec9cae9ab83ef1d360df98847ff0c3ee9ba96cd2f0a66749abba"
 
 
@@ -513,6 +554,13 @@ def stdout_digest(capsys, *argv):
 def test_fol_build_output_is_pinned(capsys, builtin, n):
     digest = stdout_digest(capsys, "fol", "build", "--builtin", builtin, "--n", str(n))
     assert digest == BUILD_DIGESTS[builtin, n]
+
+
+@pytest.mark.parametrize("builtin,n", sorted(DEGREE_DIGESTS))
+def test_fol_degree_output_is_pinned(capsys, builtin, n):
+    digest = stdout_digest(capsys, "fol", "degree", "--builtin", builtin, "--n", str(n),
+                           "--json")
+    assert digest == DEGREE_DIGESTS[builtin, n]
 
 
 def test_adjoint_table_output_is_pinned(capsys):
