@@ -196,6 +196,10 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
+        """The polynomial that ``to_json`` wrote; a ``"schema"`` key may be
+        left out, but when present it must be ``SCHEMA``."""
+        if "schema" in data and data["schema"] != SCHEMA:
+            raise ValueError(f"surface schema {data['schema']!r} is not {SCHEMA!r}")
         return terms_from_json(n_from_json(data["n"]), data["terms"])
 
     # -- content -----------------------------------------------------------
@@ -239,6 +243,9 @@ def terms_to_json(p: BiPoly) -> list:
         for key, c in sorted(p.terms.items())
     ]
 
+
+#: the JSON schema marker of a form, a surface and every ``adjvar`` JSON output
+SCHEMA = "1"
 
 #: exponents in a form or surface file stay below the 16-bit monomial slots
 #: of ``folforms.form_wedge``

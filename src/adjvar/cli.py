@@ -72,13 +72,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_bbw(args) -> int:
-    try:
-        datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
-        weight = _parse_weight(args.weight, datum.rank)
-        md = MarkedDatum(ambient=datum, marked_node=args.node)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
+    weight = _parse_weight(args.weight, datum.rank)
+    md = MarkedDatum(ambient=datum, marked_node=args.node)
     res = cohomology(md, weight)
     data = {"type": datum.letter, "rank": datum.rank, "node": args.node,
             "weight": list(weight), "cohomology": res.to_json()}
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_classical_rank", 1) < 1:
             raise ValueError("--max-classical-rank must be at least 1")
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, IndexError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,12 +31,12 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
 
 from .bipoly import (
     EXPONENT_BOUND,
+    SCHEMA,
     BiPoly,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
@@ -81,9 +81,6 @@ MINUS_INFINITY = _MinusInfinity()
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
-
-#: the JSON schema marker of a form and of every ``adjvar`` JSON output
-SCHEMA = "1"
 
 
 class PolyOneForm:
@@ -616,8 +613,10 @@ def family_degree(omega: PolyOneForm, family: int):
     A line of family 1 fixes x and moves y inside x^perp.  The general one
     lies in a leaf iff all do, iff the dy-block of omega kills x^perp at
     every point of X, that is iff it is parallel to x there: every minor
-    omega_{y_i} x_j - omega_{y_j} x_i lies in (q), which is prime.  Family
-    2 swaps the blocks.  Adding q alpha to omega changes no minor modulo q.
+    omega_{y_i} x_j - omega_{y_j} x_i lies in (q), which is prime.  These
+    minors are the dy ^ dy components of omega ^ dq, the wedge of the
+    dy-blocks of omega and dq.  Family 2 swaps the blocks.  Adding q alpha
+    to omega changes no minor modulo q.
     """
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
@@ -626,13 +625,13 @@ def family_degree(omega: PolyOneForm, family: int):
         raise ValueError(f"at n = {n} the fibres of X are points, so they hold no lines")
     numerics = foliation_numerics(omega.bidegree, n)
     if family == 1:
-        block, fixed, degree = omega.coeffs[n + 1 :], BiPoly.x, numerics.deg_H1
+        degree, moving = numerics.deg_H1, lambda v: v > n
     else:
-        block, fixed, degree = omega.coeffs[: n + 1], BiPoly.y, numerics.deg_H2
-    for i, j in combinations(range(n + 1), 2):
-        if not is_zero_mod_quadric(block[i] * fixed(n, j) - block[j] * fixed(n, i)):
-            return degree
-    return MINUS_INFINITY
+        degree, moving = numerics.deg_H2, lambda v: v <= n
+    omega_part, dq_part = ({k: c for k, c in f.items() if moving(k[0])}
+                           for f in (omega.as_dict(), dq_form(n)))
+    minors = form_wedge(omega_part, dq_part, n).values()
+    return degree if any(not is_zero_mod_quadric(m) for m in minors) else MINUS_INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +821,8 @@ def _fields_independent(v1, v2) -> bool:
     cone over X and zero on P^n x P^n, so this holds iff some 4 x 4 minor
     of the 4 x (2n+2) matrix of components is nonzero modulo q.  One
     integer point of X settles the common case; only if the four values
-    there are dependent are the minors tested symbolically."""
+    there are dependent are the minors, the components of
+    v1 ^ v2 ^ R_x ^ R_y, tested symbolically."""
     n = v1[0].n
     x, y = witness.fixed_point(n)
     euler = [x + (0,) * (n + 1), (0,) * (n + 1) + y]
@@ -831,27 +831,11 @@ def _fields_independent(v1, v2) -> bool:
                for k in range(2 * n + 2)]
     if not nullspace(columns, 4):
         return True
-    zero = BiPoly.zero(n)
-    matrix = [list(v1), list(v2),
-              [BiPoly.x(n, i) for i in range(n + 1)] + [zero] * (n + 1),
-              [zero] * (n + 1) + [BiPoly.y(n, j) for j in range(n + 1)]]
-    return any(
-        not is_zero_mod_quadric(_det([[row[k] for k in cols] for row in matrix], n))
-        for cols in combinations(range(2 * n + 2), 4)
-    )
-
-
-def _det(matrix, n: int) -> BiPoly:
-    """Determinant of a square matrix of polynomials, by expansion along
-    the first row."""
-    if not matrix:
-        return BiPoly.const(n, 1)
-    out = BiPoly.zero(n)
-    for j, a in enumerate(matrix[0]):
-        if not a.is_zero:
-            minor = a * _det([row[:j] + row[j + 1:] for row in matrix[1:]], n)
-            out = out + minor if j % 2 == 0 else out - minor
-    return out
+    v1v2 = form_wedge(*({(k,): c for k, c in enumerate(v)} for v in (v1, v2)), n)
+    r_x = {(i,): BiPoly.x(n, i) for i in range(n + 1)}
+    r_y = {(n + 1 + j,): BiPoly.y(n, j) for j in range(n + 1)}
+    minors = form_wedge(v1v2, form_wedge(r_x, r_y, n), n)
+    return any(not is_zero_mod_quadric(m) for m in minors.values())
 
 
 def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:

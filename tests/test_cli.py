@@ -255,6 +255,24 @@ def test_fol_invariant_surface_from_file(tmp_path, capsys):
     assert code == 0 and "invariant: True" in out
 
 
+@pytest.mark.parametrize("schema", ["2", 1])
+def test_fol_invariant_surface_with_a_wrong_schema_exits_2(tmp_path, capsys, schema):
+    # such a surface file was read as schema "1" and exited 0
+    from adjvar.folforms import builtin_affine
+
+    surface = builtin_affine(2)[1].to_json()
+    surface["schema"] = schema
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    with pytest.raises(SystemExit) as info:
+        main(["fol", "invariant", "--builtin", "affine", "--surface", str(path),
+              "--json"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read surface {str(path)!r}")
+    assert f"surface schema {schema!r} is not '1'" in err
+
+
 @pytest.mark.parametrize(
     "extra", [["--samples", "0"], ["--height-bound", "0"], ["--n", "1"]]
 )

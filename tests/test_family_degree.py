@@ -1,11 +1,14 @@
 """``family_degree`` against ``tangency_degree`` on seeded lines.
 
 ``family_degree`` decides whether the general line of a family lies in a
-leaf by the minors of (moving block, fixed point) modulo q.
-``tangency_degree`` decides one given line exactly.  So a -inf family answer
+leaf by the minors of (moving block, fixed point) modulo q, which it takes
+as components of a wedge with dq; ``minors_reference`` builds the same
+minors by hand.  ``tangency_degree`` decides one given line exactly.  So a -inf family answer
 means every line gives -inf, and otherwise no line gives anything but
 d - 2 or -inf, and a random line gives d - 2.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +24,30 @@ BUILTIN_CASES = [(name, n) for name in _BUILTIN_FORMS for n in (2, 3, 4)
                  if n == 2 or name not in ("affine", "torus")]
 
 
+def minors_reference(omega, family):
+    """family_degree from the 2 x 2 minors omega_{y_i} x_j - omega_{y_j} x_i
+    (family 2: omega_{x_i} y_j - omega_{x_j} y_i), each a product of
+    polynomials reduced modulo q."""
+    n = omega.n
+    numerics = ff.foliation_numerics(omega.bidegree, n)
+    if family == 1:
+        block, fixed, degree = omega.coeffs[n + 1 :], BiPoly.x, numerics.deg_H1
+    else:
+        block, fixed, degree = omega.coeffs[: n + 1], BiPoly.y, numerics.deg_H2
+    for i, j in combinations(range(n + 1), 2):
+        if not is_zero_mod_quadric(block[i] * fixed(n, j) - block[j] * fixed(n, i)):
+            return degree
+    return MINUS_INFINITY
+
+
 def check_against_lines(omega, seed, lines=5):
-    """family_degree(omega, f) for f = 1, 2 against ``lines`` seeded lines."""
+    """family_degree(omega, f) for f = 1, 2 against ``minors_reference`` and
+    ``lines`` seeded lines."""
     sampler = FolSampler(omega.n, seed=seed, height=5)
     answers = []
     for family in (1, 2):
         answer = family_degree(omega, family)
+        assert answer == minors_reference(omega, family)
         seen = [tangency_degree(omega, sampler.line(family)) for _ in range(lines)]
         if answer is MINUS_INFINITY:
             assert all(v is MINUS_INFINITY for v in seen), (family, seen)

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -668,6 +669,57 @@ def test_fields_dependent_modulo_the_euler_fields_rejected():
         foliation_from_fields(t, shifted)
 
 
+def laplace_det(matrix, n):
+    """Determinant of a square matrix of polynomials, by expansion along the
+    first row."""
+    if not matrix:
+        return BiPoly.const(n, 1)
+    out = BiPoly.zero(n)
+    for j, a in enumerate(matrix[0]):
+        if not a.is_zero:
+            minor = a * laplace_det([row[:j] + row[j + 1:] for row in matrix[1:]], n)
+            out = out + minor if j % 2 == 0 else out - minor
+    return out
+
+
+def independent_reference(v1, v2):
+    """Is some 4 x 4 minor of the matrix (v1, v2, R_x, R_y) outside (q)?"""
+    n = v1[0].n
+    zero = BiPoly.zero(n)
+    matrix = [list(v1), list(v2),
+              [BiPoly.x(n, i) for i in range(n + 1)] + [zero] * (n + 1),
+              [zero] * (n + 1) + [BiPoly.y(n, j) for j in range(n + 1)]]
+    return any(
+        not is_zero_mod_quadric(laplace_det([[row[k] for k in cols] for row in matrix], n))
+        for cols in combinations(range(2 * n + 2), 4)
+    )
+
+
+def seeded_field_pairs(n, seed):
+    """Integer linear-field pairs: two drawn matrices, and B = cA + dI, whose
+    field is c v_A + d (R_x - R_y), so the four values at every point are
+    dependent and the symbolic minors decide."""
+    rng = random.Random(seed)
+    draw = lambda: [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(n + 1)]
+    pairs = []
+    for _ in range(3):
+        a, b = draw(), draw()
+        c, d = rng.randint(-3, 3), rng.randint(1, 3)
+        dependent = [[c * a[i][j] + d * (i == j) for j in range(n + 1)]
+                     for i in range(n + 1)]
+        pairs += [(a, b), (a, dependent)]
+    return [tuple(linear_field(m, n) for m in pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("n,seed", [(2, 1), (2, 2), (3, 3)])
+def test_fields_independent_matches_the_laplace_minors(n, seed):
+    answers = []
+    for v1, v2 in seeded_field_pairs(n, seed):
+        answers.append(_fields_independent(v1, v2))
+        assert answers[-1] == independent_reference(v1, v2)
+    assert answers[1::2] == [False] * 3
+
+
 def test_fields_independent_off_the_fixed_point():
     # v2 vanishes at the fixed point of X, so the four values there are
     # dependent and the symbolic minors decide
@@ -677,8 +729,8 @@ def test_fields_independent_off_the_fixed_point():
     h = x(0) * px[1] - x(1) * px[0]  # zero at the fixed point
     v2 = tuple(c * h for c in t)
     assert all(c.eval_point(px, py) == 0 for c in v2)
-    assert _fields_independent(e, v2)
-    assert not _fields_independent(t, v2)
+    assert _fields_independent(e, v2) and independent_reference(e, v2)
+    assert not _fields_independent(t, v2) and not independent_reference(t, v2)
 
 
 def test_linear_field_rejects_bad_matrices():
