@@ -559,6 +559,27 @@ DEGREE_DIGESTS = {
     ("affine", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
     ("torus", 2): "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
 }
+# sha256 of the stdout of `adjvar fol check-integrable --builtin B --n N --json`,
+# at every n <= 4 where the builtin exists
+CHECK_DIGESTS = {
+    ("pencil", 1): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("pencil", 2): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("pencil", 3): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("pencil", 4): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("log4", 1): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("log4", 2): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("log4", 3): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("log4", 4): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("pullback-d0", 1): "ac95f418a3bff31a3338f2660fa9abdceac053d07f9c67b524376f1ad8b052bb",
+    ("pullback-d0", 2): "ac95f418a3bff31a3338f2660fa9abdceac053d07f9c67b524376f1ad8b052bb",
+    ("pullback-d0", 3): "ac95f418a3bff31a3338f2660fa9abdceac053d07f9c67b524376f1ad8b052bb",
+    ("pullback-d0", 4): "ac95f418a3bff31a3338f2660fa9abdceac053d07f9c67b524376f1ad8b052bb",
+    ("pullback-d1", 2): "cb4c8757278a52aa630ad960ee05655f300cfb8f57cdaf1afc16da03e4d12886",
+    ("pullback-d1", 3): "cb4c8757278a52aa630ad960ee05655f300cfb8f57cdaf1afc16da03e4d12886",
+    ("pullback-d1", 4): "cb4c8757278a52aa630ad960ee05655f300cfb8f57cdaf1afc16da03e4d12886",
+    ("affine", 2): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("torus", 2): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+}
 TABLE_DIGEST = "1c27316b0fd4ec9cae9ab83ef1d360df98847ff0c3ee9ba96cd2f0a66749abba"
 
 
@@ -579,6 +600,13 @@ def test_fol_degree_output_is_pinned(capsys, builtin, n):
     digest = stdout_digest(capsys, "fol", "degree", "--builtin", builtin, "--n", str(n),
                            "--json")
     assert digest == DEGREE_DIGESTS[builtin, n]
+
+
+@pytest.mark.parametrize("builtin,n", sorted(CHECK_DIGESTS))
+def test_fol_check_integrable_output_is_pinned(capsys, builtin, n):
+    digest = stdout_digest(capsys, "fol", "check-integrable", "--builtin", builtin,
+                           "--n", str(n), "--json")
+    assert digest == CHECK_DIGESTS[builtin, n]
 
 
 def test_adjoint_table_output_is_pinned(capsys):
