@@ -195,35 +195,41 @@ def _max_exponent(form: dict) -> int:
 
 
 def form_wedge(f: dict, g: dict, n: int) -> dict:
-    """Wedge product, each output coefficient summed in one
-    {monomial: coefficient} dict over all pairs of input terms.
+    """Wedge product f ^ g (see ``_wedge_sum``)."""
+    return _wedge_sum(((f, g),), n)
+
+
+def _wedge_sum(pairs, n: int) -> dict:
+    """The sum of the wedge products f ^ g over a sequence of pairs (f, g),
+    each output coefficient summed in one {monomial: coefficient} dict over
+    all pairs of input terms, so only the nonzero sums are unpacked.
 
     Each exponent tuple is packed into one int with a 16-bit big-endian slot
     per variable, x_0 most significant, so a product of monomials is one
-    integer addition; only the nonzero sums are unpacked.  A slot must not
-    carry, so the largest exponents of f and g must sum to less than 2^16,
-    else ValueError."""
-    top = _max_exponent(f) + _max_exponent(g)
+    integer addition.  A slot must not carry, so in each pair the largest
+    exponents of f and g must sum to less than 2^16, else ValueError."""
+    top = max(_max_exponent(f) + _max_exponent(g) for f, g in pairs)
     if top >= EXPONENT_BOUND:
         raise ValueError(
             f"exponent sum {top} does not fit the 16-bit packed monomial slots"
         )
     unit = struct.Struct(f">{2 * n + 2}H")
-    fp, gp = _packed_components(f, unit), _packed_components(g, unit)
     acc: dict = {}  # key of dz_I ^ dz_J -> {packed monomial: coefficient}
-    for ikey, iterms in fp.items():
-        for jkey, jterms in gp.items():
-            m = _merge_wedge(ikey, jkey)
-            if m is None:
-                continue
-            sign, key = m
-            terms = acc.setdefault(key, {})
-            get = terms.get
-            for pa, ca in iterms:
-                ca *= sign
-                for pb, cb in jterms:
-                    mono = pa + pb
-                    terms[mono] = get(mono, 0) + ca * cb
+    for f, g in pairs:
+        fp, gp = _packed_components(f, unit), _packed_components(g, unit)
+        for ikey, iterms in fp.items():
+            for jkey, jterms in gp.items():
+                m = _merge_wedge(ikey, jkey)
+                if m is None:
+                    continue
+                sign, key = m
+                terms = acc.setdefault(key, {})
+                get = terms.get
+                for pa, ca in iterms:
+                    ca *= sign
+                    for pb, cb in jterms:
+                        mono = pa + pb
+                        terms[mono] = get(mono, 0) + ca * cb
     unpack, width = unit.unpack, unit.size
     return _collect(
         {key: {unpack(m.to_bytes(width, "big")): c for m, c in sums.items() if c}
@@ -259,9 +265,20 @@ def _collect(acc: dict, n: int) -> dict:
 def _integral(form: dict) -> dict:
     """The form dict times the lcm of its coefficient denominators, so every
     coefficient is an int.  The predicates are scale-invariant, so their
-    symbolic tests run on this multiple and multiply only ints."""
-    den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()))
-    return {k: p * den for k, p in form.items()} if den > 1 else form
+    symbolic tests run on this multiple and multiply only ints.  Each
+    coefficient is scaled in ints; no Fraction is multiplied."""
+    den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()
+                if type(c) is Fraction))
+    if den == 1:
+        return form
+    return {
+        k: BiPoly._trusted(p.n, {
+            mono: c.numerator * (den // c.denominator) if type(c) is Fraction
+            else c * den
+            for mono, c in p.terms.items()
+        })
+        for k, p in form.items()
+    }
 
 
 def _euler_reduced(form: dict, n: int) -> dict:
@@ -396,10 +413,32 @@ def integrable(omega: PolyOneForm) -> bool:
 
 
 def _dq_wedge_in_q(a: dict, b: dict, n: int) -> bool:
-    """Is dq ^ a ^ b in (q)?  a and b are Euler-reduced form dicts, and so is
-    the 4- or 3-form tested (``_euler_reduced``).  a ^ b is built first, so
-    an empty product, as for every logarithmic form, costs one wedge."""
-    ab = form_wedge(a, b, n)
+    """Is dq ^ a ^ b in (q)?  a is an Euler-reduced 1-form dict and b an
+    Euler-reduced form dict, and so is the 4- or 3-form tested
+    (``_euler_reduced``).
+
+    The components of a ^ b through one index i come first.  Since a is a
+    1-form, a ^ a ^ b = 0; contracting with d/dz_i gives
+    a_i (a ^ b) = a ^ i_{d/dz_i}(a ^ b), which on a key K without i reads
+    a_i (a ^ b)_K = sum_{j in K} +-a_j (a ^ b)_{K - j + i}, every term on the
+    right passing through i (and reduced when K and i are).  (q) is prime, so
+    if a_i is not in (q) and every component through i is, all of a ^ b is
+    in (q) and the answer is True.  If every a_i is in (q), so is a ^ b.
+    Otherwise the components without i, a_rest ^ b_rest, complete a ^ b
+    (their keys are disjoint from those through i) and dq ^ a ^ b is tested
+    in full, so no product is computed twice."""
+    i = next((k for k, p in a.items() if not is_zero_mod_quadric(p)), None)
+    if i is None:
+        return True
+    (v,) = i
+    a_rest = {k: p for k, p in a.items() if k != i}
+    b_i = {k: p for k, p in b.items() if v in k}
+    b_rest = {k: p for k, p in b.items() if v not in k}
+    # a ^ b through i is a_rest ^ b_i + a_i dz_i ^ b_rest, in one accumulator
+    through = _wedge_sum(((a_rest, b_i), ({i: a[i]}, b_rest)), n)
+    if all(is_zero_mod_quadric(c) for c in through.values()):
+        return True
+    ab = {**through, **form_wedge(a_rest, b_rest, n)}
     dq_ab = form_wedge(_euler_reduced(dq_form(n), n), ab, n)
     return all(is_zero_mod_quadric(c) for c in dq_ab.values())
 
