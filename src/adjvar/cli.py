@@ -214,18 +214,19 @@ def cmd_fol(args) -> int:
         return 0
 
     # "invariant", the last of the subcommands argparse admits
-    surface = _parse_surface(args)
+    surface = _parse_surface(args, form.n)
     ok = ff.is_invariant(form, surface)
     data = {"invariant": ok, "surface_bidegree": list(surface.bidegree())}
     _emit(data, args.json, [f"invariant: {ok}"])
     return 0 if ok else 1
 
 
-def _parse_surface(args) -> ff.BiPoly:
+def _parse_surface(args, n: int) -> ff.BiPoly:
+    """The --surface polynomial; the conics are built on the form's P^n x P^n."""
     if not args.surface:
         raise _input_error("provide --surface conic-x|conic-y|FILE")
     if args.surface in ("conic-x", "conic-y"):
-        f1, f2 = ff._affine_conics(args.n)
+        f1, f2 = ff._affine_conics(n)
         return f1 if args.surface == "conic-x" else f2
     try:
         with open(args.surface) as fh:

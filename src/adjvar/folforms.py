@@ -17,11 +17,13 @@ when a form is scaled, so their symbolic tests clear denominators first and
 multiply only ints.  Integrability and proportionality share one test,
 dq ^ a ^ b in (q), run on the wedge components free of x_0 and y_0 only: both
 Euler fields annihilate those wedges modulo q, so the other components follow
-(``_euler_reduced``).  ``integrable``, ``is_invariant`` and ``same_foliation``
-first evaluate their form at an integer point of X (``witness``): a nonzero
-value proves False exactly, and every True answer comes from the symbolic
-test.  Pencils, pullbacks and ``log4`` are built by ``log_form``; the affine
-and torus foliations by ``foliation_from_fields`` from pairs of vector fields.
+(``_euler_reduced``).  As a is a 1-form, the components of a ^ b through one
+index i with a_i not in (q) decide a True answer (``_dq_wedge_in_q``).
+``integrable``, ``is_invariant`` and ``same_foliation`` first evaluate their
+form at an integer point of X (``witness``): a nonzero value proves False
+exactly, and every True answer comes from the symbolic test.  Pencils,
+pullbacks and ``log4`` are built by ``log_form``; the affine and torus
+foliations by ``foliation_from_fields`` from pairs of vector fields.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _merge_wedge(i_tuple, j_tuple):
 
 def _packed_components(form: dict, unit) -> dict:
     """{index key: [(packed monomial, coefficient), ...]} of a form dict, each
-    exponent tuple packed by ``unit`` into one int (see ``form_wedge``)."""
+    exponent tuple packed by ``unit`` into one int (see ``_wedge_sum``)."""
     from_bytes = int.from_bytes
     pack = unit.pack
     return {
@@ -266,19 +268,14 @@ def _integral(form: dict) -> dict:
     """The form dict times the lcm of its coefficient denominators, so every
     coefficient is an int.  The predicates are scale-invariant, so their
     symbolic tests run on this multiple and multiply only ints.  Each
-    coefficient is scaled in ints; no Fraction is multiplied."""
+    coefficient is scaled in ints (an int c has c.denominator == 1)."""
     den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()
                 if type(c) is Fraction))
     if den == 1:
         return form
-    return {
-        k: BiPoly._trusted(p.n, {
-            mono: c.numerator * (den // c.denominator) if type(c) is Fraction
-            else c * den
-            for mono, c in p.terms.items()
-        })
-        for k, p in form.items()
-    }
+    return {k: BiPoly._trusted(p.n, {m: c.numerator * (den // c.denominator)
+                                     for m, c in p.terms.items()})
+            for k, p in form.items()}
 
 
 def _euler_reduced(form: dict, n: int) -> dict:
@@ -414,19 +411,17 @@ def integrable(omega: PolyOneForm) -> bool:
 
 def _dq_wedge_in_q(a: dict, b: dict, n: int) -> bool:
     """Is dq ^ a ^ b in (q)?  a is an Euler-reduced 1-form dict and b an
-    Euler-reduced form dict, and so is the 4- or 3-form tested
+    Euler-reduced form dict, so the 4- or 3-form tested is reduced too
     (``_euler_reduced``).
 
-    The components of a ^ b through one index i come first.  Since a is a
-    1-form, a ^ a ^ b = 0; contracting with d/dz_i gives
-    a_i (a ^ b) = a ^ i_{d/dz_i}(a ^ b), which on a key K without i reads
-    a_i (a ^ b)_K = sum_{j in K} +-a_j (a ^ b)_{K - j + i}, every term on the
-    right passing through i (and reduced when K and i are).  (q) is prime, so
-    if a_i is not in (q) and every component through i is, all of a ^ b is
-    in (q) and the answer is True.  If every a_i is in (q), so is a ^ b.
-    Otherwise the components without i, a_rest ^ b_rest, complete a ^ b
-    (their keys are disjoint from those through i) and dq ^ a ^ b is tested
-    in full, so no product is computed twice."""
+    As a ^ a ^ b = 0, contracting with d/dz_i gives
+    a_i (a ^ b) = a ^ i_{d/dz_i}(a ^ b): on a key K without i,
+    a_i (a ^ b)_K = sum_{j in K} +-a_j (a ^ b)_{K - j + i}, and every term on
+    the right passes through i.  (q) is prime, so if a_i is not in (q) and
+    every component through i is, all of a ^ b is in (q): True.  If every a_i
+    is in (q), so is a ^ b.  Otherwise a_rest ^ b_rest, whose keys avoid i,
+    completes a ^ b and dq ^ a ^ b is tested in full; no product is computed
+    twice."""
     i = next((k for k, p in a.items() if not is_zero_mod_quadric(p)), None)
     if i is None:
         return True

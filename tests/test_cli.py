@@ -511,6 +511,20 @@ def test_fol_conics_on_the_pencil_at_n_3(capsys, surface, bidegree):
                                "surface_bidegree": bidegree}
 
 
+@pytest.mark.parametrize("surface,bidegree", [("conic-x", [2, 0]), ("conic-y", [0, 2])])
+def test_fol_conics_take_the_n_of_a_form_file(tmp_path, capsys, surface, bidegree):
+    # --n sizes builtins only; the conics were built at the default --n 2 and
+    # the command exited 2 on a P^3 x P^3 form
+    path = tmp_path / "p3.json"
+    assert run(capsys, "fol", "build", "--builtin", "pencil", "--n", "3",
+               "--output", str(path))[0] == 0
+    code, out, err = run(capsys, "fol", "invariant", "--input", str(path),
+                         "--surface", surface, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"invariant": False, "schema": "1",
+                               "surface_bidegree": bidegree}
+
+
 @pytest.mark.parametrize("surface", ["conic-x", "conic-y"])
 def test_fol_conics_at_n_1_exit_2(capsys, surface):
     code, out, err = run(capsys, "fol", "invariant", "--builtin", "pencil", "--n", "1",
