@@ -78,7 +78,8 @@ BUILTINS = (
 )
 
 
-@pytest.mark.parametrize("name,n,make", BUILTINS, ids=[f"{b}-{n}" for b, n, _ in BUILTINS])
+@pytest.mark.parametrize("name,n,make", BUILTINS,
+                         ids=[f"{b}-{n}" for b, n, _ in BUILTINS])
 def test_builtins_agree_with_the_full_route(name, n, make):
     assert check_integrable(make(n))
 
@@ -208,8 +209,9 @@ def test_the_completion_unions_disjoint_keys_into_the_whole_product(spy, omega):
     assert ff._dq_wedge_in_q(w, dw, n)
     # form_wedge runs through the spied _wedge_sum, so each of its calls
     # shows as a one-pair sum, then the wedge
-    assert [c[:2] for c in spy if c[0] == "sum"] == [("sum", 2), ("sum", 1), ("sum", 1)]
-    (_, a_rest, b_rest, rest), (_, dq, ab, _) = [c for c in spy if c[0] == "wedge"]
+    sums = [c[:2] for c in spy if c[0] == "sum"]
+    assert sums == [("sum", 2), ("sum", 1), ("sum", 1)]
+    (_, a_rest, b_rest, rest), (_, _, ab, _) = [c for c in spy if c[0] == "wedge"]
     through = spy[0][2]
     (i,) = next(k for k, p in w.items() if not is_zero_mod_quadric(p))
     assert (i,) not in a_rest and all(i not in k for k in b_rest)
@@ -231,7 +233,8 @@ def random_form(rng, n, degree):
             mono = [0] * (2 * n + 2)
             for _ in range(degree):
                 mono[rng.randrange(2 * n + 2)] += 1
-            terms[tuple(mono)] = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)])
+            c = rng.randint(-5, 5)
+            terms[tuple(mono)] = rng.choice([c, Fraction(c, 3)])
         p = BiPoly(n, terms)
         if not p.is_zero:
             form[key] = p
