@@ -11,8 +11,10 @@ in (q) after wedging with dq where the conormal direction matters, i.e.
 
 each of which is implied by the corresponding ambient identity.  Membership
 in (q) is decided by the normal form modulo q; membership in (F, q) on the
-two charts x_0 != 0 and y_0 != 0, each by the normal form and one exact
-single-divisor division in a polynomial ring.  The predicates do not change
+two charts x_0 != 0 and y_0 != 0, each by the normal form and exact
+single-divisor divisions in a polynomial ring, on the components of
+dq ^ dF ^ omega free of the chart's coordinate only (the Euler field of its
+factor gives the others modulo (F, q)).  The predicates do not change
 when a form is scaled, so their symbolic tests clear denominators first and
 multiply only ints.  Integrability and proportionality share one test,
 dq ^ a ^ b in (q), run on the wedge components free of x_0 and y_0 only: both
@@ -21,9 +23,12 @@ Euler fields annihilate those wedges modulo q, so the other components follow
 index i with a_i not in (q) decide a True answer (``_dq_wedge_in_q``).
 ``integrable``, ``is_invariant`` and ``same_foliation`` first evaluate their
 form at an integer point of X (``witness``): a nonzero value proves False
-exactly, and every True answer comes from the symbolic test.  Pencils,
-pullbacks and ``log4`` are built by ``log_form``; the affine and torus
-foliations by ``foliation_from_fields`` from pairs of vector fields.
+exactly, and every True answer comes from the symbolic test.  Likewise
+``has_divisorial_singularities`` rules out a coordinate section V(z) ^ X by
+one nonzero coefficient value at an integer point of it, and divides by z
+modulo q only when every value there is 0.  Pencils, pullbacks and ``log4``
+are built by ``log_form``; the affine and torus foliations by
+``foliation_from_fields`` from pairs of vector fields.
 """
 
 from __future__ import annotations
@@ -71,10 +76,16 @@ class _MinusInfinity:
         return "-inf"
 
     def __lt__(self, other):
-        return not isinstance(other, _MinusInfinity)
+        return other is not self
+
+    def __le__(self, other):
+        return True
 
     def __gt__(self, other):
         return False
+
+    def __ge__(self, other):
+        return other is self
 
 
 MINUS_INFINITY = _MinusInfinity()
@@ -469,8 +480,9 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
     the conormal of V(F) ^ X is spanned by dF and dq, so invariance says
     omega lies in that span.  The ambient identity omega ^ dF = 0 (mod F, q)
     implies this.  Membership is decided on the two charts x_0 != 0 and
-    y_0 != 0, each by one exact division of chart images
-    (``_is_invariant_symbolic`` has the proof that two charts suffice).
+    y_0 != 0, each by exact divisions of chart images of the components of
+    dq ^ dF ^ omega free of that chart's coordinate
+    (``_is_invariant_symbolic`` has the proof that these suffice).
 
     A nonzero constant F raises ``ValueError``: V(F) ^ X is empty.  At n = 1,
     X is a curve, every point of it is a leaf, and every V(F) ^ X with F
@@ -491,33 +503,43 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
 
 
 def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
-    # The whole wedge, not ``_euler_reduced``: here eta is tested in (F, q),
-    # which need not be prime, and x_0 eta in it does not give eta in it when
-    # V(F) ^ X has a component inside {x_0 = 0} (likewise y_0).  For F = x_0
-    # the reduced test would answer True.
-    #
-    # Two charts decide g in (F, q).  q is prime and F is not in (q), so
-    # (F, q) is a complete intersection, and complete intersections are
-    # unmixed: every associated prime has height 2 (Matsumura, Commutative
-    # Ring Theory, Thm 17.4).  (x_0, y_0, q) has height 3 for n >= 1, so no
-    # associated prime contains both x_0 and y_0, and g lies in (F, q) iff it
-    # does after inverting x_0 and after inverting y_0.  On the chart
-    # x_0 != 0 the ring modulo q is a localization of the polynomial ring
-    # without y_0, a UFD, so membership is divisibility of chart images.
+    """Is eta = dq ^ dF ^ omega in (F, q)?  Decided on the charts x_0 != 0
+    and y_0 != 0, each on the components of eta free of its coordinate.
+
+    Two charts decide g in (F, q).  q is prime and F is not in (q), so
+    (F, q) is a complete intersection, and complete intersections are
+    unmixed: every associated prime has height 2 (Matsumura, Commutative
+    Ring Theory, Thm 17.4).  (x_0, y_0, q) has height 3 for n >= 1, so no
+    associated prime contains both x_0 and y_0, and g lies in (F, q) iff it
+    does after inverting x_0 and after inverting y_0.  On the chart
+    x_0 != 0 the ring modulo q is a localization of the polynomial ring
+    without y_0, a UFD, so membership is divisibility of chart images.
+
+    Let R be the Euler field of x and d the x-degree of F.  As i_R dq = q,
+    i_R dF = d F and i_R omega = 0, i_R eta = q dF ^ omega - d F dq ^ omega,
+    which is 0 modulo (F, q).  Read along dz_J, J free of x_0, this gives
+    x_0 eta_{0J} = -sum_{i>=1} +-x_i eta_{iJ} modulo (F, q), and x_0 is a
+    unit on its chart, so there the components free of x_0 decide; likewise
+    y_0 with the Euler field of y.  This is not ``_euler_reduced``: each
+    rule needs its own coordinate inverted, and (F, q) need not be prime, so
+    the components free of both x_0 and y_0 would answer True for F = x_0.
+    A component free of the chart's coordinate comes only from such
+    components of the factors, so each factor is reduced before the wedge.
+    """
     n = omega.n
     f = _integral({(): f})[()]
     charts = (0, n + 1)  # x_0 and y_0
     f_images = [_chart_image(f, chart) for chart in charts]
     if not all(f_images):
         raise ValueError("F lies in the ideal of X")
-    three = form_wedge(
-        form_wedge(dq_form(n), form_d({(): f}, n), n), _integral(omega.as_dict()), n
-    )
-    return all(
-        poly_divexact(_chart_image(g, chart), f_image) is not None
-        for chart, f_image in zip(charts, f_images)
-        for g in three.values()
-    )
+    factors = (dq_form(n), form_d({(): f}, n), _integral(omega.as_dict()))
+    for chart, f_image in zip(charts, f_images):
+        dq, df, w = ({k: p for k, p in g.items() if chart not in k} for g in factors)
+        three = form_wedge(form_wedge(dq, df, n), w, n)
+        if any(poly_divexact(_chart_image(c, chart), f_image) is None
+               for c in three.values()):
+            return False
+    return True
 
 
 def has_divisorial_singularities(omega: PolyOneForm) -> bool:
@@ -526,17 +548,25 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
 
     True means that every coefficient vanishes on one coordinate section
     V(z) ^ X (tested modulo q), or that the coefficients share an ambient
-    factor.  A form in (q), zero on X, passes the coordinate test, since
-    (q) lies in every (z, q), and so never reaches the gcd.  The gcd half
-    of a False answer is proved: ``poly_gcd_list`` answers 1 for the whole
-    coefficient list by its mod-p certificate, or else by the exact PRS.  A
-    divisor V(h) ^ X with h neither a coordinate nor a common factor of the
-    coefficients is still missed: the coefficients can lie in (h, q) with
-    ambient gcd 1, and the answer is then False.
+    factor.  For each coordinate z_v the coefficients are first evaluated,
+    in ints, at the point ``witness.coordinate_section_point(n, v)`` of
+    V(z_v) ^ X: every polynomial in (z_v, q) vanishes there, so one nonzero
+    value proves that z_v fails.  Only when all vanish does the exact
+    division by z_v modulo q decide.  A form in (q), zero on X, passes the
+    coordinate test, since (q) lies in every (z, q), and so never reaches
+    the gcd.  The gcd half of a False answer is proved: ``poly_gcd_list``
+    answers 1 for the whole coefficient list by its mod-p certificate, or
+    else by the exact PRS.  A divisor V(h) ^ X with h neither a coordinate
+    nor a common factor of the coefficients is still missed: the
+    coefficients can lie in (h, q) with ambient gcd 1, and the answer is
+    then False.
     """
     n = omega.n
     coeffs = list(_integral(omega.as_dict()).values())
     for v in range(2 * (n + 1)):
+        x, y = witness.coordinate_section_point(n, v)
+        if any(c.eval_point(x, y) for c in coeffs):
+            continue
         if all(divide_by_var_mod_quadric(c, v) is not None for c in coeffs):
             return True
     return bool(used_vars(poly_gcd_list(coeffs)))

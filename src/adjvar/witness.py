@@ -12,6 +12,11 @@ integer vectors, in Python ints only:
 * ``invariance_witness``: dq ^ dF ^ omega on three vectors, at a point of
   V(F) ^ X found by solving F = q = 0 as two linear equations.
 
+``coordinate_section_point`` gives, for each coordinate z_v, a fixed integer
+point of X with z_v = 0.  Every polynomial in (z_v, q) vanishes there, so
+``has_divisorial_singularities`` rules out the coordinate section V(z_v) ^ X
+by one nonzero coefficient value, before any division.
+
 Coefficients are scaled by one common denominator den per polynomial
 family, and gradients by the product P of the point's coordinates.  Each
 polynomial p is summed once over its terms, into its value and into one
@@ -73,6 +78,28 @@ def _frame(n: int):
 def fixed_point(n: int):
     """The frame's integer point (x, y) of X, with no zero coordinate."""
     return _frame(n)[:2]
+
+
+@lru_cache(maxsize=None)
+def coordinate_section_point(n: int, v: int):
+    """An integer point (x, y) of X with z_v = 0, z_v the flat coordinate v
+    (x_v for v <= n, else y_{v-n-1}), built from ``fixed_point(n)``.
+
+    Let s be the factor of z_v = s_a and w the other one.  With s_a set to 0,
+    w becomes s_b * w with w_b replaced by s_b w_b + s_a w_a, for the first
+    b != a where that is nonzero; then sum_{i != a} s_i w'_i = s_b * q = 0.
+    For n >= 2 such a b exists, as these n values sum to (n - 1) s_a w_a, so
+    z_v is the only zero coordinate.  At n = 1, V(z_v) ^ X is one point and
+    w_b = 0 there."""
+    x, y = fixed_point(n)
+    a = v if v <= n else v - n - 1
+    s, w = (list(x), y) if v <= n else (list(y), x)
+    others = [b for b in range(n + 1) if b != a]
+    b = next((b for b in others if s[b] * w[b] + s[a] * w[a]), others[0])
+    moved = [s[b] * t for t in w]
+    moved[b] = s[b] * w[b] + s[a] * w[a]
+    s[a] = 0
+    return (tuple(s), tuple(moved)) if v <= n else (tuple(moved), tuple(s))
 
 
 def _on(covector, u) -> int:

@@ -163,6 +163,19 @@ def test_fol_check_integrable_exit_codes(capsys):
     assert code == 0 and "integrable: True" in out
 
 
+def test_fol_check_integrable_on_a_coordinate_divisor_is_not_saturated(tmp_path, capsys):
+    # x_1 times the pencil is integrable, and it vanishes on V(x_1) ^ X
+    from adjvar.folforms import BiPoly, PolyOneForm, builtin_pencil
+
+    pencil = builtin_pencil(2)
+    form = PolyOneForm(2, [BiPoly.x(2, 1) * c for c in pencil.coeffs])
+    path = tmp_path / "x1pencil.json"
+    path.write_text(json.dumps(form.to_json()))
+    code, out, _ = run(capsys, "fol", "check-integrable", "--input", str(path), "--json")
+    assert code == 0
+    assert '"integrable": true, "saturated": false' in out
+
+
 def test_fol_corrupted_input(tmp_path, capsys):
     bad = tmp_path / "form.json"
     bad.write_text("{not valid json")

@@ -217,6 +217,15 @@ def test_pullback_of_surface_form_is_integrable():
 # -- tangency degrees --------------------------------------------------------
 
 
+def test_minus_infinity_compares_below_every_integer():
+    m = MINUS_INFINITY
+    for k in (-(10**30), -1, 0, 7):
+        assert m < k and m <= k and not m > k and not m >= k
+        assert k > m and k >= m and not k < m and not k <= m
+    assert m <= m and m >= m and not m < m and not m > m
+    assert sorted([2, m, -1]) == [m, -1, 2] and max([m, -5]) == -5
+
+
 def test_line_lies_on_x():
     s = FolSampler(3, seed=1)
     for family in (1, 2):
