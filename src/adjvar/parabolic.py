@@ -2,19 +2,20 @@
 bundle-weight tests, branching to (Levi x center), and nilradical counting.
 
 Only maximal parabolics (a single marked node) are supported: every variety
-in scope is G/P(alpha) for one marked simple root.  The Levi components are
-identified by exhaustive matching of the induced Cartan matrix against the
-Bourbaki data of each candidate type, so node maps provably preserve edge
-multiplicities and arrow orientations.
+in scope is G/P(alpha) for one marked simple root.  Each Levi component is
+identified by a search for the lexicographically first ordering of its nodes
+whose induced Cartan matrix is the Bourbaki matrix of a type of its rank, so
+node maps preserve edge multiplicities and arrow orientations by
+construction.  No library computation uses the identification: the Levi is
+its node set, ``MarkedDatum.levi_nodes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from .rootsystem import InvalidTypeError, RootDatum, Weight, build_datum
+from .rootsystem import _VALID_RANKS, RootDatum, Weight, _cartan_matrix, build_datum
 
 
 @dataclass(frozen=True)
@@ -83,72 +84,59 @@ def _connected_components(cartan, nodes):
     return comps
 
 
-def _candidate_orderings(cartan, comp):
-    """All node orderings compatible with the shape of the sub-diagram."""
-    r = len(comp)
-    if r == 1:
-        return [tuple(comp)]
-    adj = {
-        i: [j for j in comp if j != i and cartan[i - 1][j - 1] != 0] for i in comp
-    }
-    degrees = {i: len(adj[i]) for i in comp}
-    branch = [i for i in comp if degrees[i] == 3]
-    if any(degrees[i] > 3 for i in comp):
-        raise ValueError("node of degree > 3 in a Dynkin diagram")
+@lru_cache(maxsize=None)
+def _bourbaki_targets(r):
+    """(letter, sorted degrees, steps) per simple type of rank r: steps[k] is
+    local node k's degree and its entries (C[k][j], C[j][k]) for each j < k."""
+    targets = []
+    for letter, valid in _VALID_RANKS.items():
+        if valid(r):
+            c = _cartan_matrix(letter, r)
+            steps = [(r - c[k].count(0) - 1, [(c[k][j], c[j][k]) for j in range(k)])
+                     for k in range(r)]
+            targets.append((letter, sorted(d for d, _ in steps), steps))
+    return targets
 
-    def walk(start, first):
-        path = [start, first]
-        while True:
-            nxt = [j for j in adj[path[-1]] if j != path[-2]]
-            if not nxt:
-                return path
-            if len(nxt) > 1:
-                raise ValueError("unexpected branch while walking an arm")
-            path.append(nxt[0])
 
-    if not branch:
-        ends = sorted(i for i in comp if degrees[i] == 1)
-        return [tuple(walk(e, adj[e][0])) for e in ends]
+def _lex_first_ordering(links, degree, steps):
+    """Lexicographically first ordering of the ascending nodes of ``links``
+    ({i: {j: (C[i][j], C[j][i])}}) that follows ``steps``, or None: each
+    local node in turn takes the smallest free node of its degree whose
+    entries with every placed node match, backtracking on a dead end."""
+    placed = []
 
-    b = branch[0]
-    arms = [walk(b, first)[1:] for first in adj[b]]  # each from near to far
-    orderings = []
-    for arm1, arm2, arm3 in permutations(arms):
-        # D shape: arm1 is the long tail (locals 1..r-3 far to near),
-        # arm2/arm3 the two fork nodes (locals r-1, r)
-        if len(arm2) == 1 and len(arm3) == 1 and len(arm1) == r - 3:
-            orderings.append(tuple(arm1[::-1] + [b] + arm2 + arm3))
-        # E shape: arm2 the length-1 arm (local 2), arm1 of length 2
-        # (locals 3,1 near to far), arm3 the tail (locals 5,6,...)
-        if len(arm2) == 1 and len(arm1) == 2 and len(arm3) == r - 4 and r >= 6:
-            orderings.append(
-                tuple([arm1[1], arm2[0], arm1[0], b] + arm3)
-            )
-    return orderings
+    def place(k):
+        if k == len(steps):
+            return True
+        deg, back = steps[k]
+        for node, row in links.items():
+            if node in placed or degree[node] != deg:
+                continue
+            if [row[p] for p in placed] == back:
+                placed.append(node)
+                if place(k + 1):
+                    return True
+                placed.pop()
+        return False
+
+    return tuple(placed) if place(0) else None
 
 
 def _match_component(ambient: RootDatum, comp) -> LeviComponent:
-    r = len(comp)
-    candidates = []
-    for letter in "ABCDEFG":
-        try:
-            candidates.append(build_datum(letter, r, max_classical_rank=max(r, 10)))
-        except InvalidTypeError:
-            continue  # no simple type of this letter has rank r
-
+    c = ambient.cartan
+    links = {i: {j: (c[i - 1][j - 1], c[j - 1][i - 1]) for j in comp} for i in comp}
+    degree = {i: sum(a != 0 for a, _ in row.values()) - 1 for i, row in links.items()}
+    shape = sorted(degree.values())
     matches = []
-    for ordering in _candidate_orderings(ambient.cartan, comp):
-        for datum in candidates:
-            ok = all(
-                ambient.cartan[ordering[a] - 1][ordering[b] - 1] == datum.cartan[a][b]
-                for a in range(r)
-                for b in range(r)
-            )
-            if ok:
-                matches.append((ordering, datum.letter, datum))
+    for letter, degrees, steps in _bourbaki_targets(len(comp)):
+        if degrees == shape:
+            ordering = _lex_first_ordering(links, degree, steps)
+            if ordering is not None:
+                matches.append((ordering, letter))
     if not matches:
         raise ValueError(f"could not identify the Dynkin type of nodes {comp}")
-    ordering, _, datum = min(matches, key=lambda m: (m[0], m[1]))
+    ordering, letter = min(matches)
+    datum = build_datum(letter, len(comp), max_classical_rank=max(len(comp), 10))
     return LeviComponent(datum=datum, ambient_nodes=ordering)
 
 
@@ -167,7 +155,9 @@ def levi_diagram(md: MarkedDatum) -> LeviDiagram:
 
     Components are ordered by smallest ambient node; each component's local
     numbering is the lexicographically smallest ambient ordering whose induced
-    Cartan matrix equals the Bourbaki matrix of its type.
+    Cartan matrix equals the Bourbaki matrix of its type.  Where two types fit
+    (B2 and C2 on one double edge), the smaller (ordering, letter) wins.  Only
+    the matched type's root datum is built.
     """
     return _levi_diagram_cached(md.ambient.letter, md.ambient.rank, md.marked_node)
 

@@ -390,12 +390,17 @@ def build_datum(letter: str, rank: int, max_classical_rank: int = DEFAULT_MAX_CL
     """Build the root datum of a simple type, validating (letter, rank).
 
     Classical families accept ranks up to ``max_classical_rank``;
-    exceptional types have fixed rank.
+    exceptional types have fixed rank.  A rank must be an int; a bool is not
+    taken for one (``True`` would share the cache entry of rank 1).
     """
     letter = letter.upper()
     if letter not in _VALID_RANKS:
         raise InvalidTypeError(f"unknown type letter {letter!r}; expected one of A-G")
-    if not isinstance(rank, int) or not _VALID_RANKS[letter](rank):
+    if (
+        not isinstance(rank, int)
+        or isinstance(rank, bool)
+        or not _VALID_RANKS[letter](rank)
+    ):
         raise InvalidTypeError(
             f"rank {rank} is invalid for type {letter} "
             "(A: rank>=1, B: >=2, C: >=2, D: >=4, E: 6-8, F: 4, G: 2)"

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from itertools import permutations
+
 import pytest
 
 from adjvar.parabolic import (
@@ -8,7 +12,19 @@ from adjvar.parabolic import (
     lift_to_ambient,
     nilradical_size,
 )
-from adjvar.rootsystem import build_datum, highest_root
+from adjvar.rootsystem import _VALID_RANKS, _cartan_matrix, build_datum, highest_root
+
+#: every simple type up to classical rank 10, in the order of LEVI_DIGEST
+ALL_TYPES = (
+    [("A", r) for r in range(1, 11)] + [("B", r) for r in range(2, 11)]
+    + [("C", r) for r in range(2, 11)] + [("D", r) for r in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+#: sha256 of json.dumps over levi_diagram(...).to_json() at every node of
+#: every type in ALL_TYPES (239 values), taken from the shape walker that
+#: identified the Levi factors before the lex-first search replaced it
+LEVI_DIGEST = "81da9c861f81f5a39f5ca12b32bc8e3f264e2ff7996b730a421c5e3405495d4b"
 
 
 def md(letter, rank, node):
@@ -153,3 +169,53 @@ def test_marked_node_validation():
 def test_is_bundle_weight_rejects_a_weight_of_the_wrong_length():
     with pytest.raises(ValueError, match="needs 2 coordinates"):
         is_bundle_weight(md("G", 2, 2), (1, 0, 5))
+
+
+def test_every_levi_diagram_keeps_its_pinned_bytes():
+    values = [
+        levi_diagram(md(letter, rank, node)).to_json()
+        for letter, rank in ALL_TYPES for node in range(1, rank + 1)
+    ]
+    assert len(values) == 239
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == LEVI_DIGEST
+
+
+def brute_force_identification(cartan, comp):
+    """min (ordering, letter) over every permutation of comp and every type
+    of rank len(comp) whose Bourbaki Cartan matrix the ordering induces."""
+    r = len(comp)
+    targets = [
+        (tuple(map(tuple, _cartan_matrix(letter, r))), letter)
+        for letter, valid in _VALID_RANKS.items() if valid(r)
+    ]
+    return min(
+        (ordering, letter)
+        for ordering in permutations(comp)
+        for target, letter in targets
+        if all(cartan[ordering[a] - 1][ordering[b] - 1] == target[a][b]
+               for a in range(r) for b in range(r))
+    )
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+def test_levi_diagram_is_the_brute_force_lex_first_identification(letter, rank):
+    ambient = build_datum(letter, rank)
+    checked = 0
+    for node in range(1, rank + 1):
+        m = MarkedDatum(ambient=ambient, marked_node=node)
+        ld = levi_diagram(m)
+        comps = [sorted(c.ambient_nodes) for c in ld.components]
+        # the components partition the Levi nodes, in order of smallest node,
+        # with no Cartan entry between two of them
+        assert sorted(sum(comps, [])) == list(m.levi_nodes)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        assert all(
+            ambient.cartan[i - 1][j - 1] == 0
+            for a, b in permutations(comps, 2) for i in a for j in b
+        )
+        if max(map(len, comps), default=0) > 6:
+            continue
+        checked += 1
+        got = [(c.ambient_nodes, c.datum.letter) for c in ld.components]
+        assert got == [brute_force_identification(ambient.cartan, c) for c in comps]
+    assert checked

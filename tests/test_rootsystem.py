@@ -5,6 +5,7 @@ from math import prod
 import pytest
 
 from adjvar.bbw import cohomology
+from adjvar.cli import main
 from adjvar.parabolic import MarkedDatum, is_bundle_weight
 from adjvar.repcalc import EXTERIOR, square_decompose, weight_system, weyl_dim
 from adjvar.rootsystem import (
@@ -69,6 +70,20 @@ def test_a2_simple_root_in_weight_coords():
 def test_invalid_types_rejected(letter, rank):
     with pytest.raises(InvalidTypeError):
         build_datum(letter, rank)
+
+
+def test_a_bool_rank_is_rejected_and_leaves_the_cache_alone(capsys):
+    # True == 1 and hash(True) == hash(1): taken as a rank, it would become
+    # the cached datum that every later build_datum("A", 1) returns
+    with pytest.raises(InvalidTypeError):
+        build_datum("A", True)
+    assert type(build_datum("A", 1).rank) is int
+    assert main(["roots", "--type", "A", "--rank", "1", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"cartan": [[2]], "count": 1, "dim_g": 3, "positive_roots": '
+        '[{"simple_coords": [1], "weight": [2]}], "rank": 1, "schema": "1", '
+        '"type": "A"}\n'
+    )
 
 
 def test_classical_rank_ceiling():
