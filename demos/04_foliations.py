@@ -1,9 +1,9 @@
 """Codimension-one foliations on the hyperplane section X of P^2 x P^2.
 
-Demonstrates the form constructors, degrees against the two line families
-(of the general line, and of sampled lines), invariant hypersurfaces, and the
-rigid foliation induced by the two-dimensional affine algebra acting through
-the quadratic embedding of the projective line.  Everything is exact rational
+Demonstrates the form constructors, the degree against each of the two line
+families (of its general line), invariant hypersurfaces, and the rigid
+foliation induced by the two-dimensional affine algebra acting through the
+quadratic embedding of the projective line.  Everything is exact rational
 arithmetic.
 """
 
@@ -18,9 +18,7 @@ print("=" * 70)
 pencil = ff.builtin_pencil(n)
 print(f"bidegree {pencil.bidegree}, integrable: {ff.integrable(pencil)}")
 for family in (1, 2):
-    degs = [ff.tangency_degree(pencil, sampler.line(family)) for _ in range(5)]
-    print(f"  family {family}: degree {ff.family_degree(pencil, family)}; "
-          f"tangency degrees of 5 sampled lines: {degs}")
+    print(f"  family {family}: degree {ff.family_degree(pencil, family)}")
 
 print()
 print("=" * 70)
@@ -37,9 +35,7 @@ print("=" * 70)
 for d in (0, 1):
     w = ff.builtin_pullback(d, n)
     d1, d2 = (ff.family_degree(w, family) for family in (1, 2))
-    t1, t2 = (ff.tangency_degree(w, sampler.line(family)) for family in (1, 2))
-    print(f"  degree-{d} foliation pulled back: deg_H1 = {d1}, deg_H2 = {d2} "
-          f"(one sampled line each: {t1}, {t2})")
+    print(f"  degree-{d} foliation pulled back: deg_H1 = {d1}, deg_H2 = {d2}")
 
 print()
 print("=" * 70)

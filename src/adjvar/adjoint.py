@@ -94,7 +94,8 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
     Type C is accepted but flagged: the adjoint variety is P^{2n-1} under the
     second Veronese embedding, O_X(1) = O(2).
     """
-    letter = letter.upper()
+    # a letter that is not a str is left for build_datum to reject
+    letter = letter.upper() if isinstance(letter, str) else letter
     if letter == "A":
         raise UnsupportedAdjointError(
             "type A adjoint varieties are hyperplane sections of P^n x P^n with "

@@ -27,7 +27,7 @@ class MarkedDatum:
 
     def __post_init__(self):
         node = self.marked_node
-        if not isinstance(node, int) or not 1 <= node <= self.ambient.rank:
+        if type(node) is not int or not 1 <= node <= self.ambient.rank:
             raise IndexError(f"marked node {node!r} out of range 1..{self.ambient.rank}")
 
     @property
@@ -140,16 +140,6 @@ def _match_component(ambient: RootDatum, comp) -> LeviComponent:
     return LeviComponent(datum=datum, ambient_nodes=ordering)
 
 
-@lru_cache(maxsize=None)
-def _levi_diagram_cached(letter, rank, marked):
-    ambient = build_datum(letter, rank, max_classical_rank=max(rank, 10))
-    nodes = [i for i in range(1, rank + 1) if i != marked]
-    comps = _connected_components(ambient.cartan, nodes)
-    return LeviDiagram(
-        components=tuple(_match_component(ambient, c) for c in comps)
-    )
-
-
 def levi_diagram(md: MarkedDatum) -> LeviDiagram:
     """Simple factors of the Levi of P(alpha_marked), with their node maps.
 
@@ -157,9 +147,12 @@ def levi_diagram(md: MarkedDatum) -> LeviDiagram:
     numbering is the lexicographically smallest ambient ordering whose induced
     Cartan matrix equals the Bourbaki matrix of its type.  Where two types fit
     (B2 and C2 on one double edge), the smaller (ordering, letter) wins.  Only
-    the matched type's root datum is built.
+    the matched type's root datum is built, and no diagram is cached.
     """
-    return _levi_diagram_cached(md.ambient.letter, md.ambient.rank, md.marked_node)
+    comps = _connected_components(md.ambient.cartan, md.levi_nodes)
+    return LeviDiagram(
+        components=tuple(_match_component(md.ambient, c) for c in comps)
+    )
 
 
 def is_bundle_weight(md: MarkedDatum, w: Weight) -> bool:

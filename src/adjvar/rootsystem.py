@@ -393,8 +393,7 @@ def build_datum(letter: str, rank: int, max_classical_rank: int = DEFAULT_MAX_CL
     exceptional types have fixed rank.  A rank must be an int; a bool is not
     taken for one (``True`` would share the cache entry of rank 1).
     """
-    letter = letter.upper()
-    if letter not in _VALID_RANKS:
+    if not isinstance(letter, str) or (letter := letter.upper()) not in _VALID_RANKS:
         raise InvalidTypeError(f"unknown type letter {letter!r}; expected one of A-G")
     if (
         not isinstance(rank, int)
@@ -430,9 +429,12 @@ def pairing(datum: RootDatum, w: Weight, coroot_index: int) -> int:
     2 (w, alpha) / (alpha, alpha), evaluated exactly.
     """
     datum.check_weight(w)
-    if not 0 <= coroot_index < len(datum.positive_roots):
+    if (
+        type(coroot_index) is not int
+        or not 0 <= coroot_index < len(datum.positive_roots)
+    ):
         raise IndexError(
-            f"coroot index {coroot_index} out of range 0..{len(datum.positive_roots)-1}"
+            f"coroot index {coroot_index!r} out of range 0..{len(datum.positive_roots)-1}"
         )
     alpha = datum.positive_roots[coroot_index]
     num = datum.form(w, alpha)

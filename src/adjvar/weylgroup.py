@@ -57,7 +57,7 @@ class DotResult:
 def simple_reflection(datum: RootDatum, i: int, w: Weight) -> Weight:
     """s_i(w) = w - <w, alpha_i^vee> alpha_i, computed in fundamental coords."""
     datum.check_weight(w)
-    if not isinstance(i, int) or not 1 <= i <= datum.rank:
+    if type(i) is not int or not 1 <= i <= datum.rank:
         raise IndexError(f"node {i!r} out of range 1..{datum.rank}")
     coeff = w[i - 1]
     alpha = datum.simple_root_weight(i)

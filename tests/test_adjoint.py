@@ -24,7 +24,7 @@ from adjvar.repcalc import (
     bundle_rank,
     square_decompose,
 )
-from adjvar.rootsystem import dim_g
+from adjvar.rootsystem import InvalidTypeError, build_datum, dim_g
 
 SUPPORTED = section4_types(max_classical_rank=7)
 DESK = section4_types(10)
@@ -82,6 +82,15 @@ def test_low_rank_coincidences_rejected():
         adjoint_data("D", 3)
     with pytest.raises(UnsupportedAdjointError):
         adjoint_data("B", 2)
+
+
+@pytest.mark.parametrize("letter", [5, None, True])
+def test_a_type_letter_that_is_not_a_str_is_an_invalid_type(letter):
+    # letter.upper() used to raise AttributeError on these
+    with pytest.raises(InvalidTypeError, match="unknown type letter"):
+        build_datum(letter, 2)
+    with pytest.raises(InvalidTypeError, match="unknown type letter"):
+        adjoint_data(letter, 2)
 
 
 def test_type_c_flagged_veronese():

@@ -94,7 +94,7 @@ PUBLIC_ALLOWED = {
     ("bipoly.py", "reduce_mod_quadric"): "oracle for the mod-q tests; "
     "a perfbench span",
     ("folforms.py", "tangency_degree"): "public foliation API; a perfbench "
-    "workload item, the demos and tests",
+    "workload item, and family_degree's oracle in the tests",
     ("folforms.py", "same_foliation"): "public foliation API; a perfbench "
     "workload item, the demos and tests",
     ("folforms.py", "FolSampler"): "seeded forms for perfbench workloads, "

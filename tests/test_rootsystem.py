@@ -408,9 +408,13 @@ def test_node_sets_must_be_integers(nodes):
             call()
 
 
-@pytest.mark.parametrize("node", ["1", 1.0, None])
+@pytest.mark.parametrize("node", ["1", 1.0, None, True, False])
 def test_single_nodes_must_be_integers(node):
+    # True == 1 and False == 0: taken as an index, a bool would reflect at
+    # node 1 or pair with coroot 1 or 0
     with pytest.raises(IndexError, match="out of range"):
         simple_reflection(G2, node, (1, 1))
     with pytest.raises(IndexError, match="out of range"):
         MarkedDatum(G2, node)
+    with pytest.raises(IndexError, match="out of range"):
+        pairing(G2, (1, 1), node)
