@@ -157,11 +157,10 @@ def levi_diagram(md: MarkedDatum) -> LeviDiagram:
 
 def is_bundle_weight(md: MarkedDatum, w: Weight) -> bool:
     """True iff w is dominant on every unmarked node (the marked coordinate is
-    the twist direction and is unconstrained)."""
+    the twist direction and is unconstrained): two slices, and a 0 for rank 1."""
     md.ambient.check_weight(w)
-    return all(
-        w[i] >= 0 for i in range(md.ambient.rank) if i != md.marked_node - 1
-    )
+    k = md.marked_node - 1
+    return min((0, *w[:k], *w[k + 1:])) >= 0
 
 
 def branch_to_levi(md: MarkedDatum, w: Weight):

@@ -26,10 +26,9 @@ simple-root coordinates with explicit conversion through the Cartan matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import sub
+from operator import add, sub
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
@@ -83,7 +82,8 @@ class RootDatum:
     symmetric positive definite.  ``positive_roots`` are simple-root
     coordinate vectors, sorted by height then lexicographically, and
     ``positive_root_weights`` their fundamental-weight coordinates in the
-    same order.
+    same order, walked down :attr:`root_parents`: parent + alpha_j has the
+    parent's weight plus row j of the Cartan matrix.
     """
 
     letter: str
@@ -104,11 +104,10 @@ class RootDatum:
         object.__setattr__(
             self, "_half_norms", tuple(big // d for d in self.symmetrizers)
         )
-        object.__setattr__(
-            self,
-            "positive_root_weights",
-            tuple(self.root_weight(c) for c in self.positive_roots),
-        )
+        weights = [(0,) * self.rank]  # the zero root's, then one per root
+        for p, j in self.root_parents:
+            weights.append(tuple(map(add, weights[p], self.cartan[j])))
+        object.__setattr__(self, "positive_root_weights", tuple(weights[1:]))
 
     @property
     def root_half_norms(self) -> tuple[int, ...]:
@@ -138,8 +137,7 @@ class RootDatum:
         parents = []
         for alpha in self.positive_roots:
             for j, c in enumerate(alpha):
-                parent = alpha[:j] + (c - 1,) + alpha[j + 1 :]
-                if c and parent in index:
+                if c and (parent := alpha[:j] + (c - 1,) + alpha[j + 1 :]) in index:
                     parents.append((index[parent], j))
                     break
             else:
@@ -165,41 +163,42 @@ class RootDatum:
         alpha = parent + alpha_j and d = root_half_norms: p = 0 when the
         parent is the zero root (alpha is simple), else p = k + 1 for the
         parent at position k of ``roots``.  So (w, alpha) = (w, parent) +
-        d_j w_j, one addition per root.  A root supported on ``nodes`` has
-        its parent supported there too, so the chain survives the filter.
-        den = prod (delta, alpha); ``weights`` and ``norms`` hold each root's
-        fundamental-weight coordinates and (alpha, alpha), at the same index
-        as in ``roots``.  Built once per node set and kept on the datum."""
+        d_j w_j, one addition per root.  alpha is supported on ``nodes`` iff
+        its parent is and j + 1 is in ``nodes``: one test per root, and the
+        chain survives the filter.  den = prod (delta, alpha); ``weights``
+        and ``norms`` hold each root's fundamental-weight coordinates and
+        (alpha, alpha) = (parent, parent) + 2 d_j (m_j + 1), m the parent's
+        weight, at the same index as in ``roots``.  Built once per node set."""
         key = None if nodes is None else frozenset(nodes)
         table = self._weyl_tables.get(key)
         if table is None:
             dd = self._half_norms
             where = {0: 0}  # p of root_parents -> p in roots; 0 is the zero root
-            roots, weights, norms = [], [], []
-            pairings = [0]  # (delta, alpha), at the same index as in roots
-            for k, (alpha, (p, j), m) in enumerate(
-                zip(self.positive_roots, self.root_parents, self.positive_root_weights), 1
+            roots, weights, norms = [], [(0,) * self.rank], [0]
+            pairings = [0]  # (delta, alpha); slot 0 of the last three is the zero root
+            for k, ((p, j), m) in enumerate(
+                zip(self.root_parents, self.positive_root_weights), 1
             ):
-                if key is None or all(i + 1 in key for i, c in enumerate(alpha) if c):
-                    roots.append((where[p], j, dd[j]))
-                    pairings.append(pairings[where[p]] + dd[j])
+                if key is None or (p in where and j + 1 in key):
+                    q = where[p]
+                    roots.append((q, j, dd[j]))
+                    norms.append(norms[q] + 2 * dd[j] * (weights[q][j] + 1))
+                    pairings.append(pairings[q] + dd[j])
                     weights.append(m)
-                    norms.append(sum(c * dd[i] * m[i] for i, c in enumerate(alpha)))
                     where[k] = len(roots)
             table = self._weyl_tables[key] = (
-                tuple(roots), prod(pairings[1:]), tuple(weights), tuple(norms)
+                tuple(roots), prod(pairings[1:]), tuple(weights[1:]), tuple(norms[1:])
             )
         return table
 
     @cached_property
     def highest_root_weight(self) -> Weight:
         """The unique root maximal in the root order, in fundamental
-        coordinates."""
-        heights = [sum(r) for r in self.positive_roots]
-        top = max(heights)
-        if heights.count(top) != 1:
+        coordinates: the last root, as roots are sorted by height."""
+        roots = self.positive_roots
+        if len(roots) > 1 and sum(roots[-2]) == sum(roots[-1]):
             raise ArithmeticError("highest root is not unique")
-        return self.positive_root_weights[heights.index(top)]
+        return self.positive_root_weights[-1]
 
     def check_weight(self, w: Weight) -> None:
         """Raise ValueError unless w has one integer coordinate per simple
@@ -211,10 +210,10 @@ class RootDatum:
 
     def check_nodes(self, nodes) -> tuple[int, ...]:
         """The node set ``nodes`` (1-indexed, any iterable, read once) as a
-        tuple; ValueError unless every node is an integer, IndexError unless
-        every node lies in 1..rank."""
+        tuple; ValueError unless every node is an integer and none a bool,
+        IndexError unless every node lies in 1..rank."""
         nodes = tuple(nodes)
-        if not _all_int(nodes):
+        if not _all_int(nodes) or bool in map(type, nodes):
             raise ValueError(f"nodes {list(nodes)} must be integers")
         if nodes and (min(nodes) < 1 or max(nodes) > self.rank):
             raise IndexError(f"nodes {list(nodes)} out of range 1..{self.rank}")
@@ -284,26 +283,28 @@ def _cartan_matrix(letter: str, rank: int) -> list[list[int]]:
 
 
 def _symmetrizers(cartan: list[list[int]]) -> tuple[int, ...]:
-    """Positive integers d_i with diag(d)*C symmetric, spread over the diagram."""
+    """Coprime positive integers d_i with diag(d)*C symmetric, spread over the
+    diagram: d_j = d_i C[i][j] / C[j][i] along each edge, every d found so far
+    scaled up whenever that quotient is not an integer."""
     rank = len(cartan)
-    d = [Fraction(0)] * rank
-    d[0] = Fraction(1)
+    d = [0] * rank
+    d[0] = 1
     pending = [0]
     while pending:
         i = pending.pop()
         for j in range(rank):
             if i != j and cartan[i][j] != 0 and d[j] == 0:
-                # d_i * C[i][j] = d_j * C[j][i]
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                num, den = d[i] * cartan[i][j], cartan[j][i]
+                scale = abs(den) // gcd(num, den)
+                if scale != 1:
+                    d = [x * scale for x in d]
+                    num *= scale
+                d[j] = num // den
                 pending.append(j)
-    if any(x == 0 for x in d):
+    if 0 in d:
         raise InvalidTypeError("disconnected Dynkin diagram")
-    big = lcm(*(x.denominator for x in d))
-    ints = [int(x * big) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def saturate(cartan, starts: dict, limit: int, nodes=None) -> dict:
@@ -377,12 +378,8 @@ def _check_datum(datum: RootDatum) -> None:
             f"{datum.letter}{n}: generated {len(datum.positive_roots)} positive "
             f"roots, expected {expected}"
         )
-    # sum of all positive roots must be 2*delta
-    total = [0] * n
-    for w in datum.positive_root_weights:
-        for j in range(n):
-            total[j] += w[j]
-    if tuple(total) != tuple(2 for _ in range(n)):
+    # sum of all positive roots must be 2*delta: the column sums of the weights
+    if tuple(map(sum, zip(*datum.positive_root_weights))) != (2,) * n:
         raise ArithmeticError("sum of positive roots is not 2*delta")
 
 

@@ -609,6 +609,51 @@ CHECK_DIGESTS = {
 }
 TABLE_DIGEST = "1c27316b0fd4ec9cae9ab83ef1d360df98847ff0c3ee9ba96cd2f0a66749abba"
 
+# sha256 of the stdout of `adjvar roots --type T --rank R --json`, for every
+# valid type up to rank 10
+ROOTS_DIGESTS = {
+    ("A", 1): "c54516dafca3d61f205ebf1bee18a11314a720b9bd6470816a84c75d65fb18b7",
+    ("A", 2): "5072e3ba52da47a4a56738314704848f66955e1e63936045489de2a9d0a9570f",
+    ("A", 3): "12ef58e29a46088a62fc98d120989fc69924f1c0c18801f4c981d60be732faec",
+    ("A", 4): "a7e5e07e07efbfa2588f8fb6d59a39d68ea97911d27b3f230455989d0aa9e44c",
+    ("A", 5): "287c37f1b5ca023de86a0dfd16f342c79561fb3bbcd4c03f872057fac3578c13",
+    ("A", 6): "c80ea11733fa38a9db029b51b28259b0c849c66e4435b72a70864d28e03071d7",
+    ("A", 7): "f7c1d73aa8f39888e8d9fd8a1525a1a85f546a57eff68abc1a61e15be54af223",
+    ("A", 8): "bc22bdc423519b3055dbfeb7313baf3e2ec9f8b064c6bbdc72f75e8da594f872",
+    ("A", 9): "7ca4dc547be2a04f140d93dfbd0d5128f2440c1c9f3527f250becca6befc5c7d",
+    ("A", 10): "09a54ca4b8a3c35efad276d6aebe75ee3919480a7382f7fa6c618d4f375e91ca",
+    ("B", 2): "f438982e69c3c83000b747739ac40457effc49f3c229330acdd3970743eff7c5",
+    ("B", 3): "9e7e723c3be97607d083b97180fc06128abc62a0702adc786916f3c96865838a",
+    ("B", 4): "5a2727a7d1c7044a1ca1e3f2b986fe3ba09e662bed38e3c15dff16c3a85d4d03",
+    ("B", 5): "b25512253131975eed080dd8d1da0f777c6d1c7a6c7da43d1b8823154db3ef21",
+    ("B", 6): "827356fff87e89bbdd6360fdf51ab723e98650081213fa43b82868a7606151ee",
+    ("B", 7): "65429ea7b414dd23c0605dfbb1909530f011f12b8e90f4ebfe420b18a12e9937",
+    ("B", 8): "ddd5458a05457ca1f11503af0c841c39ebe1beb304cfef31365e18794edc3bd5",
+    ("B", 9): "f603222e16d7350f2aa65915ca1c6303a955464f67539642422d9728b863821c",
+    ("B", 10): "41ad0aceb1007c59b6acb7e07f484b637470857c412e04d344f4d39f2d7639b7",
+    ("C", 2): "e74db2f16050511192c66774faf15735cead0aaf7c10d7743febd9278a1430a0",
+    ("C", 3): "f736a309e956cf0dc9fdb299d5172dc0d08bf10cddeb031edb70457e91169e13",
+    ("C", 4): "f079ee090e05a957532d1774b21327997e3e2798797006306dda700c4617710a",
+    ("C", 5): "3362967edb747fe9397c02fb28e60be95b8e9b457725a0638f647166ce2f71fb",
+    ("C", 6): "7480df754741d319a17ff96b1c3e9415f16063d3e789889e10f5deea8a93ad75",
+    ("C", 7): "32e1b0f0d19bd5725226968ac69f57c1440fb49ee9f9ee1707a1818befeba238",
+    ("C", 8): "eda0d3de1c2632f0388f810cfc429fde24e12d4c5fbc1b8794a53c01e87e257c",
+    ("C", 9): "be016411ee2a3d7fe8d52c4adeb9ff172eb2f03f55a90332d7c1dd2adc0b8517",
+    ("C", 10): "a5b1f284c361a5c6bb2c0a0a2f8012d1f0b616eed7d657f3c7d83a5447c095dc",
+    ("D", 4): "d31e1b027668221b1e1e5f63c39a80a732673239ff272dd00fb5009e054ac017",
+    ("D", 5): "e28be04235005e5729c50b4bfdeded9df46706f2b22ae17f95c4f13db2865102",
+    ("D", 6): "69ccdef2ca8fc32374ba23b582b9d00e7cad00a47756278f337ad7b94a7fb2f5",
+    ("D", 7): "7d8ca8a28b781bd29db843ed7a16d145873a9426ae2f01ecfe7b4c8c15df7f6c",
+    ("D", 8): "b160e17ba13fed9ef310a3ee957e430eb4f9cb97301e0aa5400e7ad28b449bcf",
+    ("D", 9): "b0058be991c9669ea5cc82dac922dbdd1c8fbf2d54c5baceb31a3c22bd1262bd",
+    ("D", 10): "397f2f94bf8e8acb1b826ac74a8293105adccff7f6c0cf9d9e3e090d3e789fdd",
+    ("E", 6): "28d60dc9c541c953bcc6869f1d12f175c93910cd688c29251913d9a9a46765a9",
+    ("E", 7): "62f9803e626584d1aadb3f5b6e36488e494f33400292c39a6c78c262021d7133",
+    ("E", 8): "763b06a5a090992fcd0df36d879afb51821e4475de98eb248ba06702a4ac3e52",
+    ("F", 4): "8c2878279efcf72754278b3f73a8dd577bb79f23bdcbfb7aa05a910c7b0ef3f3",
+    ("G", 2): "afbed0c5e5b65a43ad04666d9f7bb0f9c5e0c1f92680374918de0442e5e0a394",
+}
+
 
 def stdout_digest(capsys, *argv):
     code, out, _ = run(capsys, *argv)
@@ -635,6 +680,11 @@ def test_fol_check_integrable_output_is_pinned(capsys, builtin, n):
                            "--n", str(n), "--json")
     assert digest == CHECK_DIGESTS[builtin, n]
 
+
+@pytest.mark.parametrize("letter,rank", sorted(ROOTS_DIGESTS))
+def test_roots_output_is_pinned(capsys, letter, rank):
+    digest = stdout_digest(capsys, "roots", "--type", letter, "--rank", str(rank), "--json")
+    assert digest == ROOTS_DIGESTS[letter, rank]
 
 def test_adjoint_table_output_is_pinned(capsys):
     digest = stdout_digest(capsys, "adjoint-table", "--max-classical-rank", "10",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import permutations
 
 import pytest
@@ -110,6 +111,24 @@ def test_is_bundle_weight():
     assert is_bundle_weight(m, (1, -2, 1, 0, 0))
     assert not is_bundle_weight(m, (-1, 0, 0, 0, 0))
 
+
+
+def test_is_bundle_weight_by_slices_matches_a_test_per_coordinate():
+    # against the generator over range(rank) that the slices replaced, on
+    # seeded weights as lists and as tuples, on A1 (both slices empty) and
+    # with the marked node at every position, both ends included
+    rng = random.Random(2024)
+    seen = set()
+    for letter, rank in [("A", 1), ("A", 2), ("G", 2), ("B", 5), ("E", 8)]:
+        for node in range(1, rank + 1):
+            m = md(letter, rank, node)
+            for _ in range(40):
+                w = [rng.randint(-1, 6) for _ in range(rank)]
+                expected = all(w[i] >= 0 for i in range(rank) if i != node - 1)
+                assert is_bundle_weight(m, w) is expected
+                assert is_bundle_weight(m, tuple(w)) is expected
+                seen.add(expected)
+    assert seen == {True, False}
 
 def test_branch_examples():
     m = md("E", 6, 2)

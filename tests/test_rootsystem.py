@@ -1,6 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -161,23 +161,29 @@ def test_pairing_rejects_a_weight_of_the_wrong_length(w):
         pairing(build_datum("E", 8), w, 0)
 
 
-TYPES_TO_RANK_10 = (
-    [("A", r) for r in range(1, 11)]
-    + [("B", r) for r in range(2, 11)]
-    + [("C", r) for r in range(2, 11)]
-    + [("D", r) for r in range(4, 11)]
+TYPES_TO_RANK_12 = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(2, 13)]
+    + [("C", r) for r in range(2, 13)]
+    + [("D", r) for r in range(4, 13)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
 
 
-@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_10)
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter, rank):
     # the root weights and norms that weyl_table shares between Weyl's
-    # product and Freudenthal's recursion, over all nodes, none and each Levi
-    d = build_datum(letter, rank)
+    # product and Freudenthal's recursion, walked down the parent chain,
+    # against root_weight and (alpha, alpha) = sum_i c_i d_i m_i, over all
+    # nodes, none and each Levi; a datum built afresh walks the same weights
+    d = build_datum(letter, rank, max_classical_rank=12)
+    fresh = RootDatum(d.letter, d.rank, d.cartan, d.symmetrizers, d.positive_roots)
+    assert fresh.positive_root_weights == d.positive_root_weights
     assert len(d.positive_root_weights) == len(d.positive_roots)
     for i, alpha in enumerate(d.positive_roots):
         assert d.positive_root_weights[i] == d.root_weight(alpha)
+    assert d.highest_root_weight == d.root_weight(max(d.positive_roots, key=sum))
+    dd = d.root_half_norms
     levis = [None, ()] + [tuple(i for i in range(1, rank + 1) if i != m)
                           for m in range(1, rank + 1)]
     for nodes in levis:
@@ -187,16 +193,8 @@ def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter
         assert len(roots) == len(weights) == len(norms) == len(kept)
         for alpha, m, norm in zip(kept, weights, norms):
             assert m == d.root_weight(alpha)
+            assert norm == sum(c * dd[i] * m[i] for i, c in enumerate(alpha))
             assert norm == 2 * d.root_norm(alpha) == d.form(m, alpha)
-
-
-TYPES_TO_RANK_12 = (
-    [("A", r) for r in range(1, 13)]
-    + [("B", r) for r in range(2, 13)]
-    + [("C", r) for r in range(2, 13)]
-    + [("D", r) for r in range(4, 13)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 def unit(rank, j):
@@ -257,11 +255,12 @@ def test_dimension_formula(letter, rank):
     assert dim_g(d) == DIM_G[letter](rank)
 
 
-@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+@pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_symmetrized_cartan_positive_definite(letter, rank):
-    from fractions import Fraction
-
-    d = build_datum(letter, rank)
+    d = build_datum(letter, rank, max_classical_rank=12)
+    # the symmetrizers, found in integers, are coprime positive ints
+    assert all(type(x) is int and x > 0 for x in d.symmetrizers)
+    assert gcd(*d.symmetrizers) == 1
     m = [
         [Fraction(d.symmetrizers[i] * d.cartan[i][j]) for j in range(rank)]
         for i in range(rank)
@@ -328,15 +327,6 @@ def string_walk_positive_roots(cartan):
     return out
 
 
-TYPES_TO_RANK_12 = (
-    [("A", r) for r in range(1, 13)]
-    + [("B", r) for r in range(2, 13)]
-    + [("C", r) for r in range(2, 13)]
-    + [("D", r) for r in range(4, 13)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
-
-
 @pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_saturated_roots_match_string_walk(letter, rank):
     cartan = _cartan_matrix(letter, rank)
@@ -396,9 +386,10 @@ def test_weights_must_have_integer_coordinates(name):
         NON_INTEGER_WEIGHT_CALLS[name]()
 
 
-@pytest.mark.parametrize("nodes", [["1"], [1.0, 2], (Fraction(2),), [1, None]])
+@pytest.mark.parametrize("nodes", [["1"], [1.0, 2], (Fraction(2),), [1, None], [True]])
 def test_node_sets_must_be_integers(nodes):
-    # a "1" among the nodes used to raise a bare TypeError from min
+    # a "1" among the nodes used to raise a bare TypeError from min, and
+    # [True] was taken for the node set [1]
     for call in (
         lambda: dot_classify(G2, (1, 1), nodes),
         lambda: weyl_dim(G2, (1, 1), nodes),
