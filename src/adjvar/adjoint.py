@@ -125,10 +125,10 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         datum, marked, lambda0
     ):
         raise ArithmeticError("contact distribution weight disagrees with s_i(lambda0)")
+    # lambda0 vanishes off the marked node, so this checks D^vee's weight too
+    if not is_bundle_weight(md, d_weight):
+        raise ArithmeticError(f"{d_weight} is not a bundle weight at node {marked}")
     ddual_weight = tuple(d - l for d, l in zip(d_weight, lambda0))
-    for w in (d_weight, ddual_weight):
-        if not is_bundle_weight(md, w):
-            raise ArithmeticError(f"{w} is not a bundle weight at node {marked}")
 
     dim_x = nilradical_size(md)
     if dim_x % 2 == 0:
@@ -174,17 +174,12 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
     )
 
 
-def _check_twist(k) -> None:
-    """A twist O(k) needs an integer k; a bool is not taken for one."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"twist k must be an int, not {k!r}")
-
-
 def wedge2_Ddual_twisted(ad: AdjointData, k: int) -> Decomposition:
     """Exterior square of the contact conormal sheaf, twisted by O(k): the
     pieces of ``ad.wedge2_Ddual`` with each twist raised by k.  A k that is
     not an int, or is a bool, raises ``ValueError``."""
-    _check_twist(k)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"twist k must be an int, not {k!r}")
     return Decomposition(
         pieces=tuple(
             Piece(weight=p.weight, twist=p.twist + k, mult=p.mult, dim=p.dim)
@@ -215,24 +210,23 @@ class H0Omega2:
 def h0_omega2(ad: AdjointData, k: int) -> H0Omega2:
     """h^0 of the twisted 2-forms via 0 -> D^vee(k-1) -> Omega^2(k) -> wedge^2 D^vee(k) -> 0.
 
-    A k that is not an int, or is a bool, raises ``ValueError``."""
-    _check_twist(k)
+    A k that is not an int, or is a bool, raises ``ValueError`` before any
+    Bott-Borel-Weil call.  The value is exact when H^1(D^vee(k-1)) or
+    H^0(wedge^2 D^vee(k)) is zero; otherwise the interval's ends differ."""
+    top = wedge2_Ddual_twisted(ad, k)
     md = ad.md
-    lam0 = ad.lambda0
     lower = tuple(
-        d + (k - 1) * l for d, l in zip(ad.Ddual_weight, lam0)
+        d + (k - 1) * l for d, l in zip(ad.Ddual_weight, ad.lambda0)
     )
     res_low = cohomology(md, lower)
     h0_low, h1_low = res_low.h(0), res_low.h(1)
 
-    h0_top = cohomology_of_decomposition(md, wedge2_Ddual_twisted(ad, k)).get(0, 0)
+    h0_top = cohomology_of_decomposition(md, top).get(0, 0)
 
-    if h1_low == 0:
+    if h1_low == 0 or h0_top == 0:
         return H0Omega2(value=h0_low + h0_top)
     lo = h0_low + max(0, h0_top - h1_low)
     hi = h0_low + h0_top
-    if lo == hi:
-        return H0Omega2(value=lo)
     note = (
         f"connecting map H^0(wedge^2 D^vee({k})) -> H^1(D^vee({k-1})) "
         f"undetermined by Bott-Borel-Weil alone; h^1(D^vee({k-1})) = {h1_low}"

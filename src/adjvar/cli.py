@@ -38,7 +38,7 @@ def _input_error(message: str) -> SystemExit:
 
 
 def _parse_weight(text: str, rank: int):
-    parts = [p for p in text.replace(" ", "").split(",") if p != ""]
+    parts = text.replace(" ", "").split(",")
     if len(parts) != rank:
         raise ValueError(f"weight needs {rank} comma-separated integers")
     try:

@@ -395,12 +395,12 @@ def builtin_pullback(degree: int, n: int) -> PolyOneForm:
     x0 dx1 - x1 dx0 (residues (1, -1) on (x1, x0)), degree 1 is
     2h dx0 - x0 dh with h = x1 x2 - x0^2 (residues (2, -1) on (x0, h)), whose
     rational first integral is x0^2 / h."""
+    if type(degree) is not int or degree not in (0, 1):
+        raise ValueError("only pullback degrees 0 and 1 are built in")
     x = lambda i: BiPoly.x(n, i)
     if degree == 0:
         return log_form([1, -1], [x(1), x(0)])
-    if degree == 1:
-        return log_form([2, -1], [x(0), x(1) * x(2) - x(0) * x(0)])
-    raise ValueError("only pullback degrees 0 and 1 are built in")
+    return log_form([2, -1], [x(0), x(1) * x(2) - x(0) * x(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,7 @@ class LineInFamily:
     p1: tuple
 
     def __post_init__(self):
-        if self.family not in (1, 2):
+        if type(self.family) is not int or self.family not in (1, 2):
             raise ValueError("family must be 1 or 2")
         if not len(self.base) == len(self.p0) == len(self.p1):
             raise ValueError("base, p0 and p1 need the same number of coordinates")
@@ -682,7 +682,7 @@ def family_degree(omega: PolyOneForm, family: int):
     dy-blocks of omega and dq.  Family 2 swaps the blocks.  Adding q alpha
     to omega changes no minor modulo q.
     """
-    if family not in (1, 2):
+    if type(family) is not int or family not in (1, 2):
         raise ValueError("family must be 1 or 2")
     n = omega.n
     if n < 2:

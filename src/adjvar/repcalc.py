@@ -276,16 +276,14 @@ def _square_pieces(datum: RootDatum, nodes, ws: WeightSystem, kind: str):
     return pieces
 
 
-def square_decompose_simple(
-    datum: RootDatum, lam: Weight, kind: str, ceiling: int = DEFAULT_DIM_CEILING
-):
+def square_decompose_simple(datum: RootDatum, lam: Weight, kind: str):
     """Decompose the exterior/symmetric square of V_lam for a single simple
     type; returns a list of Piece with twist = 0.
 
     Brauer-Klimyk over the whole Weyl group, from the weight system of V_lam
     alone.  Pieces are ordered by height below 2 lam, then by weight.
     """
-    ws = weight_system(datum, lam, ceiling)
+    ws = weight_system(datum, lam)
     pieces = _square_pieces(datum, None, ws, kind)
     return [
         Piece(weight=w, twist=0, mult=mult, dim=size)
@@ -326,9 +324,7 @@ def _fold_twist(md: MarkedDatum, w: Weight, lambda0: Weight):
     return w, 0
 
 
-def square_decompose(
-    md: MarkedDatum, lam: Weight, kind: str, ceiling: int = DEFAULT_DIM_CEILING
-) -> Decomposition:
+def square_decompose(md: MarkedDatum, lam: Weight, kind: str) -> Decomposition:
     """Decompose the exterior/symmetric square of the bundle E_lam into
     irreducible pieces E_{w}(t), twists read off the marked-node bookkeeping.
 
@@ -336,7 +332,7 @@ def square_decompose(
     nodes), from the ambient weights of E_lam alone.  Pieces are ordered by
     height below 2 lam, then by ambient weight descending.
     """
-    return _square_decomposition(md, ambient_weight_system(md, lam, ceiling), kind)
+    return _square_decomposition(md, ambient_weight_system(md, lam), kind)
 
 
 def _square_decomposition(

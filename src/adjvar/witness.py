@@ -220,10 +220,9 @@ def _point_on_surface(f, fx, fy):
     If F = q * h, then h has degree 0 in the moving factor, F(fixed, z) is
     h(fixed) * q(fixed, z), and Cramer's determinant is zero, which leaves
     zeros in the solution; so a returned point proves that F is not in
-    (q)."""
+    (q).  At n = 1 the two solved coordinates are the whole moving factor,
+    both right-hand sides are zero, and so is the solution: None."""
     a, b = f.bidegree()
-    if len(fx) < 3:  # n = 1: the two equations leave only zero
-        return None
     sides = ([1] if b == 1 else []) + ([0] if a == 1 else [])
     den = lcm(*(c.denominator for c in f.terms.values()))
     n1 = len(fx)

@@ -1,12 +1,15 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import adjvar.adjoint
+import adjvar.bbw
 import adjvar.repcalc
 from adjvar.adjoint import (
+    H0Omega2,
     UnsupportedAdjointError,
     adjoint_data,
     compare_with_printed,
@@ -16,9 +19,10 @@ from adjvar.adjoint import (
     section4_types,
     wedge2_Ddual_twisted,
 )
-from adjvar.bbw import cohomology
+from adjvar.bbw import cohomology, cohomology_of_decomposition
 from adjvar.repcalc import (
     EXTERIOR,
+    Decomposition,
     WeightSystem,
     ambient_weight_system,
     bundle_rank,
@@ -326,13 +330,53 @@ def test_contact_checks_fire_on_a_wrong_weight_system(
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, Fraction(2), "2", None, True, False])
-def test_twist_must_be_an_int(k):
+def test_twist_must_be_an_int(monkeypatch, k):
+    # and h0_omega2 rejects it before any Bott-Borel-Weil call
     ad = adjoint_data("G", 2)
+    calls = []
+    monkeypatch.setattr(adjvar.bbw, "cohomology", lambda *args: calls.append(args))
+    monkeypatch.setattr(adjvar.adjoint, "cohomology", lambda *args: calls.append(args))
     message = re.escape(f"twist k must be an int, not {k!r}")
     with pytest.raises(ValueError, match=message):
         wedge2_Ddual_twisted(ad, k)
     with pytest.raises(ValueError, match=message):
         h0_omega2(ad, k)
+    assert calls == []
+
+
+def _h0_omega2_by_cases(ad, k):
+    # the contact-sequence rule spelled out case by case: exact when
+    # h^1(D^vee(k-1)) = 0, exact when the interval it leaves is one point,
+    # else that interval
+    lower = tuple(d + (k - 1) * l for d, l in zip(ad.Ddual_weight, ad.lambda0))
+    res = cohomology(ad.md, lower)
+    h0_low, h1_low = res.h(0), res.h(1)
+    top = cohomology_of_decomposition(ad.md, wedge2_Ddual_twisted(ad, k))
+    h0_top = top.get(0, 0)
+    if h1_low == 0:
+        return H0Omega2(value=h0_low + h0_top)
+    lo, hi = h0_low + max(0, h0_top - h1_low), h0_low + h0_top
+    if lo == hi:
+        return H0Omega2(value=lo)
+    note = (
+        f"connecting map H^0(wedge^2 D^vee({k})) -> H^1(D^vee({k-1})) "
+        f"undetermined by Bott-Borel-Weil alone; h^1(D^vee({k-1})) = {h1_low}"
+    )
+    return H0Omega2(bounds=(lo, hi), note=note, adjudicated=0 if k == 1 else None)
+
+
+@pytest.mark.parametrize("letter,rank", DESK + [("C", r) for r in range(2, 6)])
+def test_h0_omega2_matches_the_rule_by_cases(letter, rank):
+    ad = adjoint_data(letter, rank)
+    for k in range(-1, 4):
+        assert h0_omega2(ad, k) == _h0_omega2_by_cases(ad, k)
+
+
+def test_h0_omega2_is_exact_when_nothing_lies_above():
+    # no row has h^1(D^vee(k-1)) > 0 with h^0(wedge^2 D^vee(k)) = 0; emptying
+    # wedge^2 D^vee makes one, at k = 1
+    ad = replace(adjoint_data("G", 2), wedge2_Ddual=Decomposition(pieces=()))
+    assert h0_omega2(ad, 1) == _h0_omega2_by_cases(ad, 1) == H0Omega2(value=0)
 
 
 @pytest.mark.parametrize("letter,rank", DESK)

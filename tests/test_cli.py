@@ -116,7 +116,9 @@ def test_bbw_rejects_node_out_of_range(capsys, node):
     assert code == 2 and err.startswith("error:") and "out of range" in err
 
 
-@pytest.mark.parametrize("weight", ["1,0", "1,0,0,0", "1,x,0", "1.5,0,0"])
+@pytest.mark.parametrize(
+    "weight", ["1,0", "1,0,0,0", "1,x,0", "1.5,0,0", "1,,0", "1,,0,0", ",1,0,0,"]
+)
 def test_bbw_rejects_malformed_weight(capsys, weight):
     code, _, err = run(
         capsys, "bbw", "--type", "A", "--rank", "3", "--node", "1",

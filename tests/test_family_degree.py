@@ -189,7 +189,7 @@ def test_a_line_in_a_leaf_does_not_decide_the_family():
     assert family_degree(omega, 1) == 0
 
 
-@pytest.mark.parametrize("family", [0, 3])
+@pytest.mark.parametrize("family", [0, 3, True, 1.0, 2.0])
 def test_family_must_be_1_or_2_as_for_a_line(family):
     line = FolSampler(2).line(1)
     with pytest.raises(ValueError) as info:

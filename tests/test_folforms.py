@@ -88,6 +88,8 @@ def test_gcd_and_exact_division():
     assert poly_divexact(g, d) is not None
     assert d == (x(0) + x(1))
     assert poly_divexact(f, x(0) + y(0)) is None
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        poly_divexact(f, BiPoly.zero(2))
 
 
 def test_reduce_mod_quadric():
@@ -918,6 +920,12 @@ def test_constructors_reject_bad_factors():
         log_form([1, -1], [h1, BiPoly.zero(2)])
     with pytest.raises(ValueError, match="pullback degrees"):
         builtin_pullback(2, 2)
+
+
+@pytest.mark.parametrize("degree", [True, False, 0.0, 1.0])
+def test_pullback_degree_must_be_an_int(degree):
+    with pytest.raises(ValueError, match="pullback degrees"):
+        builtin_pullback(degree, 2)
 
 
 def test_field_foliations_live_on_n_2_only():

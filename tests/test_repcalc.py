@@ -508,6 +508,14 @@ def test_weyl_dim_checks_dominance_on_the_nodes_only():
         bundle_rank(MarkedDatum(ambient=d, marked_node=2), (-1, 0, 0))
 
 
+def test_square_kind_and_bundle_weight_are_checked():
+    d = build_datum("B", 3)
+    with pytest.raises(ValueError, match="kind must be 'exterior' or 'symmetric'"):
+        square_decompose_simple(d, (1, 0, 0), "wedge")
+    with pytest.raises(ValueError, match="not a bundle weight at node 2"):
+        ambient_weight_system(MarkedDatum(ambient=d, marked_node=2), (-1, 0, 0))
+
+
 def test_weyl_dim_matches_its_oracle_on_seeded_weights_and_node_sets():
     rng = random.Random(16)
     for letter, rank in LEVI_TYPES:

@@ -263,6 +263,17 @@ def test_invariance_point_avoids_zero_coordinates():
     assert check_invariant(ff.builtin_affine(2)[0], f) is not None
 
 
+def test_no_invariance_witness_at_n_1():
+    # at n = 1 Cramer's rule solves for the whole moving factor with zero
+    # right-hand sides, so it gives (0, 0) and no point is returned
+    for seed in (1, 2, 3):
+        sampler = ff.FolSampler(1, seed=seed)
+        omega = sampler.euler_form((2, 2))
+        for bidegree in ((1, 1), (2, 1), (1, 2), (0, 1), (1, 0), (3, 1), (1, 3)):
+            f = sampler._random_bipoly(bidegree)
+            assert wt.invariance_witness(omega, f) is None
+
+
 def test_zero_surface_raises():
     omega = ff.builtin_pencil(2)
     with pytest.raises(ValueError, match="zero divisor"):
