@@ -9,10 +9,17 @@ sorted JSON encoding do not depend on the split.
 
 A coefficient is a nonzero ``int`` when it is integral and a
 ``fractions.Fraction`` with denominator > 1 otherwise; no float and no
-integral Fraction is ever stored.  Integer-coefficient products therefore
-stay in machine-speed int arithmetic, and ``str`` gives the same text for
-both types.  Callers that divide two coefficients write ``Fraction(a, b)``,
-never ``a / b``.
+integral Fraction is ever stored; any other coefficient, such as a float,
+a bool or a string, raises ValueError.  ``str`` gives the same text for both types.  Callers that divide
+two coefficients write ``Fraction(a, b)``, never ``a / b``.
+
+A product of two polynomials clears denominators once: each factor is
+written as integer numerators over the lcm of its coefficient denominators,
+the numerators are multiplied and summed in ints, and each nonzero sum is
+divided once by the product of the two denominators.  A product of integer
+polynomials therefore never leaves int arithmetic, and a rational one does
+one Fraction division per output term instead of one Fraction operation
+per pair of input terms.
 
 Everything downstream needs only four primitives, all implemented here with
 no dependencies: multivariate gcd, exact single-divisor division, the normal
@@ -40,15 +47,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from operator import add, sub
 
 Term = tuple[int, ...]
 
 
 def _canonical(c):
-    """The coefficient c as an int when it is integral, else a Fraction."""
+    """The coefficient c as an int when it is integral, else a Fraction;
+    raises ValueError unless c is an int or a Fraction (a float is not exact,
+    and a bool is not a number)."""
     if type(c) is not Fraction:
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            raise ValueError(f"a coefficient must be an int or a Fraction, got {c!r}")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -56,6 +67,29 @@ def _canonical(c):
 def _settle(sums: dict) -> dict:
     """The nonzero entries of a {monomial: coefficient} dict, canonical."""
     return {k: c if type(c) is int else _canonical(c) for k, c in sums.items() if c}
+
+
+def _cleared(terms: dict) -> tuple[dict, int]:
+    """(numerators, den): the {monomial: int} dict den * terms and the lcm den
+    of the coefficient denominators; terms itself and 1 when every
+    coefficient is an int."""
+    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
+    if den == 1:
+        return terms, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _divided(sums: dict, den: int) -> dict:
+    """The nonzero entries of an {monomial: int} dict, each divided by the
+    int den > 0: an int when den divides it, else a Fraction."""
+    if den == 1:
+        return {k: c for k, c in sums.items() if c}
+    out = {}
+    for k, c in sums.items():
+        if c:
+            q, r = divmod(c, den)
+            out[k] = Fraction(c, den) if r else q
+    return out
 
 
 class BiPoly:
@@ -123,13 +157,17 @@ class BiPoly:
             return BiPoly._trusted(
                 self.n, _settle({k: c * other for k, c in self.terms.items()})
             )
-        out: dict[Term, int | Fraction] = {}
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        num_a, den_a = _cleared(self.terms)
+        num_b, den_b = _cleared(other.terms)
+        out: dict[Term, int] = {}
         get = out.get
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
+        for ka, ca in num_a.items():
+            for kb, cb in num_b.items():
                 key = tuple(map(add, ka, kb))
                 out[key] = get(key, 0) + ca * cb
-        return BiPoly._trusted(self.n, _settle(out))
+        return BiPoly._trusted(self.n, _divided(out, den_a * den_b))
 
     __rmul__ = __mul__
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .adjoint import section4_row, section4_table
@@ -37,14 +38,18 @@ def _input_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
+#: one --weight coordinate: an optional sign and ASCII digits, so neither
+#: int()'s underscores ("1_0") nor its non-ASCII digits ("\uff11") get through
+_WEIGHT_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_weight(text: str, rank: int):
     parts = text.replace(" ", "").split(",")
     if len(parts) != rank:
         raise ValueError(f"weight needs {rank} comma-separated integers")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"weight coordinates must be integers: {text!r}") from None
+    if not all(_WEIGHT_FIELD.fullmatch(p) for p in parts):
+        raise ValueError(f"weight coordinates must be integers: {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def cmd_roots(args) -> int:

@@ -45,6 +45,8 @@ from .bipoly import (
     EXPONENT_BOUND,
     SCHEMA,
     BiPoly,
+    _cleared,
+    _divided,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
     n_from_json,
@@ -138,14 +140,19 @@ class PolyOneForm:
         return (a, b)
 
     def _check_euler(self):
+        """Raise unless sum x_i A_i and sum y_j B_j vanish.  Each block is
+        scaled by the lcm of its denominators (``_integral``), which keeps the
+        test exact, and z_v A_v is summed in ints by shifting exponents."""
         n = self.n
-        ex = BiPoly.zero(n)
-        ey = BiPoly.zero(n)
-        for i in range(n + 1):
-            ex = ex + BiPoly.x(n, i) * self.coeffs[i]
-            ey = ey + BiPoly.y(n, i) * self.coeffs[n + 1 + i]
-        if not ex.is_zero or not ey.is_zero:
-            raise ValueError("Euler contraction does not vanish")
+        for block in (range(n + 1), range(n + 1, 2 * n + 2)):
+            sums: dict = {}
+            get = sums.get
+            for (v,), p in _integral({(v,): self.coeffs[v] for v in block}).items():
+                for key, c in p.terms.items():
+                    key = key[:v] + (key[v] + 1,) + key[v + 1 :]
+                    sums[key] = get(key, 0) + c
+            if any(sums.values()):
+                raise ValueError("Euler contraction does not vanish")
 
     def as_dict(self) -> dict:
         return {(v,): c for v, c in enumerate(self.coeffs) if not c.is_zero}
@@ -353,12 +360,16 @@ def log_form(residues, factors) -> PolyOneForm:
 
     The residues must annihilate the factor bidegrees componentwise,
     sum lambda_i deg(f_i) = (0, 0); this is the first-Chern-class constraint
-    that makes the form a well-defined projective 1-form.  Every built-in
+    that makes the form a well-defined projective 1-form.  Each residue must
+    be an int or a Fraction, else ValueError.  Every built-in
     except ``affine`` and ``torus`` is one of these (Calvo-Andrade,
     Math. Ann. 299, 1994; Cerveau-Lins Neto, Ann. of Math. 143, 1996).
     """
     if len(residues) != len(factors) or not factors:
         raise ValueError("need matching nonempty residue and factor lists")
+    if not all(isinstance(r, (int, Fraction)) and not isinstance(r, bool)
+               for r in residues):
+        raise ValueError("residues must be ints or Fractions")
     residues = [Fraction(r) for r in residues]
     n = factors[0].n
     degs = []
@@ -375,18 +386,24 @@ def log_form(residues, factors) -> PolyOneForm:
         raise ValueError(
             f"residue condition violated: sum lambda_i deg_i = {total}, not (0,0)"
         )
+    # with f_i = g_i / d_i and lambda_i = s_i / S, the form is
+    # sum_i s_i (prod_{j != i} g_j) dg_i / (S prod_j d_j), summed in ints
+    cleared = [_cleared(f.terms) for f in factors]
+    ints = [BiPoly._trusted(n, g) for g, _ in cleared]
+    scale = lcm(*(r.denominator for r in residues))
+    den = scale * reduce(mul, (d for _, d in cleared))
     coeffs = [BiPoly.zero(n) for _ in range(2 * (n + 1))]
-    for i, (ri, fi) in enumerate(zip(residues, factors)):
-        others = factors[:i] + factors[i + 1 :]
+    for i, (ri, gi) in enumerate(zip(residues, ints)):
+        others = ints[:i] + ints[i + 1 :]
         cofactor = reduce(mul, others) if others else BiPoly.const(n, 1)
-        cofactor = cofactor * ri
+        cofactor = cofactor * (ri.numerator * (scale // ri.denominator))
         for v in range(2 * (n + 1)):
-            dv = fi.dvar(v)
+            dv = gi.dvar(v)
             if dv:
                 coeffs[v] = coeffs[v] + cofactor * dv
     if all(c.is_zero for c in coeffs):
         raise ValueError("degenerate logarithmic form (identically zero)")
-    return PolyOneForm(n, coeffs)
+    return PolyOneForm(n, [BiPoly._trusted(n, _divided(c.terms, den)) for c in coeffs])
 
 
 def builtin_pullback(degree: int, n: int) -> PolyOneForm:

@@ -117,7 +117,9 @@ def test_bbw_rejects_node_out_of_range(capsys, node):
 
 
 @pytest.mark.parametrize(
-    "weight", ["1,0", "1,0,0,0", "1,x,0", "1.5,0,0", "1,,0", "1,,0,0", ",1,0,0,"]
+    "weight",
+    ["1,0", "1,0,0,0", "1,x,0", "1.5,0,0", "1,,0", "1,,0,0", ",1,0,0,", "1_0,0,0",
+     "\uff11,0,0"],
 )
 def test_bbw_rejects_malformed_weight(capsys, weight):
     code, _, err = run(

@@ -1,16 +1,19 @@
 """The int-or-Fraction coefficient contract and the mod-q normal form.
 
 A BiPoly coefficient is an int when it is integral and a Fraction with
-denominator > 1 otherwise, never a float.  The normal form modulo
-q = sum x_i y_i decides ideal membership; pseudo-division by q
-(``reduce_mod_quadric``) is the independent oracle.  The foliation
+denominator > 1 otherwise, never a float.  A product and the Euler check
+clear denominators once; the per-term Fraction product is the oracle.  The
+normal form modulo q = sum x_i y_i decides ideal membership; pseudo-division
+by q (``reduce_mod_quadric``) is the independent oracle.  The foliation
 predicates clear denominators on entry, which is sound because they do not
 change when the form is scaled.
 """
 
 import json
 from fractions import Fraction
+from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +76,48 @@ def test_integral_fractions_become_ints():
     assert type((p + p).terms[(0, 1, 1, 0)]) is int
     assert type((p * Fraction(2, 3)).terms[(1, 0, 0, 1)]) is Fraction
     assert all(type(c) is int for c in (p * 6).terms.values())
-    assert BiPoly(1, {(0, 0, 0, 0): 0.5}).terms == {(0, 0, 0, 0): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("c", [0.5, 0.1, 2.0, True])
+def test_float_or_bool_coefficient_is_refused(c):
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        BiPoly(1, {(0, 0, 0, 0): c})
+
+
+@pytest.mark.parametrize("c", [0.5, "1/2", None])
+def test_product_with_a_non_number_is_a_type_error(c):
+    x0 = BiPoly.x(2, 0)
+    with pytest.raises(TypeError):
+        x0 * c
+    with pytest.raises(TypeError):
+        c * x0
+
+
+def fraction_product(a: BiPoly, b: BiPoly) -> dict:
+    """The product's terms by one Fraction operation per pair of terms, each
+    integral sum stored as an int: the route before denominators were
+    cleared once per factor."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0) + Fraction(ca) * cb
+    return {k: c.numerator if c.denominator == 1 else c for k, c in out.items() if c}
+
+
+def with_types(terms: dict) -> dict:
+    return {k: (type(c), c) for k, c in terms.items()}
+
+
+@settings(max_examples=150)
+@given(bipoly_pairs(), scales)
+def test_product_matches_the_per_term_fraction_product(pair, c):
+    a, b = pair
+    expected = with_types(fraction_product(a, b))
+    assert with_types((a * b).terms) == expected
+    assert with_types((b * a).terms) == with_types(fraction_product(b, a))
+    # (c a)(b / c) = a b: the denominators c brings divide every sum exactly
+    assert with_types(((a * c) * (b * (1 / c))).terms) == expected
 
 
 def test_exact_division_gives_no_float():
@@ -158,3 +202,44 @@ def test_same_foliation_ignores_scale(seed, c):
                             (ff.pencil_form(h1, h3), False)):
         assert ff._same_foliation_symbolic(scaled(w1, c), other) == expected
         assert ff.same_foliation(w1, scaled(other, c)) == expected
+
+
+# -- the Euler check over one denominator per block ----------------------------
+
+
+def skew_block(n, entries, var, other):
+    """Coefficients C_i = sum_j M_ij z_j other_0^2 for the antisymmetric M
+    with M_ij = entries[i, j] above the diagonal, z the variables var; so
+    sum_i z_i C_i = 0."""
+    out = [BiPoly.zero(n) for _ in range(n + 1)]
+    for (i, j), m in entries.items():
+        w = other(n, 0) * other(n, 0)
+        out[i] = out[i] + var(n, j) * w * m
+        out[j] = out[j] - var(n, i) * w * m
+    return out
+
+
+def rational_euler_form(p=None):
+    """A bidegree (2, 2) form at n = 2 whose Euler contractions cancel only
+    across denominators: its dx coefficients have the denominators 6, 10 and
+    15 and its dy coefficients 77, 91 and 143, so scaling each coefficient by
+    its own would leave a nonzero sum.  With a prime p, dx_0 and dy_0 each
+    gain one term 1/p, which breaks both contractions."""
+    dx = skew_block(2, {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 3),
+                        (1, 2): Fraction(-1, 5)}, BiPoly.x, BiPoly.y)
+    dy = skew_block(2, {(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 11),
+                        (1, 2): Fraction(5, 13)}, BiPoly.y, BiPoly.x)
+    if p is not None:
+        dx[0] = dx[0] + BiPoly.x(2, 0) * BiPoly.y(2, 1) * BiPoly.y(2, 2) * Fraction(1, p)
+        dy[0] = dy[0] + BiPoly.y(2, 0) * BiPoly.x(2, 1) * BiPoly.x(2, 2) * Fraction(1, p)
+    return dx, dy
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2**61 - 1])
+def test_euler_check_clears_each_block_exactly(p):
+    dx, dy = rational_euler_form()
+    assert ff.PolyOneForm(2, dx + dy).bidegree == (2, 2)
+    bad_dx, bad_dy = rational_euler_form(p)
+    for coeffs in (bad_dx + dy, dx + bad_dy, bad_dx + bad_dy):
+        with pytest.raises(ValueError, match="Euler contraction does not vanish"):
+            ff.PolyOneForm(2, coeffs)

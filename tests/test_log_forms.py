@@ -4,13 +4,21 @@ against forms that differ only by a form vanishing on X.
 ``pencil_form`` and ``builtin_pullback`` are ``log_form`` calls; the
 expansions below are the coefficients they were once written out as.
 
+``log_form`` sums in ints over one common denominator of the factors and
+the residues; the cofactor loop over Fractions it replaced is its oracle.
+
 Adding c (q dh - h dq) to omega changes no foliation on X: the added form is
 zero at every point of X modulo dq.  It does change the ambient
 omega ^ d(omega), which then lies outside (q), so ``integrable`` can only
 answer True through the dq ^ omega ^ d(omega) test.
 """
 
+from fractions import Fraction
+from operator import add
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjvar import folforms as ff
 from adjvar.bipoly import BiPoly, is_zero_mod_quadric
@@ -91,3 +99,67 @@ def test_pencil_is_h1_dh2_minus_h2_dh1(n, seed):
     h1, h2 = sampler.section11(), sampler.section11()
     expected = [h1 * h2.dvar(v) - h2 * h1.dvar(v) for v in range(2 * (n + 1))]
     assert list(ff.pencil_form(h1, h2).coeffs) == expected
+
+
+# -- log_form in ints against the cofactor loop over Fractions -----------------
+
+
+def fraction_times(a: BiPoly, b: BiPoly) -> BiPoly:
+    """a * b by one Fraction operation per pair of terms."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0) + Fraction(ca) * cb
+    return BiPoly(a.n, out)
+
+
+def cofactor_log_form(residues, factors):
+    """The coefficients sum_i lambda_i (prod_{j != i} f_j) df_i, each product
+    formed term by term over Fractions."""
+    n = factors[0].n
+    coeffs = [BiPoly.zero(n) for _ in range(2 * (n + 1))]
+    for i, (ri, fi) in enumerate(zip(residues, factors)):
+        cofactor = BiPoly.const(n, ri)
+        for j, fj in enumerate(factors):
+            if j != i:
+                cofactor = fraction_times(cofactor, fj)
+        for v in range(2 * (n + 1)):
+            coeffs[v] = coeffs[v] + fraction_times(cofactor, fi.dvar(v))
+    return coeffs
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10**6),
+       fractions, fractions, st.sampled_from([3, 100]))
+def test_log_form_matches_the_cofactor_loop(n, seed, a, b, height):
+    sampler = ff.FolSampler(n, seed=seed, height=height)
+    x = lambda i: BiPoly.x(n, i) * sampler.fraction(nonzero=True)
+    y = lambda j: BiPoly.y(n, j) * sampler.fraction(nonzero=True)
+    cases = [
+        ([a, b, -(a + b)], [sampler.section11() for _ in range(3)]),
+        ([a, -a, b, -b], [x(0), x(0) + x(1), y(0), y(0) + y(n)]),
+        ([a, -a], [sampler.section11(), sampler.section11()]),
+        # a zero residue, on factors of bidegrees (2, 0), (1, 0) and (0, 1)
+        ([a, -2 * a, 0], [x(0) * x(1) + x(n) * x(n), x(1), y(0)]),
+    ]
+    for residues, factors in cases:
+        expected = cofactor_log_form(residues, factors)
+        if all(c.is_zero for c in expected):
+            continue
+        got = ff.log_form(residues, factors).coeffs
+        assert [c.terms for c in got] == [c.terms for c in expected]
+        assert all(type(g.terms[k]) is type(c) for g, e in zip(got, expected)
+                   for k, c in e.terms.items())
+
+
+@pytest.mark.parametrize(
+    "residues", [[0.5, -0.5], [True, -1], ["1", "-1"], [1, None], [1.0, -1.0]]
+)
+def test_residues_must_be_ints_or_fractions(residues):
+    n = 2
+    with pytest.raises(ValueError, match="residues must be ints or Fractions"):
+        ff.log_form(residues, [BiPoly.x(n, 0), BiPoly.x(n, 1)])
