@@ -7,19 +7,20 @@ v <= n and y_{v-n-1} otherwise.  Lexicographic order on these tuples is the
 order of the (x-exponents, y-exponents) pairs, so the leading terms and the
 sorted JSON encoding do not depend on the split.
 
-A coefficient is a nonzero ``int`` when it is integral and a
-``fractions.Fraction`` with denominator > 1 otherwise; no float and no
-integral Fraction is ever stored; any other coefficient, such as a float,
-a bool or a string, raises ValueError.  ``str`` gives the same text for both types.  Callers that divide
-two coefficients write ``Fraction(a, b)``, never ``a / b``.
+A number is exact when it is an ``int`` or a ``fractions.Fraction`` and not
+a ``bool`` (``_is_exact``); this module alone decides it.  A coefficient is
+a nonzero int when it is integral and a Fraction with denominator > 1
+otherwise; any other value, zero or not, such as a float, a bool or a
+string, raises ValueError.  ``str`` gives the same text for both types.
+Callers that divide two coefficients write ``Fraction(a, b)``, never
+``a / b``.  Sums and products take polynomials on one P^n x P^n (else
+ValueError) and, for a product, exact numbers (else TypeError).
 
-A product of two polynomials clears denominators once: each factor is
-written as integer numerators over the lcm of its coefficient denominators,
-the numerators are multiplied and summed in ints, and each nonzero sum is
-divided once by the product of the two denominators.  A product of integer
-polynomials therefore never leaves int arithmetic, and a rational one does
-one Fraction division per output term instead of one Fraction operation
-per pair of input terms.
+Denominators are cleared here too: ``_cleared`` writes coefficient dicts as
+integer numerators over one common denominator, and ``_integer_multiple``
+scales a vector.  A product clears each factor, multiplies and sums the
+numerators in ints, and divides each nonzero sum once by the product of the
+two denominators, so a product of integer polynomials never leaves ints.
 
 Everything downstream needs only four primitives, all implemented here with
 no dependencies: multivariate gcd, exact single-divisor division, the normal
@@ -53,30 +54,49 @@ from operator import add, sub
 Term = tuple[int, ...]
 
 
+def _is_exact(c) -> bool:
+    """Is c an int or a Fraction, and not a bool (which is not a number)?"""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 def _canonical(c):
     """The coefficient c as an int when it is integral, else a Fraction;
-    raises ValueError unless c is an int or a Fraction (a float is not exact,
-    and a bool is not a number)."""
+    raises ValueError unless c is exact."""
     if type(c) is not Fraction:
-        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        if not _is_exact(c):
             raise ValueError(f"a coefficient must be an int or a Fraction, got {c!r}")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _settle(sums: dict) -> dict:
-    """The nonzero entries of a {monomial: coefficient} dict, canonical."""
-    return {k: c if type(c) is int else _canonical(c) for k, c in sums.items() if c}
+    """The nonzero entries of a {monomial: coefficient} dict, canonical; a
+    coefficient that is not exact raises ValueError even when it is zero."""
+    return {k: v for k, c in sums.items()
+            if (v := c if type(c) is int else _canonical(c))}
 
 
-def _cleared(terms: dict) -> tuple[dict, int]:
-    """(numerators, den): the {monomial: int} dict den * terms and the lcm den
-    of the coefficient denominators; terms itself and 1 when every
-    coefficient is an int."""
-    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
-    if den == 1:
-        return terms, 1
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+def _cleared(*dicts) -> tuple:
+    """(numerators, den): den is the lcm of the denominators of all values of
+    the {key: int or Fraction} dicts and numerators lists the {key: int}
+    dicts den * d; the dicts themselves and 1 when every value is an int."""
+    dens = {c.denominator for d in dicts for c in d.values() if type(c) is not int}
+    if not dens:
+        return dicts, 1
+    den = lcm(*dens)
+    return [{k: c.numerator * (den // c.denominator) for k, c in d.items()}
+            for d in dicts], den
+
+
+def _integer_multiple(values) -> list:
+    """``_cleared`` for a vector: times the lcm of its denominators, as ints."""
+    scale = lcm(*(a.denominator for a in values))
+    return [a.numerator * (scale // a.denominator) for a in values]
+
+
+def _same_ambient(n1: int, n2: int) -> None:
+    if n1 != n2:
+        raise ValueError(f"the inputs live on P^{n1} x P^{n1} and P^{n2} x P^{n2}")
 
 
 def _divided(sums: dict, den: int) -> dict:
@@ -137,6 +157,9 @@ class BiPoly:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        _same_ambient(self.n, other.n)
         out = dict(self.terms)
         for key, c in other.terms.items():
             v = out.get(key, 0) + c
@@ -153,14 +176,15 @@ class BiPoly:
         return BiPoly._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return BiPoly._trusted(
                 self.n, _settle({k: c * other for k, c in self.terms.items()})
             )
         if not isinstance(other, BiPoly):
             return NotImplemented
-        num_a, den_a = _cleared(self.terms)
-        num_b, den_b = _cleared(other.terms)
+        _same_ambient(self.n, other.n)
+        (num_a,), den_a = _cleared(self.terms)
+        (num_b,), den_b = _cleared(other.terms)
         out: dict[Term, int] = {}
         get = out.get
         for ka, ca in num_a.items():
@@ -245,12 +269,8 @@ class BiPoly:
         """Positive rational c with self/c primitive over the integers."""
         if self.is_zero:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        (num,), den = _cleared(self.terms)
+        return Fraction(int_gcd(*num.values()), den)
 
     def primitive(self) -> "BiPoly":
         c = self.content()
@@ -430,18 +450,13 @@ def _cert_points(nvars: int) -> tuple:
     return tuple(powers[:nvars]), tuple(powers[nvars:])
 
 
-def _values_mod_p(f: BiPoly, point) -> list | None:
-    """[(exponent tuple, c * point^exponent mod p)] for the terms c of f, or
-    None when p divides a denominator."""
+def _values_mod_p(f: BiPoly, point) -> list:
+    """[(exponent tuple, c * point^exponent mod p)] for the terms c of f,
+    whose coefficients must be ints."""
     p = _CERT_PRIME
     out = []
     for key, c in f.terms.items():
-        if type(c) is int:
-            m = c % p
-        elif c.denominator % p:
-            m = c.numerator * pow(c.denominator, -1, p) % p
-        else:
-            return None
+        m = c % p
         for z, e in zip(point, key):
             if e:
                 m = m * (z if e == 1 else pow(z, e, p)) % p
@@ -493,18 +508,16 @@ def _coprime_certificate(polys) -> bool:
     Each variable v that all of them use is decided by the univariate gcd
     in F_p[v] of their images at the first fixed point where the leading
     coefficient in v of at least one of them survives; the module docstring
-    gives the proof.  A rational coefficient maps to numerator / denominator
-    in F_p, so each image is that of the primitive integer part times a
-    unit.  A denominator divisible by p leaves the list undecided, as do a
-    positive degree and a variable whose leading coefficients all vanish
-    at both points."""
+    gives the proof.  Each is first cleared of denominators on its own (over
+    one common denominator one could vanish mod p).  Undecided: a positive
+    degree, or a variable whose leading coefficients vanish at both points."""
+    if _cleared(*(f.terms for f in polys))[1] > 1:
+        polys = [BiPoly._trusted(f.n, _cleared(f.terms)[0][0]) for f in polys]
     pending = sorted(set.intersection(*(used_vars(f) for f in polys)))
     for point in _cert_points(2 * polys[0].n + 2):
         if not pending:
             return True
         values = [_values_mod_p(f, point) for f in polys]
-        if None in values:
-            return False
         skipped = []
         for v in pending:
             degrees = [var_degree(f, v) for f in polys]

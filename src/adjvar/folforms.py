@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 from .bipoly import (
@@ -47,6 +47,9 @@ from .bipoly import (
     BiPoly,
     _cleared,
     _divided,
+    _integer_multiple,
+    _is_exact,
+    _same_ambient,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
     n_from_json,
@@ -141,14 +144,15 @@ class PolyOneForm:
 
     def _check_euler(self):
         """Raise unless sum x_i A_i and sum y_j B_j vanish.  Each block is
-        scaled by the lcm of its denominators (``_integral``), which keeps the
+        scaled by the lcm of its denominators (``_cleared``), which keeps the
         test exact, and z_v A_v is summed in ints by shifting exponents."""
         n = self.n
         for block in (range(n + 1), range(n + 1, 2 * n + 2)):
             sums: dict = {}
             get = sums.get
-            for (v,), p in _integral({(v,): self.coeffs[v] for v in block}).items():
-                for key, c in p.terms.items():
+            numerators, _ = _cleared(*(self.coeffs[v].terms for v in block))
+            for v, terms in zip(block, numerators):
+                for key, c in terms.items():
                     key = key[:v] + (key[v] + 1,) + key[v + 1 :]
                     sums[key] = get(key, 0) + c
             if any(sums.values()):
@@ -283,17 +287,12 @@ def _collect(acc: dict, n: int) -> dict:
 
 
 def _integral(form: dict) -> dict:
-    """The form dict times the lcm of its coefficient denominators, so every
-    coefficient is an int.  The predicates are scale-invariant, so their
-    symbolic tests run on this multiple and multiply only ints.  Each
-    coefficient is scaled in ints (an int c has c.denominator == 1)."""
-    den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()
-                if type(c) is Fraction))
+    """The form dict times the lcm of its coefficient denominators; itself
+    when it has none.  The scale-invariant predicates test this multiple."""
+    numerators, den = _cleared(*(p.terms for p in form.values()))
     if den == 1:
         return form
-    return {k: BiPoly._trusted(p.n, {m: c.numerator * (den // c.denominator)
-                                     for m, c in p.terms.items()})
-            for k, p in form.items()}
+    return {k: BiPoly._trusted(p.n, t) for (k, p), t in zip(form.items(), numerators)}
 
 
 def _euler_reduced(form: dict, n: int) -> dict:
@@ -332,11 +331,6 @@ def dq_form(n: int) -> dict:
     return out
 
 
-def _same_ambient(n1: int, n2: int) -> None:
-    if n1 != n2:
-        raise ValueError(f"the inputs live on P^{n1} x P^{n1} and P^{n2} x P^{n2}")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -367,8 +361,7 @@ def log_form(residues, factors) -> PolyOneForm:
     """
     if len(residues) != len(factors) or not factors:
         raise ValueError("need matching nonempty residue and factor lists")
-    if not all(isinstance(r, (int, Fraction)) and not isinstance(r, bool)
-               for r in residues):
+    if not all(_is_exact(r) for r in residues):
         raise ValueError("residues must be ints or Fractions")
     residues = [Fraction(r) for r in residues]
     n = factors[0].n
@@ -389,14 +382,12 @@ def log_form(residues, factors) -> PolyOneForm:
     # with f_i = g_i / d_i and lambda_i = s_i / S, the form is
     # sum_i s_i (prod_{j != i} g_j) dg_i / (S prod_j d_j), summed in ints
     cleared = [_cleared(f.terms) for f in factors]
-    ints = [BiPoly._trusted(n, g) for g, _ in cleared]
-    scale = lcm(*(r.denominator for r in residues))
+    ints = [BiPoly._trusted(n, g) for (g,), _ in cleared]
+    (scaled,), scale = _cleared(dict(enumerate(residues)))
     den = scale * reduce(mul, (d for _, d in cleared))
     coeffs = [BiPoly.zero(n) for _ in range(2 * (n + 1))]
-    for i, (ri, gi) in enumerate(zip(residues, ints)):
-        others = ints[:i] + ints[i + 1 :]
-        cofactor = reduce(mul, others) if others else BiPoly.const(n, 1)
-        cofactor = cofactor * (ri.numerator * (scale // ri.denominator))
+    for i, gi in enumerate(ints):
+        cofactor = reduce(mul, ints[:i] + ints[i + 1 :], BiPoly.const(n, scaled[i]))
         for v in range(2 * (n + 1)):
             dv = gi.dvar(v)
             if dv:
@@ -613,9 +604,7 @@ class LineInFamily:
             raise ValueError("family must be 1 or 2")
         if not len(self.base) == len(self.p0) == len(self.p1):
             raise ValueError("base, p0 and p1 need the same number of coordinates")
-        if not all(
-            isinstance(a, (int, Fraction)) for a in (*self.base, *self.p0, *self.p1)
-        ):
+        if not all(_is_exact(a) for a in (*self.base, *self.p0, *self.p1)):
             raise ValueError("line coordinates must be ints or Fractions")
         if not any(self.base):
             raise ValueError("the base point must be nonzero")
@@ -633,12 +622,6 @@ def _independent(p, q) -> bool:
             if p[i] * q[j] - p[j] * q[i] != 0:
                 return True
     return False
-
-
-def _integer_multiple(point) -> list:
-    """The rational vector times the lcm of its denominators, as ints."""
-    scale = lcm(*(a.denominator for a in point))
-    return [a.numerator * (scale // a.denominator) for a in point]
 
 
 def tangency_degree(omega: PolyOneForm, line: LineInFamily):
@@ -671,7 +654,8 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
         d, block, degree = omega.bidegree[1], omega.coeffs[n + 1 :], numerics.deg_H1
     else:
         d, block, degree = omega.bidegree[0], omega.coeffs[: n + 1], numerics.deg_H2
-    block = _integral(dict(enumerate(block))).values()
+    numerators, den = _cleared(*(c.terms for c in block))
+    block = [BiPoly._trusted(n, t) for t in numerators] if den > 1 else block
     base = _integer_multiple(line.base)
     spans = _integer_multiple((*line.p0, *line.p1))
     p0, p1 = spans[: n + 1], spans[n + 1 :]
@@ -760,8 +744,7 @@ def linear_field(matrix, n: int):
     Entries must be ints or Fractions."""
     if len(matrix) != n + 1 or any(len(row) != n + 1 for row in matrix):
         raise ValueError(f"linear_field at n = {n} needs an {n + 1} x {n + 1} matrix")
-    if not all(isinstance(a, (int, Fraction)) and not isinstance(a, bool)
-               for row in matrix for a in row):
+    if not all(_is_exact(a) for row in matrix for a in row):
         raise ValueError("matrix entries must be ints or Fractions")
     comps = []
     for i in range(n + 1):

@@ -112,7 +112,7 @@ def _jet(polys, point, vectors=()):
     nonzero polynomials p; for each of them ``values`` holds den * p(point)
     and ``slopes`` the list of den * P * dp(point)(u) over the vectors u,
     with den the common denominator of all coefficients and P the product
-    of the coordinates."""
+    of the coordinates; den scales in this hot loop, not by ``_cleared``."""
     den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     big = prod(point)
     rows = [[big // z * t for z, t in zip(point, u)] for u in vectors]
@@ -221,7 +221,8 @@ def _point_on_surface(f, fx, fy):
     h(fixed) * q(fixed, z), and Cramer's determinant is zero, which leaves
     zeros in the solution; so a returned point proves that F is not in
     (q).  At n = 1 the two solved coordinates are the whole moving factor,
-    both right-hand sides are zero, and so is the solution: None."""
+    both right-hand sides are zero, and so is the solution: None.  As in
+    ``_jet``, den scales each term inside the loop, not by ``_cleared``."""
     a, b = f.bidegree()
     sides = ([1] if b == 1 else []) + ([0] if a == 1 else [])
     den = lcm(*(c.denominator for c in f.terms.values()))

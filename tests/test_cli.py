@@ -733,3 +733,52 @@ def test_bbw_output_is_pinned(capsys, letter, rank, node, weight):
     digest = stdout_digest(capsys, "bbw", "--type", letter, "--rank", str(rank),
                            "--node", str(node), f"--weight={weight}", "--json")
     assert digest == BBW_DIGESTS[letter, rank, node, weight]
+
+
+# sha256 of the stdout of `adjvar fol C --input F --json` for C in
+# check-integrable and degree, F the to_json file of a seeded form with
+# rational coefficients, so each run sends the file through from_json and the
+# Euler check: "pencil" is builtin_pencil(n, FolSampler(n, seed)), "euler22"
+# FolSampler(n, seed).euler_form((2, 2)) and "log3" the log form with residues
+# (1/2, 2/3, -7/6) on three sections of FolSampler(n, seed)
+RATIONAL_INPUT_DIGESTS = {
+    ("check-integrable", "pencil", 2, 2024):
+        "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("check-integrable", "pencil", 3, 2024):
+        "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
+    ("check-integrable", "euler22", 2, 2024):
+        "c7a5a1d76e3cde6e8e4e58567610646457713c44926a4f2b0c84d24085549576",
+    ("check-integrable", "log3", 2, 2024):
+        "de6a75af7498e1cc210ae71507d873fbe45658e8bd97d61ca19fab2f047433b8",
+    ("degree", "pencil", 2, 2024):
+        "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("degree", "pencil", 3, 2024):
+        "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("degree", "euler22", 2, 2024):
+        "8ff7d1e97a9a5e2eab8a45e27dcf81033c3f7496a27969ebb9b17d3b65e30a39",
+    ("degree", "log3", 2, 2024):
+        "b7602dcc3748199fd2cc150e74bf8855166f67ba8371e5798813c8a49701eae3",
+}
+
+
+def seeded_rational_form(kind, n, seed):
+    from adjvar.folforms import FolSampler, builtin_pencil, log_form
+
+    sampler = FolSampler(n, seed=seed)
+    if kind == "pencil":
+        return builtin_pencil(n, sampler)
+    if kind == "log3":
+        residues = [Fraction(1, 2), Fraction(2, 3), Fraction(-7, 6)]
+        return log_form(residues, [sampler.section11() for _ in range(3)])
+    return sampler.euler_form((2, 2))
+
+
+@pytest.mark.parametrize("command,kind,n,seed", sorted(RATIONAL_INPUT_DIGESTS))
+def test_fol_output_on_a_rational_form_file_is_pinned(tmp_path, capsys, command, kind,
+                                                      n, seed):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(seeded_rational_form(kind, n, seed).to_json()))
+    code, out, err = run(capsys, "fol", command, "--input", str(path), "--json")
+    assert code in (0, 1) and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RATIONAL_INPUT_DIGESTS[command, kind, n, seed]

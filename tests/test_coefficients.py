@@ -11,7 +11,7 @@ change when the form is scaled.
 
 import json
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -78,19 +78,46 @@ def test_integral_fractions_become_ints():
     assert all(type(c) is int for c in (p * 6).terms.values())
 
 
-@pytest.mark.parametrize("c", [0.5, 0.1, 2.0, True])
+@pytest.mark.parametrize("c", [0.5, 0.1, 2.0, True, 0.0, False])
 def test_float_or_bool_coefficient_is_refused(c):
+    # a zero float or bool used to be dropped as a zero term, with no error
     with pytest.raises(ValueError, match="int or a Fraction"):
         BiPoly(1, {(0, 0, 0, 0): c})
 
 
-@pytest.mark.parametrize("c", [0.5, "1/2", None])
+@pytest.mark.parametrize("c", [0.5, "1/2", None, True])
 def test_product_with_a_non_number_is_a_type_error(c):
+    # a bool used to scale the polynomial like the int 1
     x0 = BiPoly.x(2, 0)
     with pytest.raises(TypeError):
         x0 * c
     with pytest.raises(TypeError):
         c * x0
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2), 0.5, None])
+def test_sum_with_a_non_polynomial_is_a_type_error(c):
+    # it used to raise AttributeError on c.terms
+    x0 = BiPoly.x(2, 0)
+    for op in (add, sub):
+        with pytest.raises(TypeError):
+            op(x0, c)
+        with pytest.raises(TypeError):
+            op(c, x0)
+
+
+def test_product_of_polynomials_on_different_spaces_is_refused():
+    # map(add, ...) truncated the longer exponent tuple: the product was
+    # x0 y0 on n = 1
+    with pytest.raises(ValueError, match="P\\^1 x P\\^1 and P\\^2 x P\\^2"):
+        BiPoly.x(1, 0) * BiPoly.x(2, 1)
+
+
+def test_sum_of_polynomials_on_different_spaces_is_refused():
+    # the sum used to hold 4-slot and 6-slot exponent tuples side by side
+    for op in (add, sub):
+        with pytest.raises(ValueError, match="P\\^2 x P\\^2 and P\\^1 x P\\^1"):
+            op(BiPoly.x(2, 1), BiPoly.y(1, 0))
 
 
 def fraction_product(a: BiPoly, b: BiPoly) -> dict:

@@ -879,9 +879,11 @@ def test_line_rejects_a_zero_base_point():
 
 @pytest.mark.parametrize("base, p0, p1", [((1.0, 0, 0), (0, 1, 0), (0, 0, 1)),
                                          ((1, 0, 0), (0, 0.5, 0), (0, 0, 1)),
-                                         ((1, 0, 0), (0, 1, 0), (0, 0, "1"))])
+                                         ((1, 0, 0), (0, 1, 0), (0, 0, "1")),
+                                         ((True, 0, 0), (0, 1, 0), (0, 0, 1))])
 def test_line_rejects_coordinates_that_are_not_exact(base, p0, p1):
-    # a float used to raise AttributeError inside tangency_degree
+    # a float used to raise AttributeError inside tangency_degree, and a bool
+    # was taken for the int 1
     with pytest.raises(ValueError, match="ints or Fractions"):
         LineInFamily(1, base, p0, p1)
 

@@ -1,7 +1,8 @@
 """Every module-level import in src/adjvar is used (``__init__`` re-exports
 its imports, so it is exempt), and so is every module-level private function
 and class.  Every module-level public function and class is exported by
-``__init__``, used in src, or allowed below with its reason."""
+``__init__``, used in src, or allowed below with its reason.  Only bipoly.py
+reads ``.denominator``, apart from the loops allowed below with their reason."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,45 @@ def test_no_unexported_unused_public_definition():
     sources = {p.name: p.read_text() for p in PACKAGE}
     # equality, not inclusion: an entry that is used again must leave the list
     assert sorted(unexported_unused_public_definitions(sources)) == sorted(PUBLIC_ALLOWED)
+
+
+#: top-level definitions outside bipoly.py that may read ``.denominator``, each
+#: with its reason; bipoly alone decides what an exact number is and clears
+#: denominators (``_is_exact``, ``_cleared``, ``_integer_multiple``)
+DENOMINATOR_ALLOWED = {
+    ("witness.py", "_jet"): "its per-term scaling is fused into the term loop "
+    "of every witness; routing it through bipoly._cleared cost fol_refute "
+    "item_p50_ms +7% (0.129 -> 0.139 ms, 2 perfbench runs per side)",
+    ("witness.py", "_point_on_surface"): "its per-term scaling is fused into "
+    "the loop that builds the linear equations; a separate _cleared dict cost "
+    "fol_refute item_p50_ms +4% (0.130 -> 0.135 ms, worse in 10 of 10 "
+    "perfbench pairs) through its is_invariant items",
+}
+
+
+def denominator_reads(sources: dict) -> list:
+    """Sorted (module, top-level statement name) of each read of an attribute
+    ``.denominator`` in ``sources`` ({module: source}) outside bipoly.py; a
+    statement that is not a ``def`` or ``class`` is named ``<module>``."""
+    return sorted({
+        (module, getattr(node, "name", "<module>"))
+        for module, source in sources.items() if module != "bipoly.py"
+        for node in ast.parse(source).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "denominator"
+    })
+
+
+def test_the_check_sees_a_denominator_read():
+    sources = {
+        "bipoly.py": "def _cleared(c):\n    return c.denominator\n",
+        "a": "def scale(c):\n    return c.numerator * c.denominator\n\n\n"
+             "DEN = (1).denominator\n",
+    }
+    assert denominator_reads(sources) == [("a", "<module>"), ("a", "scale")]
+
+
+def test_only_bipoly_clears_denominators():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    # equality, not inclusion: an entry that stops reading must leave the list
+    assert denominator_reads(sources) == sorted(DENOMINATOR_ALLOWED)

@@ -121,6 +121,12 @@ def test_nullspace_of_no_rows_is_the_unit_basis():
     assert nullspace([{}, {1: 0}], 2) == [[1, 0], [0, 1]]
 
 
+def test_a_row_of_integral_fractions_is_scaled_to_ints():
+    # every denominator is 1, yet the entries must still become ints
+    assert nullspace([{0: Fraction(2), 1: Fraction(-4, 2)}], 2) == [[1, 1]]
+    assert nullspace([{0: Fraction(3), 2: 6}], 3) == [[0, 1, 0], [-2, 0, 1]]
+
+
 def test_nullspace_rejects_columns_out_of_range():
     with pytest.raises(ValueError, match="outside 0..2"):
         nullspace([{3: 1}], 3)
