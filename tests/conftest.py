@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import settings
 
+from fractions import Fraction
+
+from adjvar.folforms import FolSampler, builtin_pencil, log_form
 from adjvar.weylgroup import REGULAR, SINGULAR, DotResult, simple_reflection
 
 # Fixed examples and no example database, so the suite is deterministic; each
@@ -29,3 +32,22 @@ def random_order_dot():
         raise AssertionError("chamber reduction exceeded its step bound")
 
     return classify
+
+
+@pytest.fixture
+def seeded_form():
+    """The seeded form with rational coefficients of a pinned (kind, n, seed):
+    "pencil" is builtin_pencil(n, FolSampler(n, seed)), "log3" the log form
+    with residues (1/2, 2/3, -7/6) on three sections of FolSampler(n, seed),
+    and "eulerAB" FolSampler(n, seed).euler_form((A, B))."""
+
+    def build(kind, n, seed):
+        sampler = FolSampler(n, seed=seed)
+        if kind == "pencil":
+            return builtin_pencil(n, sampler)
+        if kind == "log3":
+            residues = [Fraction(1, 2), Fraction(2, 3), Fraction(-7, 6)]
+            return log_form(residues, [sampler.section11() for _ in range(3)])
+        return sampler.euler_form((int(kind[-2]), int(kind[-1])))
+
+    return build

@@ -738,9 +738,7 @@ def test_bbw_output_is_pinned(capsys, letter, rank, node, weight):
 # sha256 of the stdout of `adjvar fol C --input F --json` for C in
 # check-integrable and degree, F the to_json file of a seeded form with
 # rational coefficients, so each run sends the file through from_json and the
-# Euler check: "pencil" is builtin_pencil(n, FolSampler(n, seed)), "euler22"
-# FolSampler(n, seed).euler_form((2, 2)) and "log3" the log form with residues
-# (1/2, 2/3, -7/6) on three sections of FolSampler(n, seed)
+# Euler check; the kinds are those of the ``seeded_form`` fixture
 RATIONAL_INPUT_DIGESTS = {
     ("check-integrable", "pencil", 2, 2024):
         "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
@@ -761,23 +759,11 @@ RATIONAL_INPUT_DIGESTS = {
 }
 
 
-def seeded_rational_form(kind, n, seed):
-    from adjvar.folforms import FolSampler, builtin_pencil, log_form
-
-    sampler = FolSampler(n, seed=seed)
-    if kind == "pencil":
-        return builtin_pencil(n, sampler)
-    if kind == "log3":
-        residues = [Fraction(1, 2), Fraction(2, 3), Fraction(-7, 6)]
-        return log_form(residues, [sampler.section11() for _ in range(3)])
-    return sampler.euler_form((2, 2))
-
-
 @pytest.mark.parametrize("command,kind,n,seed", sorted(RATIONAL_INPUT_DIGESTS))
-def test_fol_output_on_a_rational_form_file_is_pinned(tmp_path, capsys, command, kind,
-                                                      n, seed):
+def test_fol_output_on_a_rational_form_file_is_pinned(tmp_path, capsys, seeded_form,
+                                                      command, kind, n, seed):
     path = tmp_path / "form.json"
-    path.write_text(json.dumps(seeded_rational_form(kind, n, seed).to_json()))
+    path.write_text(json.dumps(seeded_form(kind, n, seed).to_json()))
     code, out, err = run(capsys, "fol", command, "--input", str(path), "--json")
     assert code in (0, 1) and err == ""
     digest = hashlib.sha256(out.encode()).hexdigest()
