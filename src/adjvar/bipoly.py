@@ -511,7 +511,7 @@ def _coprime_certificate(polys) -> bool:
     gives the proof.  Each is first cleared of denominators on its own (over
     one common denominator one could vanish mod p).  Undecided: a positive
     degree, or a variable whose leading coefficients vanish at both points."""
-    if _cleared(*(f.terms for f in polys))[1] > 1:
+    if {type(c) for f in polys for c in f.terms.values()} != {int}:
         polys = [BiPoly._trusted(f.n, _cleared(f.terms)[0][0]) for f in polys]
     pending = sorted(set.intersection(*(used_vars(f) for f in polys)))
     for point in _cert_points(2 * polys[0].n + 2):

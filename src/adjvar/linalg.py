@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .bipoly import _cleared
-
 
 def _make_primitive(row: dict) -> None:
     """Divide the integer row by the gcd of its entries, in place."""
@@ -35,8 +33,8 @@ def nullspace(rows, ncols: int) -> list:
     mat = {}  # row id -> {column: nonzero int}
     holders: dict[int, set] = {}  # column -> ids of the rows holding it
     for i, row in enumerate(rows):
-        (vec,), _ = _cleared(row)
-        vec = {c: v for c, v in vec.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        vec = {c: den // v.denominator * v.numerator for c, v in row.items() if v}
         for c in vec:
             if not 0 <= c < ncols:
                 raise ValueError(f"column {c} lies outside 0..{ncols - 1}")

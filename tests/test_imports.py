@@ -132,9 +132,12 @@ DENOMINATOR_ALLOWED = {
     "of every witness; routing it through bipoly._cleared cost fol_refute "
     "item_p50_ms +7% (0.129 -> 0.139 ms, 2 perfbench runs per side)",
     ("witness.py", "_point_on_surface"): "its per-term scaling is fused into "
-    "the loop that builds the linear equations; a separate _cleared dict cost "
-    "fol_refute item_p50_ms +4% (0.130 -> 0.135 ms, worse in 10 of 10 "
-    "perfbench pairs) through its is_invariant items",
+    "the loop that builds the linear equations; routing it through "
+    "bipoly._cleared cost fol_refute item_p50_ms +5% (0.1293 -> 0.1360 ms, "
+    "worse in 10 of 10 perfbench rounds, BENCH_point_on_surface.json)",
+    ("linalg.py", "nullspace"): "linalg imports nothing from the package, so "
+    "bipoly's mod-p helpers can move into it (ROADMAP item 4) without an "
+    "import cycle; two lines scale each row",
 }
 
 
