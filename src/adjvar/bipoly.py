@@ -29,27 +29,21 @@ coordinate modulo q.  Pseudo-reduction modulo q in a chosen variable
 (``reduce_mod_quadric``) stays as the tests' independent oracle for the
 normal form.
 
-The gcd of a list f_1..f_k first tries to prove the list coprime from
-mod-p images, with p = 2^31 - 1.  For each variable v that every f_i uses,
-the other variables are set to a fixed integer point.  The images are
-reduced mod p and their univariate gcd in F_p[v] is taken, at a point
-where the leading coefficient in v of some f_j does not vanish.  This is a
-proof: with H = gcd(f_1..f_k) in Z[vars] (Gauss's lemma), lc_v(H) divides
-lc_v(f_j), so the image of H keeps degree deg_v H and divides every image.
-A gcd of degree 0 for every v therefore proves H = 1, with no probability
-involved.  A positive degree, or leading coefficients that all vanish at
-both of the two fixed points, leaves the list to the fallback: recursive
-content extraction variable by variable and a primitive pseudo-remainder
-sequence (PRS), folded over the list, which also computes every
-nonconstant gcd.  The gcd of two polynomials is that of the list of two.
+The gcd of a list clears each member of denominators and asks
+``linalg._coprime_certificate``, the one home of mod-p arithmetic, to prove
+the integer polynomials coprime.  Any other list is folded with recursive
+content extraction and a primitive pseudo-remainder sequence (PRS), which
+computes every nonconstant gcd.  The gcd of two is that of the list of two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd as int_gcd, lcm
 from operator import add, sub
+
+from .linalg import _coprime_certificate
 
 Term = tuple[int, ...]
 
@@ -196,7 +190,8 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return (isinstance(other, BiPoly) and self.n == other.n
+                and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -437,99 +432,6 @@ def _content_wrt(f: BiPoly, v: int):
     return cont, pp
 
 
-#: the prime of the coprimality certificate, 2^31 - 1
-_CERT_PRIME = (1 << 31) - 1
-
-
-@lru_cache(maxsize=None)
-def _cert_points(nvars: int) -> tuple:
-    """The certificate's two fixed points of (Z/p)^nvars: successive powers
-    of 7^5 = 16807 modulo p, the first nvars for the first point and the
-    next nvars for the second, so no coordinate is zero."""
-    powers = [pow(16807, k, _CERT_PRIME) for k in range(1, 2 * nvars + 1)]
-    return tuple(powers[:nvars]), tuple(powers[nvars:])
-
-
-def _values_mod_p(f: BiPoly, point) -> list:
-    """[(exponent tuple, c * point^exponent mod p)] for the terms c of f,
-    whose coefficients must be ints."""
-    p = _CERT_PRIME
-    out = []
-    for key, c in f.terms.items():
-        m = c % p
-        for z, e in zip(point, key):
-            if e:
-                m = m * (z if e == 1 else pow(z, e, p)) % p
-        out.append((key, m))
-    return out
-
-
-def _image_in(values, v: int, z: int, degree: int) -> list:
-    """Coefficients, low to high and with no trailing zero, of the image in
-    F_p[v] of the polynomial whose term values are ``values``: each value
-    divided by z^(its exponent of v)."""
-    p = _CERT_PRIME
-    inv = pow(z, -1, p)
-    scale = [pow(inv, e, p) for e in range(degree + 1)]
-    coeffs = [0] * (degree + 1)
-    for key, m in values:
-        e = key[v]
-        coeffs[e] += m * scale[e]
-    coeffs = [c % p for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _gcd_mod_p(a: list, b: list) -> list:
-    """The gcd in F_p[v] of two coefficient lists (low to high, no trailing
-    zero; [] is zero, whose gcd with a is a), up to a unit."""
-    p = _CERT_PRIME
-    while b:
-        inv = pow(b[-1], -1, p)
-        nb = len(b)
-        a = a[:]
-        while len(a) >= nb:
-            c = a[-1] * inv % p
-            shift = len(a) - nb
-            for i in range(nb - 1):
-                a[shift + i] = (a[shift + i] - c * b[i]) % p
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return a
-
-
-def _coprime_certificate(polys) -> bool:
-    """True only if the nonzero polynomials in the list are proved coprime
-    over Q; False means undecided.
-
-    Each variable v that all of them use is decided by the univariate gcd
-    in F_p[v] of their images at the first fixed point where the leading
-    coefficient in v of at least one of them survives; the module docstring
-    gives the proof.  Each is first cleared of denominators on its own (over
-    one common denominator one could vanish mod p).  Undecided: a positive
-    degree, or a variable whose leading coefficients vanish at both points."""
-    if {type(c) for f in polys for c in f.terms.values()} != {int}:
-        polys = [BiPoly._trusted(f.n, _cleared(f.terms)[0][0]) for f in polys]
-    pending = sorted(set.intersection(*(used_vars(f) for f in polys)))
-    for point in _cert_points(2 * polys[0].n + 2):
-        if not pending:
-            return True
-        values = [_values_mod_p(f, point) for f in polys]
-        skipped = []
-        for v in pending:
-            degrees = [var_degree(f, v) for f in polys]
-            images = [_image_in(fv, v, point[v], d) for fv, d in zip(values, degrees)]
-            if all(len(a) <= d for a, d in zip(images, degrees)):
-                skipped.append(v)
-            elif len(reduce(_gcd_mod_p, images)) > 1:
-                return False
-        pending = skipped
-    return not pending
-
-
 def poly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """Primitive multivariate gcd over Q of two polynomials: the gcd of the
     list (f, g)."""
@@ -571,17 +473,17 @@ def poly_gcd_list(polys) -> BiPoly | None:
     """Primitive multivariate gcd over Q of the polynomials in ``polys``:
     None for no polynomial, 0 when all of them are 0.
 
-    A coprime list is proved so by ``_coprime_certificate``, from univariate
-    gcds of mod-p images, and gets 1 at once.  Any other list, one with a
-    common factor or one the certificate leaves undecided, is folded with
-    ``_prs_gcd``: recursive content extraction variable by variable and a
-    primitive pseudo-remainder sequence, stopped once the running gcd is
-    constant."""
+    A coprime list is proved so by ``linalg._coprime_certificate`` and gets
+    1 at once.  Any other list, one with a common factor or one the
+    certificate leaves undecided, is folded with ``_prs_gcd``, stopped once
+    the running gcd is constant."""
     polys = list(polys)
     nonzero = [p for p in polys if p]
     if not nonzero:
         return polys[0] if polys else None
-    if _coprime_certificate(nonzero):
+    # each input is cleared on its own: over one common denominator, an
+    # input could vanish mod p
+    if _coprime_certificate([_cleared(p.terms)[0][0] for p in nonzero]):
         return BiPoly.const(nonzero[0].n, 1)
     out = nonzero[0]
     for p in nonzero[1:]:

@@ -371,14 +371,10 @@ def log_form(residues, factors) -> PolyOneForm:
         if f.is_zero:
             raise ValueError("zero factor in a logarithmic form")
         degs.append(f.bidegree())
-    total = (
-        sum(r * d[0] for r, d in zip(residues, degs)),
-        sum(r * d[1] for r, d in zip(residues, degs)),
-    )
-    if total != (0, 0):
-        raise ValueError(
-            f"residue condition violated: sum lambda_i deg_i = {total}, not (0,0)"
-        )
+    total = [sum(r * d[k] for r, d in zip(residues, degs)) for k in (0, 1)]
+    if any(total):
+        raise ValueError("residue condition violated: sum lambda_i deg_i = "
+                         f"({total[0]}, {total[1]}), not (0,0)")
     # with f_i = g_i / d_i and lambda_i = s_i / S, the form is
     # sum_i s_i (prod_{j != i} g_j) dg_i / (S prod_j d_j), summed in ints
     cleared = [_cleared(f.terms) for f in factors]

@@ -1,12 +1,25 @@
-"""Exact linear algebra on sparse rows.
+"""Exact linear algebra on sparse rows, and the gcd's coprimality certificate.
+This module imports nothing from the package.
 
 A matrix is a list of rows, each a dict {column: entry} with ``int`` or
 ``fractions.Fraction`` entries; absent columns hold zero.  Everything stays
 in integers: rows are scaled to clear denominators and kept primitive.
+
+``_coprime_certificate`` takes integer polynomials, each a nonzero term dict
+{exponent tuple: int}, and tries to prove them coprime from mod-p images,
+p = 2^31 - 1.  For each variable v that every f_i uses, the other variables
+are set to a fixed integer point, and the univariate gcd in F_p[v] of the
+images is taken at a point where the leading coefficient in v of some f_j
+does not vanish.  This is a proof: with H = gcd(f_1..f_k) in Z[vars]
+(Gauss's lemma), lc_v(H) divides lc_v(f_j), so the image of H keeps degree
+deg_v H and divides every image.  A gcd of degree 0 for every v therefore
+proves H = 1, with no probability involved.  A positive degree, or leading
+coefficients that all vanish at both fixed points, leaves the list undecided.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 
@@ -89,3 +102,90 @@ def nullspace(rows, ncols: int) -> list:
         g = gcd(*vec)
         basis.append([v // g for v in vec] if g > 1 else vec)
     return basis
+
+
+#: the prime of the coprimality certificate, 2^31 - 1
+_CERT_PRIME = (1 << 31) - 1
+
+
+@lru_cache(maxsize=None)
+def _cert_points(nvars: int) -> tuple:
+    """The certificate's two fixed points of (Z/p)^nvars: successive powers
+    of 7^5 = 16807 modulo p, the first nvars for the first point and the
+    next nvars for the second, so no coordinate is zero."""
+    powers = [pow(16807, k, _CERT_PRIME) for k in range(1, 2 * nvars + 1)]
+    return tuple(powers[:nvars]), tuple(powers[nvars:])
+
+
+def _values_mod_p(terms: dict, point) -> list:
+    """[(exponent tuple, c * point^exponent mod p)] for the terms
+    {exponent tuple: int c} of a polynomial."""
+    p = _CERT_PRIME
+    out = []
+    for key, c in terms.items():
+        m = c % p
+        for z, e in zip(point, key):
+            if e:
+                m = m * (z if e == 1 else pow(z, e, p)) % p
+        out.append((key, m))
+    return out
+
+
+def _image_in(values, v: int, z: int, degree: int) -> list:
+    """Coefficients, low to high and with no trailing zero, of the image in
+    F_p[v] of the polynomial whose term values are ``values``: each value
+    divided by z^(its exponent of v)."""
+    p = _CERT_PRIME
+    inv = pow(z, -1, p)
+    scale = [pow(inv, e, p) for e in range(degree + 1)]
+    coeffs = [0] * (degree + 1)
+    for key, m in values:
+        e = key[v]
+        coeffs[e] += m * scale[e]
+    coeffs = [c % p for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _gcd_mod_p(a: list, b: list) -> list:
+    """The gcd in F_p[v] of two coefficient lists (low to high, no trailing
+    zero; [] is zero, whose gcd with a is a), up to a unit."""
+    p = _CERT_PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        nb = len(b)
+        a = a[:]
+        while len(a) >= nb:
+            c = a[-1] * inv % p
+            shift = len(a) - nb
+            for i in range(nb - 1):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _coprime_certificate(polys) -> bool:
+    """True only if the polynomials in the list, each a nonzero term dict
+    {exponent tuple: int}, are proved coprime over Q; False means undecided.
+    Each shared variable v is decided at the first fixed point where the
+    leading coefficient in v of one of them survives (module docstring)."""
+    pending = sorted(set.intersection(
+        *({v for key in f for v, e in enumerate(key) if e} for f in polys)))
+    for point in _cert_points(len(next(iter(polys[0])))):
+        if not pending:
+            return True
+        values = [_values_mod_p(f, point) for f in polys]
+        skipped = []
+        for v in pending:
+            degrees = [max(key[v] for key in f) for f in polys]
+            images = [_image_in(fv, v, point[v], d) for fv, d in zip(values, degrees)]
+            if all(len(a) <= d for a, d in zip(images, degrees)):
+                skipped.append(v)
+            elif len(reduce(_gcd_mod_p, images)) > 1:
+                return False
+        pending = skipped
+    return not pending

@@ -120,6 +120,13 @@ def test_sum_of_polynomials_on_different_spaces_is_refused():
             op(BiPoly.x(2, 1), BiPoly.y(1, 0))
 
 
+def test_polynomials_on_different_spaces_are_not_equal():
+    # __eq__ compared the terms only, so the two zeros were equal
+    assert BiPoly.zero(1) != BiPoly.zero(2)
+    assert BiPoly.zero(1) == BiPoly.zero(1)
+    assert BiPoly.__hash__ is None
+
+
 def fraction_product(a: BiPoly, b: BiPoly) -> dict:
     """The product's terms by one Fraction operation per pair of terms, each
     integral sum stored as an int: the route before denominators were

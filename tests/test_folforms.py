@@ -145,6 +145,18 @@ def test_log_form_residue_condition():
         log_form([1, 1], [h1, h2])
 
 
+def test_log_form_residue_condition_prints_exact_sums():
+    # the sums are Fractions, printed as ints or p/q, not by their repr
+    x0, x1 = BiPoly.x(2, 0), BiPoly.x(2, 1)
+    with pytest.raises(ValueError) as err:
+        log_form([1, 1], [x0, x1])
+    assert str(err.value) == (
+        "residue condition violated: sum lambda_i deg_i = (2, 0), not (0,0)"
+    )
+    with pytest.raises(ValueError, match=re.escape("= (3/2, 0), not")):
+        log_form([Fraction(1, 2), 1], [x0, x1])
+
+
 def test_two_factor_log_is_the_pencil():
     h1, h2 = h_pair()
     w_log = log_form([1, -1], [h1, h2])

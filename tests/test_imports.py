@@ -2,7 +2,8 @@
 its imports, so it is exempt), and so is every module-level private function
 and class.  Every module-level public function and class is exported by
 ``__init__``, used in src, or allowed below with its reason.  Only bipoly.py
-reads ``.denominator``, apart from the loops allowed below with their reason."""
+reads ``.denominator``, apart from the loops allowed below with their reason.
+The package's own imports keep the two engines apart: ``LAYERS`` below."""
 
 import ast
 from pathlib import Path
@@ -135,9 +136,9 @@ DENOMINATOR_ALLOWED = {
     "the loop that builds the linear equations; routing it through "
     "bipoly._cleared cost fol_refute item_p50_ms +5% (0.1293 -> 0.1360 ms, "
     "worse in 10 of 10 perfbench rounds, BENCH_point_on_surface.json)",
-    ("linalg.py", "nullspace"): "linalg imports nothing from the package, so "
-    "bipoly's mod-p helpers can move into it (ROADMAP item 4) without an "
-    "import cycle; two lines scale each row",
+    ("linalg.py", "nullspace"): "linalg imports nothing from the package "
+    "(test_the_package_keeps_its_layers), so it cannot call bipoly._cleared; "
+    "two lines scale each row",
 }
 
 
@@ -167,3 +168,82 @@ def test_only_bipoly_clears_denominators():
     sources = {p.name: p.read_text() for p in PACKAGE}
     # equality, not inclusion: an entry that stops reading must leave the list
     assert denominator_reads(sources) == sorted(DENOMINATOR_ALLOWED)
+
+
+#: the Lie engine, the foliation engine, and the two modules that may import
+#: both; every module of the package is in exactly one of them
+LIE = {"rootsystem", "weylgroup", "parabolic", "repcalc", "bbw", "adjoint"}
+FOLIATION = {"linalg", "bipoly", "witness", "folforms"}
+FRONTS = {"cli", "__init__"}
+#: modules that import nothing from the package
+LEAVES = {"linalg", "witness"}
+
+LAYERS = {
+    "leaf": "imports from the package",
+    "lie": "a Lie module imports a foliation module",
+    "foliation": "a foliation module imports a Lie module",
+    "both": "imports both engines",
+}
+
+
+def package_imports(source: str) -> set:
+    """The package modules named by the imports of ``source``, relative or
+    through ``adjvar``, at any depth (a function-level import counts)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").partition(".")[0] == "adjvar":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                out.add(module.partition(".")[0])
+            else:
+                out |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("adjvar.")}
+    return out
+
+
+def layer_violations(sources: dict) -> list:
+    """Sorted (module, broken rule) over ``sources`` ({module name: source})."""
+    out = []
+    for module, source in sources.items():
+        names = package_imports(source)
+        broken = [
+            module in LEAVES and bool(names),
+            module in LIE and bool(names & FOLIATION),
+            module in FOLIATION and bool(names & LIE),
+            module not in FRONTS and bool(names & LIE) and bool(names & FOLIATION),
+        ]
+        out += [(module, rule) for rule, hit in zip(LAYERS.values(), broken) if hit]
+    return sorted(out)
+
+
+def test_the_check_sees_a_layer_broken():
+    sources = {
+        "linalg": "from .bipoly import BiPoly\n",
+        "rootsystem": "from . import folforms\n",
+        "bipoly": "def f():\n    from adjvar.weylgroup import simple_reflection\n",
+        "tools": "import adjvar.repcalc\nfrom .folforms import PolyOneForm\n",
+        "cli": "from .adjoint import section4_row\nfrom . import folforms as ff\n",
+        "folforms": "from math import gcd\nfrom .bipoly import BiPoly\n",
+    }
+    assert layer_violations(sources) == sorted([
+        ("linalg", LAYERS["leaf"]),
+        ("rootsystem", LAYERS["lie"]),
+        ("bipoly", LAYERS["foliation"]),
+        ("tools", LAYERS["both"]),
+    ])
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE} == LIE | FOLIATION | FRONTS
+
+
+def test_the_package_keeps_its_layers():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert layer_violations(sources) == []
