@@ -14,9 +14,10 @@ in (q) is decided by the normal form modulo q; membership in (F, q) on the
 two charts x_0 != 0 and y_0 != 0, each by the normal form and exact
 single-divisor divisions in a polynomial ring, on the components of
 dq ^ dF ^ omega free of the chart's coordinate only (the Euler field of its
-factor gives the others modulo (F, q)).  The predicates do not change
-when a form is scaled, so their symbolic tests clear denominators first and
-multiply only ints.  Integrability and proportionality share one test,
+factor gives the others modulo (F, q)).  The predicates do not change when
+a form is scaled, so they multiply only ints: a form is cleared of
+denominators once, into ``PolyOneForm.integral``, and F once per
+``is_invariant`` call.  Integrability and proportionality share one test,
 dq ^ a ^ b in (q), run on the wedge components free of x_0 and y_0 only: both
 Euler fields annihilate those wedges modulo q, so the other components follow
 (``_euler_reduced``).  As a is a 1-form, the components of a ^ b through one
@@ -107,10 +108,12 @@ class PolyOneForm:
     ``coeffs[v]`` multiplies dx_v for v <= n and dy_{v-n-1} otherwise; the
     dx-coefficients are bihomogeneous of bidegree (a-1, b) and the
     dy-coefficients of bidegree (a, b-1).  Both Euler contractions
-    sum x_i A_i and sum y_j B_j must vanish identically.
+    sum x_i A_i and sum y_j B_j must vanish identically.  ``integral`` holds
+    the coefficients times the lcm of all their denominators, in ints; it is
+    ``coeffs`` itself when there is none.
     """
 
-    __slots__ = ("n", "coeffs", "bidegree")
+    __slots__ = ("n", "coeffs", "bidegree", "integral")
 
     def __init__(self, n: int, coeffs):
         if len(coeffs) != 2 * (n + 1):
@@ -122,6 +125,9 @@ class PolyOneForm:
         if all(c.is_zero for c in self.coeffs):
             raise ValueError("the zero form does not define a foliation")
         self.bidegree = self._check_bidegree()
+        numerators, den = _cleared(*(c.terms for c in self.coeffs))
+        self.integral = (self.coeffs if den == 1
+                         else tuple(BiPoly._trusted(n, t) for t in numerators))
         self._check_euler()
 
     def _check_bidegree(self):
@@ -143,23 +149,21 @@ class PolyOneForm:
         return (a, b)
 
     def _check_euler(self):
-        """Raise unless sum x_i A_i and sum y_j B_j vanish.  Each block is
-        scaled by the lcm of its denominators (``_cleared``), which keeps the
-        test exact, and z_v A_v is summed in ints by shifting exponents."""
+        """Raise unless sum x_i A_i and sum y_j B_j vanish, tested on
+        ``integral``: z_v A_v is summed in ints by shifting exponents."""
         n = self.n
         for block in (range(n + 1), range(n + 1, 2 * n + 2)):
             sums: dict = {}
             get = sums.get
-            numerators, _ = _cleared(*(self.coeffs[v].terms for v in block))
-            for v, terms in zip(block, numerators):
-                for key, c in terms.items():
+            for v in block:
+                for key, c in self.integral[v].terms.items():
                     key = key[:v] + (key[v] + 1,) + key[v + 1 :]
                     sums[key] = get(key, 0) + c
             if any(sums.values()):
                 raise ValueError("Euler contraction does not vanish")
 
     def as_dict(self) -> dict:
-        return {(v,): c for v, c in enumerate(self.coeffs) if not c.is_zero}
+        return _form_dict(self.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -191,6 +195,10 @@ class PolyOneForm:
 
 
 # generic exterior algebra on dicts {sorted var tuple: BiPoly}
+
+
+def _form_dict(coeffs) -> dict:
+    return {(v,): c for v, c in enumerate(coeffs) if not c.is_zero}
 
 
 def _merge_wedge(i_tuple, j_tuple):
@@ -284,15 +292,6 @@ def _collect(acc: dict, n: int) -> dict:
     """The form dict of {key: {monomial: coefficient sum}}, zeros dropped."""
     out = {k: BiPoly(n, terms) for k, terms in acc.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _integral(form: dict) -> dict:
-    """The form dict times the lcm of its coefficient denominators; itself
-    when it has none.  The scale-invariant predicates test this multiple."""
-    numerators, den = _cleared(*(p.terms for p in form.values()))
-    if den == 1:
-        return form
-    return {k: BiPoly._trusted(p.n, t) for (k, p), t in zip(form.items(), numerators)}
 
 
 def _euler_reduced(form: dict, n: int) -> dict:
@@ -455,7 +454,7 @@ def _dq_wedge_in_q(a: dict, b: dict, n: int) -> bool:
 
 def _integrable_symbolic(omega: PolyOneForm) -> bool:
     n = omega.n
-    w = _integral(_euler_reduced(omega.as_dict(), n))
+    w = _euler_reduced(_form_dict(omega.integral), n)
     return _dq_wedge_in_q(w, _euler_reduced(form_d(w, n), n), n)
 
 
@@ -502,6 +501,7 @@ def is_invariant(omega: PolyOneForm, f: BiPoly) -> bool:
         if normal_form_mod_q(f).is_zero:
             raise ValueError("F lies in the ideal of X")
         return True
+    f = BiPoly._trusted(f.n, _cleared(f.terms)[0][0])
     refuted = witness.invariance_witness(omega, f) is not None
     return not refuted and _is_invariant_symbolic(omega, f)
 
@@ -531,12 +531,11 @@ def _is_invariant_symbolic(omega: PolyOneForm, f: BiPoly) -> bool:
     components of the factors, so each factor is reduced before the wedge.
     """
     n = omega.n
-    f = _integral({(): f})[()]
     charts = (0, n + 1)  # x_0 and y_0
     f_images = [_chart_image(f, chart) for chart in charts]
     if not all(f_images):
         raise ValueError("F lies in the ideal of X")
-    factors = (dq_form(n), form_d({(): f}, n), _integral(omega.as_dict()))
+    factors = (dq_form(n), form_d({(): f}, n), _form_dict(omega.integral))
     for chart, f_image in zip(charts, f_images):
         dq, df, w = ({k: p for k, p in g.items() if chart not in k} for g in factors)
         three = form_wedge(form_wedge(dq, df, n), w, n)
@@ -566,7 +565,7 @@ def has_divisorial_singularities(omega: PolyOneForm) -> bool:
     then False.
     """
     n = omega.n
-    coeffs = list(_integral(omega.as_dict()).values())
+    coeffs = [c for c in omega.integral if not c.is_zero]
     for v in range(2 * (n + 1)):
         x, y = witness.coordinate_section_point(n, v)
         if any(c.eval_point(x, y) for c in coeffs):
@@ -634,24 +633,21 @@ def tangency_degree(omega: PolyOneForm, line: LineInFamily):
     U(1, 0) = 0, and b = 0 exactly when U(1, k) = 0 for the d - 1 points
     k = 1..d-1, one more than deg b.
 
-    Every value is an int: the block's coefficients are cleared of
-    denominators by one common factor, base is scaled by one integer and
-    p0, p1 by another.  U is bihomogeneous, of degree d - 1 in the moving
-    point and linear in the contraction vector p0, so scaling the block by
-    c, base by l and p0, p1 by m turns each U(1, k) into
-    c * l^e * m^d * U(1, k), with e the block's degree in the base factor.
-    That factor is nonzero, so no zero test changes.
+    Every value is an int: the block is read from ``omega.integral``, base
+    is scaled by one integer and p0, p1 by another.  U is bihomogeneous, of
+    degree d - 1 in the moving point and linear in the contraction vector
+    p0, so scaling the block by c, base by l and p0, p1 by m turns each
+    U(1, k) into c * l^e * m^d * U(1, k), with e the block's degree in the
+    base factor.  That factor is nonzero, so no zero test changes.
     """
     n = omega.n
     if len(line.base) != n + 1:
         raise ValueError(f"line points need n + 1 = {n + 1} coordinates")
     numerics = foliation_numerics(omega.bidegree, n)
     if line.family == 1:
-        d, block, degree = omega.bidegree[1], omega.coeffs[n + 1 :], numerics.deg_H1
+        d, block, degree = omega.bidegree[1], omega.integral[n + 1 :], numerics.deg_H1
     else:
-        d, block, degree = omega.bidegree[0], omega.coeffs[: n + 1], numerics.deg_H2
-    numerators, den = _cleared(*(c.terms for c in block))
-    block = [BiPoly._trusted(n, t) for t in numerators] if den > 1 else block
+        d, block, degree = omega.bidegree[0], omega.integral[: n + 1], numerics.deg_H2
     base = _integer_multiple(line.base)
     spans = _integer_multiple((*line.p0, *line.p1))
     p0, p1 = spans[: n + 1], spans[n + 1 :]
@@ -690,7 +686,7 @@ def family_degree(omega: PolyOneForm, family: int):
     else:
         degree, moving = numerics.deg_H2, lambda v: v <= n
     omega_part, dq_part = ({k: c for k, c in f.items() if moving(k[0])}
-                           for f in (omega.as_dict(), dq_form(n)))
+                           for f in (_form_dict(omega.integral), dq_form(n)))
     minors = form_wedge(omega_part, dq_part, n).values()
     return degree if any(not is_zero_mod_quadric(m) for m in minors) else MINUS_INFINITY
 
@@ -908,7 +904,7 @@ def same_foliation(w1: PolyOneForm, w2: PolyOneForm) -> bool:
 
 def _same_foliation_symbolic(w1: PolyOneForm, w2: PolyOneForm) -> bool:
     n = w1.n
-    f1, f2 = (_integral(_euler_reduced(w.as_dict(), n)) for w in (w1, w2))
+    f1, f2 = (_euler_reduced(_form_dict(w.integral), n) for w in (w1, w2))
     return _dq_wedge_in_q(f1, f2, n)
 
 
@@ -966,6 +962,7 @@ def builtin_pencil(n: int, sampler=None) -> PolyOneForm:
             h1 = h1 + BiPoly.x(n, k) * BiPoly.y(n, k) * (k + 1)
             h2 = h2 + BiPoly.x(n, k) * BiPoly.y(n, (k + 1) % (n + 1))
         return pencil_form(h1, h2)
+    _same_ambient(n, sampler.n)
     return pencil_form(sampler.section11(), sampler.section11())
 
 
@@ -996,6 +993,8 @@ class FolSampler:
     """
 
     def __init__(self, n: int, seed: int = 2024, height: int = 100):
+        if type(height) is not int or height < 1:
+            raise ValueError(f"the height bound must be an int >= 1, not {height!r}")
         self.n = n
         self.rng = random.Random(seed)
         self.height = height

@@ -17,15 +17,16 @@ point of X with z_v = 0.  Every polynomial in (z_v, q) vanishes there, so
 ``has_divisorial_singularities`` rules out the coordinate section V(z_v) ^ X
 by one nonzero coefficient value, before any division.
 
-Coefficients are scaled by one common denominator den per polynomial
-family, and gradients by the product P of the point's coordinates.  Each
-polynomial p is summed once over its terms, into its value and into one
-integer G_a = sum e_a * m per coordinate z_a, where m = den * c * z^e is the
-scaled value of the term c * z^e.  Since the derivative of z^e along z_a is
-e_a * z^e / z_a, den * P * dp(u) = sum_a (P / z_a) * u_a * G_a: one dot
-product per vector u with the integers (P / z_a) * u_a, which are built
-once per call.  Scaling by a nonzero constant does not change whether a
-value is zero.
+Every polynomial here has integer coefficients: a form's ``integral``
+and the F that ``is_invariant`` has cleared of denominators.  Scaling by a
+nonzero constant does not change whether a value is zero, so the witnesses
+read these multiples.  Gradients are scaled by the product P of the point's
+coordinates.  Each polynomial p is summed once over its terms, into its
+value and into one integer G_a = sum e_a * m per coordinate z_a, where
+m = c * z^e is the value of the term c * z^e.  Since the derivative of z^e
+along z_a is e_a * z^e / z_a, P * dp(u) = sum_a (P / z_a) * u_a * G_a: one
+dot product per vector u with the integers (P / z_a) * u_a, which are built
+once per call.
 
 A witness only ever proves False.  A zero value proves nothing, and the
 caller then runs its symbolic ideal test, which decides every True answer.
@@ -34,7 +35,7 @@ caller then runs its symbolic ideal test, which decides every True answer.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 
@@ -107,13 +108,11 @@ def _on(covector, u) -> int:
 
 
 def _jet(polys, point, vectors=()):
-    """(support, values, slopes) of the polynomials at the point, whose
-    coordinates must all be nonzero.  ``support`` lists the indices of the
-    nonzero polynomials p; for each of them ``values`` holds den * p(point)
-    and ``slopes`` the list of den * P * dp(point)(u) over the vectors u,
-    with den the common denominator of all coefficients and P the product
-    of the coordinates; den scales in this hot loop, not by ``_cleared``."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    """(support, values, slopes) of the integer polynomials at the point,
+    whose coordinates must all be nonzero integers.  ``support`` lists the
+    indices of the nonzero polynomials p; for each of them ``values`` holds
+    p(point) and ``slopes`` the list of P * dp(point)(u) over the vectors u,
+    with P the product of the coordinates, which makes ``big // z`` exact."""
     big = prod(point)
     rows = [[big // z * t for z, t in zip(point, u)] for u in vectors]
     monomials = {}  # exponent key -> (z^e, the nonzero (a, e_a))
@@ -129,7 +128,7 @@ def _jet(polys, point, vectors=()):
                     prod(map(pow, point, key)),
                     [(a, e) for a, e in enumerate(key) if e],
                 )
-            m = c.numerator * (den // c.denominator) * mono[0]
+            m = c * mono[0]
             value += m
             for a, e in mono[1]:
                 grad[a] += e * m
@@ -157,7 +156,7 @@ def integrability_witness(omega) -> Witness | None:
     integrable on X; omega ^ d(omega) is then not in (q) either, since
     that would put dq ^ omega ^ d(omega) in (q)."""
     x, y, _, transverse, us = _frame(omega.n)
-    support, values, slopes = _jet(omega.coeffs, x + y, us)
+    support, values, slopes = _jet(omega.integral, x + y, us)
     cols = [[u[b] for u in us] for b in support]  # the vectors on the support
     beta = [_on(values, col) for col in zip(*cols)]  # omega(u_k)
 
@@ -171,8 +170,8 @@ def integrability_witness(omega) -> Witness | None:
 
 
 def _on_vectors(form, point, us):
-    """den * form(point) on each vector, den the common denominator."""
-    support, values, _ = _jet(form.coeffs, point)
+    """The form's ``integral`` at the point, on each vector."""
+    support, values, _ = _jet(form.integral, point)
     return [_on(values, [u[b] for b in support]) for u in us]
 
 
@@ -189,12 +188,15 @@ def proportionality_witness(w1, w2) -> Witness | None:
 
 def invariance_witness(omega, f) -> Witness | None:
     """A point of V(F) ^ X where dq ^ dF ^ omega is nonzero, or None: the
-    3x3 determinant of dq, dF and omega on the three fixed vectors.
+    3x3 determinant of dq, dF and omega on the three fixed vectors.  F must
+    have integer coefficients, else ValueError; ``_jet`` needs integer points.
 
     The point has no zero coordinate, in particular x_0 != 0, so the chart
     x_0 of the symbolic test fails there.  A point is only found when F is
     not in (q) (see ``_point_on_surface``), so the symbolic test's error for
     such F is never pre-empted."""
+    if any(type(c) is not int for c in f.terms.values()):
+        raise ValueError("the invariance witness needs F with integer coefficients")
     n = omega.n
     fx, fy, us, _, _ = _frame(n)
     point = _point_on_surface(f, fx, fy)
@@ -208,7 +210,7 @@ def invariance_witness(omega, f) -> Witness | None:
 
 def _point_on_surface(f, fx, fy):
     """A point of V(F) ^ X with no zero coordinate, or None; F must be
-    bihomogeneous, which ``is_invariant`` checks on entry.
+    bihomogeneous with integer coefficients, as ``is_invariant`` ensures.
 
     When F has y-degree 1 (resp. x-degree 1), x (resp. y) is fixed and
     F = q = 0 are two linear equations in the other factor; all its
@@ -221,11 +223,9 @@ def _point_on_surface(f, fx, fy):
     h(fixed) * q(fixed, z), and Cramer's determinant is zero, which leaves
     zeros in the solution; so a returned point proves that F is not in
     (q).  At n = 1 the two solved coordinates are the whole moving factor,
-    both right-hand sides are zero, and so is the solution: None.  As in
-    ``_jet``, den scales each term inside the loop, not by ``_cleared``."""
+    both right-hand sides are zero, and so is the solution: None."""
     a, b = f.bidegree()
     sides = ([1] if b == 1 else []) + ([0] if a == 1 else [])
-    den = lcm(*(c.denominator for c in f.terms.values()))
     n1 = len(fx)
     for side in sides:
         moving = fy if side else fx
@@ -234,7 +234,7 @@ def _point_on_surface(f, fx, fy):
             for key, c in f.terms.items():
                 xe, ye = key[:n1], key[n1:]
                 fixed_exp, moving_exp = (xe, ye) if side else (ye, xe)
-                m = c.numerator * (den // c.denominator)
+                m = c
                 for base, e in zip(fixed, fixed_exp):
                     if e:
                         m *= base**e

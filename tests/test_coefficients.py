@@ -5,12 +5,14 @@ denominator > 1 otherwise, never a float.  A product and the Euler check
 clear denominators once; the per-term Fraction product is the oracle.  The
 normal form modulo q = sum x_i y_i decides ideal membership; pseudo-division
 by q (``reduce_mod_quadric``) is the independent oracle.  The foliation
-predicates clear denominators on entry, which is sound because they do not
-change when the form is scaled.
+predicates, degrees and witnesses read each form's integer multiple, cleared
+once by its constructor, which is sound because they do not change when the
+form is scaled.
 """
 
 import json
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjvar import folforms as ff
+from adjvar import witness as wt
 from adjvar.bipoly import (
     BiPoly,
     is_zero_mod_quadric,
@@ -203,14 +206,30 @@ def scaled(w, c):
     return ff.PolyOneForm(w.n, [p * c for p in w.coeffs])
 
 
+def cleared(f):
+    """F times the lcm of its denominators, as ``is_invariant`` clears it."""
+    return f * lcm(*(c.denominator for c in f.terms.values()))
+
+
 @settings(max_examples=12)
 @given(seeds, scales)
 def test_integrable_ignores_scale(seed, c):
+    # and so do the other readers of a form's integer multiple: the
+    # divisorial test, both degrees and the integrability witness
     sampler = ff.FolSampler(2, seed=seed, height=9)
-    for w in (ff.builtin_pencil(2, sampler), sampler.euler_form((2, 2))):
+    forms = ff.builtin_pencil(2, sampler), sampler.euler_form((2, 2))
+    lines = sampler.line(1), sampler.line(2)
+    for w in forms:
+        cw = scaled(w, c)
         expected = ff._integrable_symbolic(w)
-        assert ff._integrable_symbolic(scaled(w, c)) == expected
-        assert ff.integrable(scaled(w, c)) == ff.integrable(w)
+        assert ff._integrable_symbolic(cw) == expected
+        assert ff.integrable(cw) == ff.integrable(w)
+        assert ((wt.integrability_witness(cw) is None)
+                == (wt.integrability_witness(w) is None))
+        assert ff.has_divisorial_singularities(cw) == ff.has_divisorial_singularities(w)
+        for line in lines:
+            assert ff.family_degree(cw, line.family) == ff.family_degree(w, line.family)
+            assert ff.tangency_degree(cw, line) == ff.tangency_degree(w, line)
 
 
 @settings(max_examples=8)
@@ -218,11 +237,14 @@ def test_integrable_ignores_scale(seed, c):
 def test_is_invariant_ignores_scale(seed, c):
     sampler = ff.FolSampler(2, seed=seed, height=9)
     h1, h2, h3 = sampler.section11(), sampler.section11(), sampler.section11()
-    w = scaled(ff.pencil_form(h1, h2), c)
+    base = ff.pencil_form(h1, h2)
+    w = scaled(base, c)
     # a member of the pencil is invariant, a general section is not
     for f, expected in ((h1, True), (h3, False)):
         assert ff._is_invariant_symbolic(w, f * c) == expected
         assert ff.is_invariant(w, f) == expected
+        assert ((wt.invariance_witness(w, cleared(f * c)) is None)
+                == (wt.invariance_witness(base, cleared(f)) is None))
 
 
 @settings(max_examples=12)
@@ -236,9 +258,11 @@ def test_same_foliation_ignores_scale(seed, c):
                             (ff.pencil_form(h1, h3), False)):
         assert ff._same_foliation_symbolic(scaled(w1, c), other) == expected
         assert ff.same_foliation(w1, scaled(other, c)) == expected
+        assert ((wt.proportionality_witness(scaled(w1, c), other) is None)
+                == (wt.proportionality_witness(w1, other) is None))
 
 
-# -- the Euler check over one denominator per block ----------------------------
+# -- the Euler check over one common denominator --------------------------------
 
 
 def skew_block(n, entries, var, other):

@@ -23,7 +23,7 @@ from adjvar.cli import _BUILTIN_FORMS
 def divisorial_reference(omega) -> bool:
     """Every coefficient divided by every coordinate modulo q, then the gcd."""
     n = omega.n
-    coeffs = list(ff._integral(omega.as_dict()).values())
+    coeffs = [c for c in omega.integral if not c.is_zero]
     for v in range(2 * (n + 1)):
         if all(divide_by_var_mod_quadric(c, v) is not None for c in coeffs):
             return True
@@ -84,7 +84,7 @@ def battery(n):
 def test_coordinate_divisor_true_only_through_the_scan(n):
     for v in range(2 * n + 2):
         omega = coordinate_divisor_form(n, v)
-        coeffs = list(ff._integral(omega.as_dict()).values())
+        coeffs = [c for c in omega.integral if not c.is_zero]
         assert not used_vars(poly_gcd_list(coeffs)), v
         x, y = witness.coordinate_section_point(n, v)
         assert all(c.eval_point(x, y) == 0 for c in coeffs), v

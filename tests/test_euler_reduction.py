@@ -25,7 +25,7 @@ def in_q(form: dict) -> bool:
 
 def full_integrable(omega) -> bool:
     n = omega.n
-    w = ff._integral(omega.as_dict())
+    w = ff._form_dict(omega.integral)
     gamma = ff.form_wedge(w, ff.form_d(w, n), n)
     if not gamma or in_q(gamma):
         return True
@@ -34,8 +34,8 @@ def full_integrable(omega) -> bool:
 
 def full_same(w1, w2) -> bool:
     n = w1.n
-    dq_w1 = ff.form_wedge(ff.dq_form(n), ff._integral(w1.as_dict()), n)
-    return in_q(ff.form_wedge(dq_w1, ff._integral(w2.as_dict()), n))
+    dq_w1 = ff.form_wedge(ff.dq_form(n), ff._form_dict(w1.integral), n)
+    return in_q(ff.form_wedge(dq_w1, ff._form_dict(w2.integral), n))
 
 
 def check_integrable(omega) -> bool:

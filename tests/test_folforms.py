@@ -252,6 +252,14 @@ def test_line_lies_on_x():
             assert q.eval_point(xs, ys) == 0
 
 
+@pytest.mark.parametrize("height", [0, -3, 2.5, True])
+def test_sampler_rejects_a_height_below_one(height):
+    # 0 and 2.5 used to fail at the first draw, inside randrange, and True
+    # was taken for 1
+    with pytest.raises(ValueError, match=f"must be an int >= 1, not {height!r}"):
+        FolSampler(2, height=height)
+
+
 def test_line_rejects_dependent_spanning_points():
     with pytest.raises(ValueError):
         LineInFamily(
@@ -833,6 +841,8 @@ def test_inputs_on_different_spaces_are_rejected(n1, n2):
         pencil_form(*(FolSampler(k, seed=1).section11() for k in (n2, n1)))
     with pytest.raises(ValueError, match=both):
         same_foliation(builtin_pencil(n1), builtin_pencil(n2))
+    with pytest.raises(ValueError, match=both):
+        builtin_pencil(n1, FolSampler(n2, seed=1))  # used to build on P^n2
     with pytest.raises(ValueError, match=both):
         is_invariant(builtin_pencil(n1), x(1, n2) * y(1, n2) + x(0, n2) * y(2, n2))
 

@@ -129,13 +129,6 @@ def test_no_unexported_unused_public_definition():
 #: with its reason; bipoly alone decides what an exact number is and clears
 #: denominators (``_is_exact``, ``_cleared``, ``_integer_multiple``)
 DENOMINATOR_ALLOWED = {
-    ("witness.py", "_jet"): "its per-term scaling is fused into the term loop "
-    "of every witness; routing it through bipoly._cleared cost fol_refute "
-    "item_p50_ms +7% (0.129 -> 0.139 ms, 2 perfbench runs per side)",
-    ("witness.py", "_point_on_surface"): "its per-term scaling is fused into "
-    "the loop that builds the linear equations; routing it through "
-    "bipoly._cleared cost fol_refute item_p50_ms +5% (0.1293 -> 0.1360 ms, "
-    "worse in 10 of 10 perfbench rounds, BENCH_point_on_surface.json)",
     ("linalg.py", "nullspace"): "linalg imports nothing from the package "
     "(test_the_package_keeps_its_layers), so it cannot call bipoly._cleared; "
     "two lines scale each row",

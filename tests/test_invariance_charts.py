@@ -32,7 +32,7 @@ def partner(n: int, chart: int) -> int:
 def all_charts_invariant(omega, f) -> bool:
     """dq ^ dF ^ omega tested in (F, q) on every coordinate chart."""
     n = omega.n
-    f = ff._integral({(): f})[()]
+    f = f.primitive()
 
     def image(p, chart):
         return ff._strip_var(reduce_mod_quadric(p, partner(n, chart)), chart)
@@ -43,7 +43,7 @@ def all_charts_invariant(omega, f) -> bool:
         raise ValueError("F lies in the ideal of X")
     three = ff.form_wedge(
         ff.form_wedge(ff.dq_form(n), ff.form_d({(): f}, n), n),
-        ff._integral(omega.as_dict()),
+        ff._form_dict(omega.integral),
         n,
     )
     return all(
@@ -57,14 +57,14 @@ def full_wedge_two_charts(omega, f) -> bool:
     """Every component of dq ^ dF ^ omega tested in (F, q) on the charts
     x_0 != 0 and y_0 != 0."""
     n = omega.n
-    f = ff._integral({(): f})[()]
+    f = f.primitive()
     charts = (0, n + 1)
     f_images = [ff._chart_image(f, chart) for chart in charts]
     if not all(f_images):
         raise ValueError("F lies in the ideal of X")
     three = ff.form_wedge(
         ff.form_wedge(ff.dq_form(n), ff.form_d({(): f}, n), n),
-        ff._integral(omega.as_dict()),
+        ff._form_dict(omega.integral),
         n,
     )
     return all(

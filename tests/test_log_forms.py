@@ -60,7 +60,7 @@ def test_predicates_ignore_forms_vanishing_on_x(make, n, seed):
         c = sampler.section11()
     other = plus_junk(omega, h, c)
     # the reduced ambient omega' ^ d(omega') is not in (q): the dq stage decides
-    w = ff._integral(ff._euler_reduced(other.as_dict(), n))
+    w = ff._euler_reduced(ff._form_dict(other.integral), n)
     gamma = ff.form_wedge(w, ff._euler_reduced(ff.form_d(w, n), n), n)
     assert not all(is_zero_mod_quadric(p) for p in gamma.values())
     assert ff.integrable(other)

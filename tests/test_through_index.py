@@ -28,7 +28,7 @@ def full_route(a, b, n) -> bool:
 
 
 def reduced(omega):
-    return ff._integral(ff._euler_reduced(omega.as_dict(), omega.n))
+    return ff._euler_reduced(ff._form_dict(omega.integral), omega.n)
 
 
 def integrable_operands(omega):
@@ -275,10 +275,10 @@ def test_wedge_sum_checks_the_exponent_bound_of_every_pair():
         ff._wedge_sum(((small, small), (f, f)), n)
 
 
-def integral_reference(form):
+def integral_reference(coeffs):
     """The route before integer scaling: each polynomial times the lcm."""
-    den = lcm(*(c.denominator for p in form.values() for c in p.terms.values()))
-    return {k: p * den for k, p in form.items()} if den > 1 else form
+    den = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+    return tuple(p * den for p in coeffs)
 
 
 def seeded_log3(n, seed):
@@ -293,15 +293,13 @@ def seeded_log3(n, seed):
     seeded_log3(3, 7),
 ], ids=["log4-n2", "log4-n3", "log3-n2", "log3-n3"])
 def test_integral_scales_in_ints(omega):
-    form = ff._euler_reduced(omega.as_dict(), omega.n)
-    kinds = {type(c) for p in form.values() for c in p.terms.values()}
+    kinds = {type(c) for p in omega.coeffs for c in p.terms.values()}
     assert kinds == {int, Fraction}
-    out = ff._integral(form)
-    assert out == integral_reference(form)
-    assert all(type(c) is int for p in out.values() for c in p.terms.values())
+    assert omega.integral == integral_reference(omega.coeffs)
+    assert all(type(c) is int for p in omega.integral for c in p.terms.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_an_integral_form_comes_back_unchanged(n):
-    form = ff.builtin_log4(n).as_dict()
-    assert ff._integral(form) is form
+    omega = ff.builtin_log4(n)
+    assert omega.integral is omega.coeffs
