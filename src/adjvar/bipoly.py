@@ -277,8 +277,8 @@ class BiPoly:
 
 def _unit_exponent(n: int, index: int, name: str) -> Term:
     """The exponent tuple of the coordinate name_index (name "x" or "y") on
-    P^n x P^n; raises ValueError outside 0..n."""
-    if not 0 <= index <= n:
+    P^n x P^n; raises ValueError unless index is an int in 0..n."""
+    if type(index) is not int or not 0 <= index <= n:
         raise ValueError(f"coordinate {name}_{index} does not exist on P^{n}")
     v = index if name == "x" else n + 1 + index
     return tuple(1 if k == v else 0 for k in range(2 * n + 2))

@@ -39,7 +39,6 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from operator import add, mul
 
 from .bipoly import (
@@ -116,6 +115,7 @@ class PolyOneForm:
     __slots__ = ("n", "coeffs", "bidegree", "integral")
 
     def __init__(self, n: int, coeffs):
+        n = n_from_json(n)
         if len(coeffs) != 2 * (n + 1):
             raise ValueError("need one coefficient per dx_i and dy_j")
         self.n = n
@@ -781,8 +781,8 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     three: those 8 coefficients are not unknowns.  It is the representative
     that reducing a solution against an echelon basis of the junk yields,
     because the junk's pivot columns are exactly these monomials.  The
-    output is then made primitive, so it does not depend on the scale the
-    solver returns.
+    solver returns a primitive integer vector, so the output does not depend
+    on the scale of either field.
 
     A one-dimensional solution space is the foliation; dimension zero means
     no foliation of bidegree (2, 2) (raise).  The fields have already passed
@@ -793,6 +793,10 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     n = _fields_ambient(v1, v2)
     if n != 2:
         raise ValueError("vector-field foliations are implemented for n = 2")
+    # scaling a field keeps its foliation, so each is cleared once: every
+    # point value and equation row below is an int, as nullspace requires
+    v1, v2 = (tuple(BiPoly._trusted(n, t) for t in _cleared(*(c.terms for c in v))[0])
+              for v in (v1, v2))
     q = BiPoly.incidence_quadric(n)
     for v in (v1, v2):
         if not is_zero_mod_quadric(field_apply(v, q)):
@@ -841,16 +845,15 @@ def foliation_from_fields(v1, v2) -> PolyOneForm:
     for (v, m), c in zip(columns, kernel[0]):
         if c:
             terms[v][m] = c
-    # Scaled to coprime integers with a positive leading coefficient on the
-    # first nonzero block, for reproducible output.  There is no polynomial
-    # content to divide out: were omega = g omega' with g of bidegree
-    # (a, b) != (0, 0), every h omega' with h in H^0(O_X(a, b)) would solve
-    # the same equations, their classes modulo the junk would span
-    # h^0(O_X(a, b)) >= 2 dimensions, and the kernel would not be
-    # one-dimensional.
+    # Signed to a positive leading coefficient on the first nonzero block,
+    # for reproducible output.  There is no polynomial content to divide
+    # out: were omega = g omega' with g of bidegree (a, b) != (0, 0), every
+    # h omega' with h in H^0(O_X(a, b)) would solve the same equations,
+    # their classes modulo the junk would span h^0(O_X(a, b)) >= 2
+    # dimensions, and the kernel would not be one-dimensional.
     lead = next(t for t in terms if t)
-    scale = gcd(*kernel[0]) * (1 if lead[max(lead)] > 0 else -1)
-    coeffs = [BiPoly(n, {m: c // scale for m, c in t.items()}) for t in terms]
+    sign = 1 if lead[max(lead)] > 0 else -1
+    coeffs = [BiPoly(n, {m: c * sign for m, c in t.items()}) for t in terms]
     return PolyOneForm(n, coeffs)
 
 
@@ -878,7 +881,8 @@ def _fields_independent(v1, v2) -> bool:
     of the 4 x (2n+2) matrix of components is nonzero modulo q.  One
     integer point of X settles the common case; only if the four values
     there are dependent are the minors, the components of
-    v1 ^ v2 ^ R_x ^ R_y, tested symbolically."""
+    v1 ^ v2 ^ R_x ^ R_y, tested symbolically.  The fields' coefficients
+    must be ints, since ``nullspace`` takes int rows."""
     n = v1[0].n
     x, y = witness.fixed_point(n)
     euler = [x + (0,) * (n + 1), (0,) * (n + 1) + y]
@@ -995,7 +999,7 @@ class FolSampler:
     def __init__(self, n: int, seed: int = 2024, height: int = 100):
         if type(height) is not int or height < 1:
             raise ValueError(f"the height bound must be an int >= 1, not {height!r}")
-        self.n = n
+        self.n = n_from_json(n)
         self.rng = random.Random(seed)
         self.height = height
 

@@ -1,9 +1,9 @@
 """Exact linear algebra on sparse rows, and the gcd's coprimality certificate.
 This module imports nothing from the package.
 
-A matrix is a list of rows, each a dict {column: entry} with ``int`` or
-``fractions.Fraction`` entries; absent columns hold zero.  Everything stays
-in integers: rows are scaled to clear denominators and kept primitive.
+A matrix is a list of rows, each a dict {column: int entry}; absent
+columns hold zero.  Everything stays in integers: rows are kept primitive,
+and a caller with rational entries clears their denominators first.
 
 ``_coprime_certificate`` takes integer polynomials, each a nonzero term dict
 {exponent tuple: int}, and tries to prove them coprime from mod-p images,
@@ -32,8 +32,8 @@ def _make_primitive(row: dict) -> None:
 
 
 def nullspace(rows, ncols: int) -> list:
-    """Basis of the nullspace of a sparse rational matrix, one primitive
-    integer vector per free column, in column order.
+    """Basis of the nullspace of a sparse integer matrix, one primitive
+    integer vector per free column, in column order.  Entries must be ints.
 
     Fraction-free Gauss-Jordan elimination on the sparse rows: the columns
     are taken in order, each column's pivot is the shortest row not yet a
@@ -46,8 +46,7 @@ def nullspace(rows, ncols: int) -> list:
     mat = {}  # row id -> {column: nonzero int}
     holders: dict[int, set] = {}  # column -> ids of the rows holding it
     for i, row in enumerate(rows):
-        den = lcm(*(v.denominator for v in row.values()))
-        vec = {c: den // v.denominator * v.numerator for c, v in row.items() if v}
+        vec = {c: v for c, v in row.items() if v}
         for c in vec:
             if not 0 <= c < ncols:
                 raise ValueError(f"column {c} lies outside 0..{ncols - 1}")

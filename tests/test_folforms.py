@@ -7,6 +7,8 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjvar.bipoly import (
     BiPoly,
@@ -63,9 +65,12 @@ def test_bidegree_and_homogeneity():
         (f + x(0)).bidegree()
 
 
-@pytest.mark.parametrize("n,index", [(2, 3), (2, -1), (0, 1), (1, 2)])
+@pytest.mark.parametrize(
+    "n,index", [(2, 3), (2, -1), (0, 1), (1, 2), (2, True), (2, False), (2, 1.0)]
+)
 def test_coordinate_out_of_range_raises(n, index):
-    # an index above n used to give the constant 1
+    # an index above n used to give the constant 1, and a bool or a float
+    # was taken for the int it equals
     with pytest.raises(ValueError, match="does not exist"):
         BiPoly.x(n, index)
     with pytest.raises(ValueError, match="does not exist"):
@@ -258,6 +263,13 @@ def test_sampler_rejects_a_height_below_one(height):
     # was taken for 1
     with pytest.raises(ValueError, match=f"must be an int >= 1, not {height!r}"):
         FolSampler(2, height=height)
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, 2.0])
+def test_sampler_rejects_an_n_below_one(n):
+    # section11 never returned at n = -1, and True was kept as the n
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {n!r}")):
+        FolSampler(n)
 
 
 def test_line_rejects_dependent_spanning_points():
@@ -605,24 +617,37 @@ def test_random_pair_foliation_pinned(index, expected):
     assert digest(w) == expected
 
 
+FIELD_PAIRS = [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()]
+nonzero_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(FIELD_PAIRS) - 1), nonzero_fractions, nonzero_fractions)
+def test_scaling_a_field_keeps_the_output_bytes(index, s1, s2):
+    # a field's scale is not part of its foliation: rational fields are
+    # cleared where they enter, and the output is the same to the byte
+    v1, v2 = (linear_field(m, 2) for m in FIELD_PAIRS[index])
+    scaled = foliation_from_fields(tuple(c * s1 for c in v1), tuple(c * s2 for c in v2))
+    assert scaled.to_json() == foliation_from_fields(v1, v2).to_json()
+
+
 def test_nullspace_of_int_rows_is_exact():
     # 1 / pivot is a float for an int pivot: the elimination must stay exact,
-    # with int or Fraction entries that solve every row
+    # with int entries that solve every row
     rows = [{0: 2, 1: 3, 3: -1}, {1: 4, 2: 6, 3: 5}, {0: 1, 2: -7},
             {0: 2, 1: 7, 2: 6, 3: 4}]  # the sum of the first two
     basis = nullspace(rows, 4)
     assert len(basis) == 1
-    assert all(type(v) in (int, Fraction) for vec in basis for v in vec)
+    assert all(type(v) is int for vec in basis for v in vec)
     assert all(sum(row.get(c, 0) * v for c, v in enumerate(vec)) == 0
                for vec in basis for row in rows)
-    basis = nullspace([{0: Fraction(1, 2), 2: Fraction(2, 3)}, {1: 5}], 3)
-    assert [[Fraction(v, vec[2]) for v in vec] for vec in basis] == [
-        [Fraction(-4, 3), 0, 1]
-    ]
+    # rows hold ints only: a caller clears denominators first
+    with pytest.raises(TypeError):
+        nullspace([{0: Fraction(1, 2), 2: Fraction(2, 3)}, {1: 5}], 3)
 
 
 @pytest.mark.parametrize(
-    "mats", [AFFINE_FIELDS, TORUS_FIELDS, *random_pairs()],
+    "mats", FIELD_PAIRS,
     ids=["affine", "torus", "random0", "random1", "random2", "random3"],
 )
 def test_foliation_from_fields_properties(mats):
@@ -698,6 +723,10 @@ def test_fields_dependent_modulo_the_euler_fields_rejected():
     shifted = tuple(a + b * 3 for a, b in zip(t, identity))
     with pytest.raises(ValueError, match="dependent on X"):
         foliation_from_fields(t, shifted)
+    # so are rational multiples of them, cleared on entry
+    rational = tuple(a * Fraction(-5, 2) + b * Fraction(2, 7) for a, b in zip(t, identity))
+    with pytest.raises(ValueError, match="dependent on X"):
+        foliation_from_fields(tuple(c * Fraction(1, 3) for c in t), rational)
 
 
 def laplace_det(matrix, n):
@@ -922,6 +951,14 @@ def test_form_rejects_coefficients_on_another_space():
     zero = BiPoly.zero(3)
     with pytest.raises(ValueError, match=re.escape("P^2 x P^2 and P^3 x P^3")):
         PolyOneForm(2, [x(1, 3), x(0, 3) * -1, zero, zero, zero, zero])
+
+
+@pytest.mark.parametrize("n", [True, 0, 1.0])
+def test_form_rejects_an_n_its_json_cannot_carry(n):
+    # True was accepted and written as "n": true, which from_json refuses;
+    # 0 failed on the Euler contraction
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {n!r}")):
+        PolyOneForm(n, builtin_pencil(1).coeffs)
 
 
 def test_form_rejects_malformed_coefficients():

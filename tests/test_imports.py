@@ -2,8 +2,8 @@
 its imports, so it is exempt), and so is every module-level private function
 and class.  Every module-level public function and class is exported by
 ``__init__``, used in src, or allowed below with its reason.  Only bipoly.py
-reads ``.denominator``, apart from the loops allowed below with their reason.
-The package's own imports keep the two engines apart: ``LAYERS`` below."""
+reads ``.denominator``.  The package's own imports keep the two engines
+apart: ``LAYERS`` below."""
 
 import ast
 from pathlib import Path
@@ -125,16 +125,6 @@ def test_no_unexported_unused_public_definition():
     assert sorted(unexported_unused_public_definitions(sources)) == sorted(PUBLIC_ALLOWED)
 
 
-#: top-level definitions outside bipoly.py that may read ``.denominator``, each
-#: with its reason; bipoly alone decides what an exact number is and clears
-#: denominators (``_is_exact``, ``_cleared``, ``_integer_multiple``)
-DENOMINATOR_ALLOWED = {
-    ("linalg.py", "nullspace"): "linalg imports nothing from the package "
-    "(test_the_package_keeps_its_layers), so it cannot call bipoly._cleared; "
-    "two lines scale each row",
-}
-
-
 def denominator_reads(sources: dict) -> list:
     """Sorted (module, top-level statement name) of each read of an attribute
     ``.denominator`` in ``sources`` ({module: source}) outside bipoly.py; a
@@ -158,9 +148,10 @@ def test_the_check_sees_a_denominator_read():
 
 
 def test_only_bipoly_clears_denominators():
+    # bipoly alone decides what an exact number is and clears denominators
+    # (``_is_exact``, ``_cleared``, ``_integer_multiple``)
     sources = {p.name: p.read_text() for p in PACKAGE}
-    # equality, not inclusion: an entry that stops reading must leave the list
-    assert denominator_reads(sources) == sorted(DENOMINATOR_ALLOWED)
+    assert denominator_reads(sources) == []
 
 
 #: the Lie engine, the foliation engine, and the two modules that may import
