@@ -4,12 +4,17 @@ twisted-two-form section counts obtained through the contact exact sequences.
 For each supported simple type the marked node is *derived* as the unique node
 where the highest root has a nonzero fundamental coordinate; the contact line
 bundle is E_{lambda0} for lambda0 the highest root.  The weight of the contact
-distribution D is lambda0 - alpha_marked, and D^vee = D(-1).  The pipeline
-builds one Levi weight system per type, that of D^vee: lambda0 is central for
-the Levi, so it is D's shifted by -lambda0, and both the checks rank D = 2m,
+distribution D is lambda0 - alpha_marked, and D^vee = D(-1).  At the base
+point D is the Levi module g_1 of the contact grading (Beauville, Comment.
+Math. Helv. 73, 1998), so D's weights are the roots whose coefficient at the
+marked node is 1, each of multiplicity one: one pass over the positive roots
+of the datum reads them, with dim X and -K_X, and no Freudenthal recursion
+runs (the tests keep it as the oracle).  lambda0 is central for the Levi, so
+D^vee's weights are D's shifted by -lambda0; the checks rank D = 2m,
 c_1(D) = m lambda0 and the Brauer-Klimyk decomposition of the exterior square
-of D^vee read it.  It twists that square by shifting its pieces, pushes every
-piece through Bott-Borel-Weil, and resolves h^0(Omega^2(k)) via
+of D^vee all read that one system.  The pipeline twists that square by
+shifting its pieces, pushes every piece through Bott-Borel-Weil, and resolves
+h^0(Omega^2(k)) via
 
     0 -> D^vee(k-1) -> Omega^2_X(k) -> wedge^2 D^vee(k) -> 0.
 
@@ -21,16 +26,16 @@ silently asserted value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .bbw import cohomology, cohomology_of_decomposition
-from .parabolic import MarkedDatum, is_bundle_weight, nilradical_size
+from .parabolic import MarkedDatum, is_bundle_weight
 from .repcalc import (
     EXTERIOR,
     Decomposition,
     Piece,
+    WeightSystem,
     _square_decomposition,
-    ambient_weight_system,
     weyl_dim,
 )
 from .rootsystem import (
@@ -56,8 +61,8 @@ class AdjointData:
     ``veronese`` flags type C, where O_X(1) is the square of the hyperplane
     class of the underlying projective space.  ``wedge2_Ddual`` is the
     decomposition of wedge^2 D^vee at twist 0, computed once here from the
-    weight system of E_{D^vee} on which the rank and c_1 checks ran; every
-    twist of it is a shift of its pieces' twists.
+    weight system of E_{D^vee}, read off the roots, on which the rank and c_1
+    checks ran; every twist of it is a shift of its pieces' twists.
     """
 
     md: MarkedDatum
@@ -83,6 +88,35 @@ def _weight_sum(weights: dict) -> Weight:
     """Sum of the weights of ``weights``, each times its multiplicity."""
     mults = tuple(weights.values())
     return tuple(sum(map(mul, column, mults)) for column in zip(*weights))
+
+
+def _contact_grading(datum: RootDatum, marked: int, lambda0: Weight):
+    """(dim X, -K_X, weight system of E_{D^vee}) from one pass over the
+    positive roots, graded by their coefficient at the marked node.
+
+    The roots of coefficient >= 1 are the nilradical: they count dim X and
+    sum to -K_X.  Those of coefficient 1 are g_1, whose weights beta, each of
+    multiplicity one, are D's; shifted by -lambda0 they are D^vee's, offset
+    by (theta - alpha_marked) - beta in simple-root coordinates, theta the
+    highest root.  The highest weight (theta - alpha_marked) - lambda0 is
+    -alpha_marked, as theta has weight lambda0.
+    """
+    k = marked - 1
+    theta = datum.positive_roots[-1]
+    top = theta[:k] + (theta[k] - 1,) + theta[k + 1:]
+    nilradical = []
+    entries, offsets = {}, {}
+    for beta, w in zip(datum.positive_roots, datum.positive_root_weights):
+        c = beta[k]
+        if c:
+            nilradical.append(w)
+            if c == 1:
+                mu = tuple(map(sub, w, lambda0))
+                entries[mu] = 1
+                offsets[mu] = tuple(map(sub, top, beta))
+    canon = tuple(map(sum, zip(*nilradical)))
+    highest = tuple(-a for a in datum.cartan[k])
+    return len(nilradical), canon, WeightSystem(highest, entries, offsets, len(entries))
 
 
 def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> AdjointData:
@@ -130,31 +164,21 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         raise ArithmeticError(f"{d_weight} is not a bundle weight at node {marked}")
     ddual_weight = tuple(d - l for d, l in zip(d_weight, lambda0))
 
-    dim_x = nilradical_size(md)
+    dim_x, canon, system = _contact_grading(datum, marked, lambda0)
     if dim_x % 2 == 0:
         raise ArithmeticError(f"adjoint variety dimension {dim_x} is even")
     m = (dim_x - 1) // 2
 
-    # -K_X = sum of nilradical roots must be exactly (m+1) lambda0; the root
-    # weights are distinct, so each enters the sum once
-    canon = _weight_sum(
-        {
-            w: 1
-            for r, w in zip(datum.positive_roots, datum.positive_root_weights)
-            if r[marked - 1]
-        }
-    )
+    # -K_X = sum of nilradical roots must be exactly (m+1) lambda0
     index = m + 1
     if canon != tuple(index * a for a in lambda0):
         raise ArithmeticError(
             f"sum of nilradical roots {canon} is not (m+1) lambda0"
         )
 
-    # rank(D) = 2m and c_1(D) = m lambda0, checked on D^vee = D(-1): lambda0
-    # is central for the Levi, so the weight system of E_{D^vee} is that of
-    # E_D shifted by -lambda0, and c_1(D^vee) = c_1(D) - 2m lambda0 = -m lambda0.
-    # The same system is the one whose exterior square is decomposed below.
-    system = ambient_weight_system(md, ddual_weight)
+    # rank(D) = 2m and c_1(D) = m lambda0, checked on D^vee = D(-1):
+    # c_1(D^vee) = c_1(D) - 2m lambda0 = -m lambda0.  The same system is the
+    # one whose exterior square is decomposed below.
     if system.total_dim != 2 * m:
         raise ArithmeticError("contact distribution rank is not dim X - 1")
     c1 = _weight_sum(system.entries)

@@ -112,13 +112,13 @@ class BiPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
+        self.n = n_from_json(n)
         self.terms = _settle(terms) if terms else {}
 
     @classmethod
     def _trusted(cls, n: int, terms: dict) -> "BiPoly":
         """Wrap terms whose coefficients are already canonical and nonzero,
-        without copying or checking them."""
+        on a checked n, without copying or checking them."""
         out = object.__new__(cls)
         out.n = n
         out.terms = terms
@@ -131,7 +131,7 @@ class BiPoly:
 
     @classmethod
     def const(cls, n: int, c) -> "BiPoly":
-        return cls(n, {(0,) * (2 * n + 2): c})
+        return cls(n, {(0,) * (2 * n_from_json(n) + 2): c})
 
     @classmethod
     def x(cls, n: int, i: int) -> "BiPoly":
@@ -277,8 +277,12 @@ class BiPoly:
 
 def _unit_exponent(n: int, index: int, name: str) -> Term:
     """The exponent tuple of the coordinate name_index (name "x" or "y") on
-    P^n x P^n; raises ValueError unless index is an int in 0..n."""
-    if type(index) is not int or not 0 <= index <= n:
+    P^n x P^n; raises ValueError unless n is an int, as by
+    :func:`n_from_json`, and index an int in 0..n with n >= 1: no coordinate
+    exists on an n below 1."""
+    if type(n) is not int:
+        n_from_json(n)
+    if type(index) is not int or not 0 <= index <= n or n < 1:
         raise ValueError(f"coordinate {name}_{index} does not exist on P^{n}")
     v = index if name == "x" else n + 1 + index
     return tuple(1 if k == v else 0 for k in range(2 * n + 2))

@@ -733,7 +733,8 @@ def linear_field(matrix, n: int):
     the first factor and y -> -A^T y on the second.  It kills q exactly for
     every A, since sum (Ax)_i y_i = sum x_j (A^T y)_j; the identity gives
     the difference of the two Euler fields, which is zero on P^n x P^n.
-    Entries must be ints or Fractions."""
+    Entries must be ints or Fractions, and n an int >= 1."""
+    n = n_from_json(n)
     if len(matrix) != n + 1 or any(len(row) != n + 1 for row in matrix):
         raise ValueError(f"linear_field at n = {n} needs an {n + 1} x {n + 1} matrix")
     if not all(_is_exact(a) for row in matrix for a in row):

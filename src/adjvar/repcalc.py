@@ -338,10 +338,11 @@ def square_decompose(md: MarkedDatum, lam: Weight, kind: str) -> Decomposition:
 def _square_decomposition(
     md: MarkedDatum, ws: WeightSystem, kind: str
 ) -> Decomposition:
-    """The body of :func:`square_decompose`, unchecked: ``ws`` must be
-    :func:`ambient_weight_system` of a bundle weight of ``md``.  A caller
-    that already holds that system decomposes its square without building
-    it again."""
+    """The body of :func:`square_decompose`, unchecked: ``ws`` must be the
+    weight system of E_lam for a bundle weight lam of ``md``, with entries
+    and offsets as :func:`ambient_weight_system` gives them.  A caller that
+    already holds that system decomposes its square without building it
+    again."""
     lambda0 = highest_root(md.ambient)
     pieces = _square_pieces(md.ambient, md.levi_nodes, ws, kind)
     pieces.sort(key=lambda p: (p[0], tuple(-a for a in p[1])))

@@ -11,6 +11,7 @@ import adjvar.repcalc
 from adjvar.adjoint import (
     H0Omega2,
     UnsupportedAdjointError,
+    _contact_grading,
     adjoint_data,
     compare_with_printed,
     h0_omega2,
@@ -20,6 +21,7 @@ from adjvar.adjoint import (
     wedge2_Ddual_twisted,
 )
 from adjvar.bbw import cohomology, cohomology_of_decomposition
+from adjvar.parabolic import nilradical_size
 from adjvar.repcalc import (
     EXTERIOR,
     Decomposition,
@@ -263,7 +265,7 @@ def test_b4_printed_weight_differs_only_by_twist():
 
 @pytest.mark.parametrize("letter,rank", DESK)
 def test_one_decomposition_per_row(monkeypatch, letter, rank):
-    # and one Levi weight system: E_{D^vee}'s serves the contact checks too
+    # and no Freudenthal weight system: E_{D^vee}'s is read off the roots
     calls = {"weight_system": 0, "_square_decomposition": 0}
 
     def spy(module, name):
@@ -278,7 +280,24 @@ def test_one_decomposition_per_row(monkeypatch, letter, rank):
     spy(adjvar.repcalc, "weight_system")
     spy(adjvar.adjoint, "_square_decomposition")
     section4_row(letter, rank, compare_paper=True)
-    assert calls == {"weight_system": 1, "_square_decomposition": 1}
+    assert calls == {"weight_system": 0, "_square_decomposition": 1}
+
+
+@pytest.mark.parametrize(
+    "letter,rank", section4_types(14) + [("C", r) for r in range(2, 7)]
+)
+def test_contact_system_from_the_roots_is_freudenthals(letter, rank):
+    # oracle: the g_1 roots, shifted by -lambda0, against Freudenthal's
+    # weight system of E_{D^vee} over the Levi; the same pass counts dim X
+    ad = adjoint_data(letter, rank, max(rank, 10))
+    dim_x, canon, system = _contact_grading(ad.datum, ad.md.marked_node, ad.lambda0)
+    oracle = ambient_weight_system(ad.md, ad.Ddual_weight)
+    assert system.highest == oracle.highest == ad.Ddual_weight
+    assert system.entries == oracle.entries
+    assert system.offsets == oracle.offsets
+    assert system.total_dim == oracle.total_dim == 2 * ad.m
+    assert dim_x == nilradical_size(ad.md) == ad.dim_X
+    assert canon == tuple(ad.index * a for a in ad.lambda0)
 
 
 @pytest.mark.parametrize("letter,rank", DESK)
@@ -319,12 +338,13 @@ def _shifted(ws):
 def test_contact_checks_fire_on_a_wrong_weight_system(
     monkeypatch, letter, rank, corrupt, message
 ):
-    real = adjvar.adjoint.ambient_weight_system
-    monkeypatch.setattr(
-        adjvar.adjoint,
-        "ambient_weight_system",
-        lambda *args, **kwargs: corrupt(real(*args, **kwargs)),
-    )
+    real = adjvar.adjoint._contact_grading
+
+    def corrupted(*args):
+        dim_x, canon, system = real(*args)
+        return dim_x, canon, corrupt(system)
+
+    monkeypatch.setattr(adjvar.adjoint, "_contact_grading", corrupted)
     with pytest.raises(ArithmeticError, match=message):
         adjoint_data(letter, rank)
 

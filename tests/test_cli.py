@@ -612,6 +612,8 @@ CHECK_DIGESTS = {
     ("torus", 2): "c8247af983b11c493d44eb625e5c3ddd74a7be271b029a58f68ce430e60a1760",
 }
 TABLE_DIGEST = "1c27316b0fd4ec9cae9ab83ef1d360df98847ff0c3ee9ba96cd2f0a66749abba"
+# the same with --max-classical-rank 14, which adds the rows B11-B14 and D11-D14
+TABLE_14_DIGEST = "638d3ae19d03a30532203d8383749bee9f67730b3f829739ce94f8b30e05c742"
 
 # sha256 of the stdout of `adjvar roots --type T --rank R --json`, for every
 # valid type up to rank 10
@@ -694,6 +696,12 @@ def test_adjoint_table_output_is_pinned(capsys):
     digest = stdout_digest(capsys, "adjoint-table", "--max-classical-rank", "10",
                            "--compare-paper", "--json")
     assert digest == TABLE_DIGEST
+
+
+def test_adjoint_table_to_rank_14_is_pinned(capsys):
+    digest = stdout_digest(capsys, "adjoint-table", "--max-classical-rank", "14",
+                           "--compare-paper", "--json")
+    assert digest == TABLE_14_DIGEST
 
 
 # sha256 of the stdout of `adjvar bbw --type T --rank R --node N --weight=W

@@ -66,15 +66,38 @@ def test_bidegree_and_homogeneity():
 
 
 @pytest.mark.parametrize(
-    "n,index", [(2, 3), (2, -1), (0, 1), (1, 2), (2, True), (2, False), (2, 1.0)]
+    "n,index",
+    [(2, 3), (2, -1), (0, 1), (1, 2), (2, True), (2, False), (2, 1.0), (0, 0), (-1, 0)],
 )
 def test_coordinate_out_of_range_raises(n, index):
     # an index above n used to give the constant 1, and a bool or a float
-    # was taken for the int it equals
+    # was taken for the int it equals; on an n below 1 no coordinate exists
     with pytest.raises(ValueError, match="does not exist"):
         BiPoly.x(n, index)
     with pytest.raises(ValueError, match="does not exist"):
         BiPoly.y(n, index)
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [
+        (lambda: BiPoly.x(True, 0), True),
+        (lambda: BiPoly.y(2.0, 0), 2.0),
+        (lambda: BiPoly.zero(0), 0),
+        (lambda: BiPoly.zero(-1), -1),
+        (lambda: BiPoly.const(True, 1), True),
+        (lambda: BiPoly.incidence_quadric(False), False),
+        (lambda: BiPoly(False, {}), False),
+        (lambda: linear_field([[1, 0], [0, -1]], True), True),
+        (lambda: linear_field([], -1), -1),
+    ],
+)
+def test_bipoly_rejects_an_n_its_json_cannot_carry(make, n):
+    # each used to build a polynomial on P^n with that n: True was kept as
+    # the n, and 0 and -1 gave P^0 and "P^-1"; linear_field at n = -1
+    # returned an empty field
+    with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {n!r}")):
+        make()
 
 
 def test_builtins_below_their_smallest_n_raise():
