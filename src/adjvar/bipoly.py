@@ -113,7 +113,14 @@ class BiPoly:
 
     def __init__(self, n: int, terms=None):
         self.n = n_from_json(n)
-        self.terms = _settle(terms) if terms else {}
+        terms = terms or {}
+        for k in terms:
+            if len(k) != 2 * n + 2 or type(sum(k)) is not int or min(k) < 0:
+                raise ValueError(
+                    f"monomial {k!r} is not {2 * n + 2} non-negative integer "
+                    f"exponents on P^{n} x P^{n}"
+                )
+        self.terms = _settle(terms)
 
     @classmethod
     def _trusted(cls, n: int, terms: dict) -> "BiPoly":

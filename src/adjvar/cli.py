@@ -148,15 +148,18 @@ def _load_form(args) -> ff.PolyOneForm:
                 f"unknown builtin {args.builtin!r}; "
                 f"choices: {', '.join(sorted(_BUILTIN_FORMS))}"
             )
+        n = 2 if args.n is None else args.n
         min_n, make = _BUILTIN_FORMS[args.builtin]
-        if args.n < min_n:
+        if n < min_n:
             raise _input_error(
-                f"--n {args.n} is too small: builtin {args.builtin!r} "
+                f"--n {n} is too small: builtin {args.builtin!r} "
                 f"needs --n >= {min_n}"
             )
-        return make(args.n)
+        return make(n)
     if not args.input:
         raise _input_error("provide --builtin NAME or --input FILE")
+    if args.n is not None:
+        raise _input_error("--n goes with --builtin; an --input form has its own n")
     try:
         with open(args.input) as fh:
             data = json.load(fh)
@@ -169,56 +172,50 @@ def _deg_json(val):
     return "-inf" if val is ff.MINUS_INFINITY else val
 
 
-def cmd_fol(args) -> int:
-    if args.fol_command == "build":
-        form = _load_form(args)
-        payload = form.to_json()
-        if args.output:
-            try:
-                with open(args.output, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-            except OSError as exc:
-                raise _input_error(f"cannot write {args.output}: {exc}")
-            print(f"wrote {args.output}")
-        else:
-            print(json.dumps(payload, sort_keys=True))
-        return 0
+def cmd_fol_build(args) -> int:
+    payload = _load_form(args).to_json()
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+        except OSError as exc:
+            raise _input_error(f"cannot write {args.output}: {exc}")
+        print(f"wrote {args.output}")
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return 0
 
-    if args.fol_command == "degree" and min(args.samples, args.height_bound) < 1:
+
+def cmd_fol_check_integrable(args) -> int:
+    form = _load_form(args)
+    ok = ff.integrable(form)
+    saturated = not ff.has_divisorial_singularities(form)
+    data = {"bidegree": list(form.bidegree), "integrable": ok, "saturated": saturated}
+    line = f"bidegree {form.bidegree}; integrable: {ok}; saturated: {saturated}"
+    _emit(data, args.json, [line])
+    return 0 if ok else 1
+
+
+def cmd_fol_degree(args) -> int:
+    if min(args.samples, args.height_bound) < 1:
         raise _input_error("--samples and --height-bound must be at least 1")
     form = _load_form(args)
-    if args.fol_command == "check-integrable":
-        ok = ff.integrable(form)
-        saturated = not ff.has_divisorial_singularities(form)
-        data = {
-            "bidegree": list(form.bidegree),
-            "integrable": ok,
-            "saturated": saturated,
-        }
-        _emit(
-            data,
-            args.json,
-            [
-                f"bidegree {form.bidegree}; integrable: {ok}; saturated: {saturated}"
-            ],
-        )
-        return 0 if ok else 1
+    # --samples and --seed no longer change the answer; their JSON keys
+    # stay until the next output schema
+    deg1, deg2 = (ff.family_degree(form, family) for family in (1, 2))
+    data = {
+        "bidegree": list(form.bidegree),
+        "deg_H1": _deg_json(deg1),
+        "deg_H2": _deg_json(deg2),
+        "samples": args.samples,
+        "seed": args.seed,
+    }
+    _emit(data, args.json, [f"deg_H1 = {deg1}, deg_H2 = {deg2}"])
+    return 0
 
-    if args.fol_command == "degree":
-        # --samples and --seed no longer change the answer; their JSON keys
-        # stay until the next output schema
-        deg1, deg2 = (ff.family_degree(form, family) for family in (1, 2))
-        data = {
-            "bidegree": list(form.bidegree),
-            "deg_H1": _deg_json(deg1),
-            "deg_H2": _deg_json(deg2),
-            "samples": args.samples,
-            "seed": args.seed,
-        }
-        _emit(data, args.json, [f"deg_H1 = {deg1}, deg_H2 = {deg2}"])
-        return 0
 
-    # "invariant", the last of the subcommands argparse admits
+def cmd_fol_invariant(args) -> int:
+    form = _load_form(args)
     surface = _parse_surface(args, form.n)
     ok = ff.is_invariant(form, surface)
     data = {"invariant": ok, "surface_bidegree": list(surface.bidegree())}
@@ -287,20 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_adjoint_table)
 
     p_fol = sub.add_parser("fol", help="foliation checks on X in P^n x P^n")
-    p_fol.add_argument("fol_command",
-                       choices=["check-integrable", "degree", "invariant", "build"])
-    p_fol.add_argument("--builtin", default=None,
-                       help=f"one of: {', '.join(sorted(_BUILTIN_FORMS))}")
-    p_fol.add_argument("--input", default=None, help="form JSON file")
-    p_fol.add_argument("--output", default=None, help="output file for build")
-    p_fol.add_argument("--surface", default=None,
-                       help="conic-x, conic-y, or a surface JSON file")
-    p_fol.add_argument("--n", type=int, default=2)
-    p_fol.add_argument("--seed", type=int, default=2024)
-    p_fol.add_argument("--samples", type=int, default=10)
-    p_fol.add_argument("--height-bound", type=int, default=100)
-    p_fol.add_argument("--json", action="store_true")
-    p_fol.set_defaults(func=cmd_fol)
+    fol_sub = p_fol.add_subparsers(dest="fol_command", required=True)
+
+    def fol_parser(name, func):
+        """A fol subcommand reading one form, from --builtin or --input."""
+        p = fol_sub.add_parser(name)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin",
+                            help=f"one of: {', '.join(sorted(_BUILTIN_FORMS))}")
+        source.add_argument("--input", help="form JSON file")
+        p.add_argument("--n", type=int, help="the P^n of a --builtin form (default 2)")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(func=func)
+        return p
+
+    fol_parser("check-integrable", cmd_fol_check_integrable)
+    p_deg = fol_parser("degree", cmd_fol_degree)
+    p_deg.add_argument("--seed", type=int, default=2024)
+    p_deg.add_argument("--samples", type=int, default=10)
+    p_deg.add_argument("--height-bound", type=int, default=100)
+    fol_parser("invariant", cmd_fol_invariant).add_argument(
+        "--surface", help="conic-x, conic-y, or a surface JSON file")
+    fol_parser("build", cmd_fol_build).add_argument("--output", help="output file")
 
     return parser
 

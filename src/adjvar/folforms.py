@@ -38,7 +38,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, total_ordering
 from operator import add, mul
 
 from .bipoly import (
@@ -50,6 +50,7 @@ from .bipoly import (
     _integer_multiple,
     _is_exact,
     _same_ambient,
+    _settle,
     divide_by_var_mod_quadric,
     is_zero_mod_quadric,
     n_from_json,
@@ -66,6 +67,7 @@ from . import witness
 from .linalg import nullspace
 
 
+@total_ordering
 class _MinusInfinity:
     """Sentinel for the degree of a foliation whose general family line is a
     leaf; compares below every integer."""
@@ -82,15 +84,6 @@ class _MinusInfinity:
 
     def __lt__(self, other):
         return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
 
 
 MINUS_INFINITY = _MinusInfinity()
@@ -289,8 +282,9 @@ def form_d(f: dict, n: int) -> dict:
 
 
 def _collect(acc: dict, n: int) -> dict:
-    """The form dict of {key: {monomial: coefficient sum}}, zeros dropped."""
-    out = {k: BiPoly(n, terms) for k, terms in acc.items()}
+    """The form dict of {key: {monomial: coefficient sum}}, zeros dropped;
+    the monomials are sums of checked ones, so they are not checked again."""
+    out = {k: BiPoly._trusted(n, _settle(terms)) for k, terms in acc.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
 
 

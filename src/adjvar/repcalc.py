@@ -37,7 +37,7 @@ SYMMETRIC = "symmetric"
 
 
 class DimensionCeilingError(RuntimeError):
-    """A requested representation exceeds the configured dimension ceiling."""
+    """A requested representation is larger than ``DEFAULT_DIM_CEILING``."""
 
 
 class InternalConsistencyError(ArithmeticError):
@@ -134,9 +134,7 @@ def _weyl_product(datum: RootDatum, lam: Weight, nodes) -> int:
     return num // den
 
 
-def weight_system(
-    datum: RootDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING, nodes=None
-) -> WeightSystem:
+def weight_system(datum: RootDatum, lam: Weight, nodes=None) -> WeightSystem:
     """Full weight multiset of the irreducible of highest weight lam over the
     Levi L with simple roots at ``nodes`` (1-indexed, any iterable, in any
     order; all nodes, i.e. V_lam of G itself, by default), with Freudenthal
@@ -166,9 +164,9 @@ def weight_system(
     if nodes is not None:
         nodes = tuple(nodes)
     dim = weyl_dim(datum, lam, nodes)
-    if dim > ceiling:
+    if dim > DEFAULT_DIM_CEILING:
         raise DimensionCeilingError(
-            f"dim V_{lam} = {dim} exceeds the ceiling {ceiling}"
+            f"dim V_{lam} = {dim} exceeds the ceiling {DEFAULT_DIM_CEILING}"
         )
     rank = datum.rank
     cartan = datum.cartan
@@ -298,9 +296,7 @@ def bundle_rank(md: MarkedDatum, w: Weight) -> int:
     return weyl_dim(md.ambient, w, md.levi_nodes)
 
 
-def ambient_weight_system(
-    md: MarkedDatum, lam: Weight, ceiling: int = DEFAULT_DIM_CEILING
-) -> WeightSystem:
+def ambient_weight_system(md: MarkedDatum, lam: Weight) -> WeightSystem:
     """Weight system of the irreducible P-representation E_lam in ambient
     fundamental coordinates (full Cartan of g): :func:`weight_system` over
     the Levi nodes.
@@ -310,7 +306,7 @@ def ambient_weight_system(
     """
     if not is_bundle_weight(md, lam):
         raise ValueError(f"{lam} is not a bundle weight at node {md.marked_node}")
-    return weight_system(md.ambient, lam, ceiling, md.levi_nodes)
+    return weight_system(md.ambient, lam, md.levi_nodes)
 
 
 def _fold_twist(md: MarkedDatum, w: Weight, lambda0: Weight):

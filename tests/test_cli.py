@@ -550,6 +550,47 @@ def test_fol_conics_at_n_1_exit_2(capsys, surface):
     assert err == "error: the conics need n >= 2, not n = 1\n"
 
 
+# each fol subcommand with a form it accepts
+FOL_BASE = {
+    "check-integrable": ["--builtin", "pencil"],
+    "degree": ["--builtin", "pencil"],
+    "invariant": ["--builtin", "affine", "--surface", "conic-x"],
+    "build": ["--builtin", "pencil"],
+}
+FOL_FLAGS = {"--output": "f.json", "--surface": "conic-x", "--seed": "7",
+             "--samples": "3", "--height-bound": "5"}
+FOL_TAKES = {"degree": {"--seed", "--samples", "--height-bound"},
+             "invariant": {"--surface"}, "build": {"--output"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, *FOL_BASE[command], flag, FOL_FLAGS[flag]]
+     for command in FOL_BASE for flag in FOL_FLAGS
+     if flag not in FOL_TAKES.get(command, ())]
+    + [["check-integrable", "--builtin", "pencil", "--input", "missing.json"],
+       ["check-integrable", "--input", "form.json", "--n", "3"]],
+    ids=" ".join,
+)
+def test_fol_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # each was accepted and ignored with exit 0; degree wrote no --output file
+    from adjvar.folforms import builtin_pencil
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "form.json").write_text(json.dumps(builtin_pencil(2).to_json()))
+    assert exit_code("fol", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_fol_build_takes_json_and_prints_the_same_bytes(capsys):
+    # every command accepts --json; build's output is JSON either way
+    assert run(capsys, "fol", "build", "--builtin", "pencil", "--json") == run(
+        capsys, "fol", "build", "--builtin", "pencil"
+    )
+
+
 # -- the fixed command set: its output must stay byte-identical ---------------
 
 # sha256 of the stdout of `adjvar fol build --builtin B --n N`

@@ -100,6 +100,16 @@ def test_bipoly_rejects_an_n_its_json_cannot_carry(make, n):
         make()
 
 
+@pytest.mark.parametrize(
+    "key", [(1, 0), (1, 0, 0, 0, 0, -1), (1.0, 0, 0, 0, 0, 1)]
+)
+def test_bipoly_rejects_a_monomial_off_its_ring(key):
+    # each was kept: (1, 0) gave bidegree (1, 0) and a 2-slot product with
+    # x_0, the -1 a bidegree (1, -1), and the float an exponent 1.0
+    with pytest.raises(ValueError, match="non-negative integer exponents on P\\^2"):
+        BiPoly(2, {key: 3})
+
+
 def test_builtins_below_their_smallest_n_raise():
     # pullback-d1 needs x_2; the others need x_1
     for make in (lambda: builtin_pullback(1, 1), lambda: builtin_pullback(0, 0),

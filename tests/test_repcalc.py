@@ -287,8 +287,9 @@ def test_weight_system_matches_level_by_level(letter, rank, lam, monkeypatch):
 
 
 def test_weight_system_ceiling():
+    # dim V_(10,10,10) of A3 is 1,771,561, above DEFAULT_DIM_CEILING
     with pytest.raises(DimensionCeilingError):
-        weight_system(build_datum("A", 3), (3, 3, 3), ceiling=100)
+        weight_system(build_datum("A", 3), (10, 10, 10))
 
 
 @pytest.mark.parametrize("letter,rank,lam", [("B", 3, (1, 0, 1)), ("G", 2, (1, 1))])
@@ -423,7 +424,7 @@ def lifted_weight_system(md, lam):
     ambient = md.ambient
     lifted = {(0,) * ambient.rank: 1}
     for comp, cw in zip(levi_diagram(md).components, comp_weights):
-        ws = weight_system(comp.datum, cw, 10**6)
+        ws = weight_system(comp.datum, cw)
         nxt = {}
         for off, m in lifted.items():
             for u, m2 in ws.entries.items():
@@ -457,7 +458,7 @@ def test_levi_routes_match_the_factor_products(letter, rank, node):
         r = bundle_rank(md, w)
         assert r == levi_factor_rank(md, w)
         if r <= 300:
-            aws = ambient_weight_system(md, w, 10**6)
+            aws = ambient_weight_system(md, w)
             assert (aws.entries, aws.offsets, aws.total_dim) == lifted_weight_system(md, w)
 
 
@@ -583,7 +584,7 @@ def test_square_decompose_matches_stripping(letter, rank):
     for kind in (EXTERIOR, SYMMETRIC):
         for lam in (ad.D_weight, ad.Ddual_weight):
             stripped = strip_square(
-                md.ambient, lam, kind, lambda w: ambient_weight_system(md, w, 10**6).entries
+                md.ambient, lam, kind, lambda w: ambient_weight_system(md, w).entries
             )
             expected = Decomposition(
                 pieces=tuple(
@@ -611,7 +612,7 @@ def test_square_decompose_matches_stripping(letter, rank):
 def test_square_decompose_simple_matches_stripping(letter, rank, lam):
     d = build_datum(letter, rank)
     for kind in (EXTERIOR, SYMMETRIC):
-        stripped = strip_square(d, lam, kind, lambda w: weight_system(d, w, 10**6).entries)
+        stripped = strip_square(d, lam, kind, lambda w: weight_system(d, w).entries)
         stripped.sort(key=lambda p: (-total_height(d, p[0]), p[0]))
         got = square_decompose_simple(d, lam, kind)
         assert [(p.weight, p.mult, p.dim) for p in got] == [
@@ -641,7 +642,7 @@ def test_weight_system_over_nodes_sums_to_weyl_dim_and_is_levi_weyl_invariant(ca
             break
         lam[i - 1] = 0
     lam = tuple(lam)
-    ws = weight_system(d, lam, 10**6, nodes)
+    ws = weight_system(d, lam, nodes)
     assert sum(ws.entries.values()) == ws.total_dim == weyl_dim(d, lam, nodes)
     assert ws.entries.keys() == ws.offsets.keys()
     for mu, m in ws.entries.items():
@@ -652,7 +653,7 @@ def test_weight_system_over_nodes_sums_to_weyl_dim_and_is_levi_weyl_invariant(ca
     for comp in _connected_components(d.cartan, nodes):
         factor = _match_component(d, comp)
         cw = tuple(lam[i - 1] for i in factor.ambient_nodes)
-        factors.append((factor.ambient_nodes, weight_system(factor.datum, cw, 10**6).entries))
+        factors.append((factor.ambient_nodes, weight_system(factor.datum, cw).entries))
     for mu, m in ws.entries.items():
         assert m == prod(mults[tuple(mu[i - 1] for i in f_nodes)] for f_nodes, mults in factors)
 
@@ -707,7 +708,7 @@ def test_square_pieces_match_the_checked_route(case):
         if weyl_dim(d, tuple(lam), nodes) <= 200:
             break
         lam[i - 1] = 0
-    ws = weight_system(d, tuple(lam), 10**6, nodes)
+    ws = weight_system(d, tuple(lam), nodes)
     assert repcalc._square_pieces(d, nodes, ws, kind) == square_pieces_reference(
         d, nodes, ws, kind
     )
