@@ -119,7 +119,7 @@ def _contact_grading(datum: RootDatum, marked: int, lambda0: Weight):
     return len(nilradical), canon, WeightSystem(highest, entries, offsets, len(entries))
 
 
-def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> AdjointData:
+def adjoint_data(letter: str, rank: int) -> AdjointData:
     """Contact data for the adjoint variety X(g) of Picard number one.
 
     Type A is rejected (its adjoint variety is the hyperplane section of
@@ -143,7 +143,7 @@ def adjoint_data(letter: str, rank: int, max_classical_rank: int = 10) -> Adjoin
         raise UnsupportedAdjointError(
             "X(so(5)) = X(sp(4)) is the Veronese P^3; request type C rank 2"
         )
-    datum = build_datum(letter, rank, max_classical_rank=max_classical_rank)
+    datum = build_datum(letter, rank)
     lambda0 = highest_root(datum)
     nonzero = [i + 1 for i, a in enumerate(lambda0) if a != 0]
     if len(nonzero) != 1:
@@ -344,20 +344,18 @@ def compare_with_printed(ad: AdjointData, dec: Decomposition) -> dict:
 
 
 def section4_types(max_classical_rank: int = 7):
-    """The supported Picard-one types at desk scale."""
+    """The supported Picard-one types: B and D up to ``max_classical_rank``,
+    then the exceptional types."""
     types = [("B", r) for r in range(3, max_classical_rank + 1)]
     types += [("D", r) for r in range(4, max_classical_rank + 1)]
     types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
     return types
 
 
-def section4_row(
-    letter: str, rank: int, compare_paper: bool = False, max_classical_rank: int = 10
-) -> dict:
+def section4_row(letter: str, rank: int, compare_paper: bool = False) -> dict:
     """One row of the per-type report: contact data, wedge^2 D^vee(2) pieces,
-    and the h^0(Omega^2(1)), h^0(Omega^2(2)) conclusions.  Classical ranks
-    up to max(``max_classical_rank``, 10) are accepted."""
-    ad = adjoint_data(letter, rank, max(max_classical_rank, 10))
+    and the h^0(Omega^2(1)), h^0(Omega^2(2)) conclusions."""
+    ad = adjoint_data(letter, rank)
     dec = wedge2_Ddual_twisted(ad, 2)
     row = {
         "type": ad.label,
@@ -381,6 +379,6 @@ def section4_row(
 def section4_table(max_classical_rank: int = 7, compare_paper: bool = False):
     """Rows for every supported type; independent rows, deterministic order."""
     return [
-        section4_row(letter, rank, compare_paper, max_classical_rank)
+        section4_row(letter, rank, compare_paper)
         for letter, rank in section4_types(max_classical_rank)
     ]

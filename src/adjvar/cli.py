@@ -17,7 +17,7 @@ import sys
 from .adjoint import section4_row, section4_table
 from .bbw import cohomology
 from .parabolic import MarkedDatum
-from .rootsystem import build_datum, dim_g
+from .rootsystem import MAX_CLASSICAL_RANK, build_datum, dim_g
 from . import folforms as ff
 from .folforms import SCHEMA
 
@@ -53,7 +53,7 @@ def _parse_weight(text: str, rank: int):
 
 
 def cmd_roots(args) -> int:
-    datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
+    datum = build_datum(args.type, args.rank)
     roots = [
         {"simple_coords": list(c), "weight": list(w)}
         for c, w in zip(datum.positive_roots, datum.positive_root_weights)
@@ -77,7 +77,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_bbw(args) -> int:
-    datum = build_datum(args.type, args.rank, max_classical_rank=args.max_classical_rank)
+    datum = build_datum(args.type, args.rank)
     weight = _parse_weight(args.weight, datum.rank)
     md = MarkedDatum(ambient=datum, marked_node=args.node)
     res = cohomology(md, weight)
@@ -98,13 +98,17 @@ def cmd_adjoint_table(args) -> int:
     if (args.type is None) != (args.rank is None):
         raise _input_error("--type and --rank select a single row only together")
     if args.type is not None:
-        rows = [section4_row(args.type, args.rank, args.compare_paper,
-                             args.max_classical_rank)]
+        if args.max_classical_rank is not None:
+            raise _input_error(
+                "--max-classical-rank sets the table's extent; it does not go "
+                "with --type and --rank")
+        rows = [section4_row(args.type, args.rank, args.compare_paper)]
     else:
-        rows = section4_table(
-            max_classical_rank=args.max_classical_rank,
-            compare_paper=args.compare_paper,
-        )
+        extent = 7 if args.max_classical_rank is None else args.max_classical_rank
+        if not 1 <= extent <= MAX_CLASSICAL_RANK:
+            raise ValueError(
+                f"--max-classical-rank must be between 1 and {MAX_CLASSICAL_RANK}")
+        rows = section4_table(extent, args.compare_paper)
     data = {"rows": rows}
     lines = []
     header = f"{'type':>5} {'dimX':>5} {'m':>3} {'idx':>4} {'dim g':>6} {'h0 O2(1)':>9} {'h0 O2(2)':>9}"
@@ -247,26 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--max-classical-rank", type=int, default=10, metavar="R",
-            help="ceiling for classical ranks (default 10)",
-        )
-
     p_roots = sub.add_parser("roots", help="positive roots of a simple type")
     p_roots.add_argument("--type", required=True)
     p_roots.add_argument("--rank", type=int, required=True)
-    common(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
+    p_roots.add_argument("--json", action="store_true", help="emit JSON")
+    p_roots.set_defaults(func=cmd_roots, _parser=p_roots)
 
     p_bbw = sub.add_parser("bbw", help="Bott-Borel-Weil cohomology of E_lambda")
     p_bbw.add_argument("--type", required=True)
     p_bbw.add_argument("--rank", type=int, required=True)
     p_bbw.add_argument("--node", type=int, required=True)
     p_bbw.add_argument("--weight", required=True, help="comma-separated coordinates")
-    common(p_bbw)
-    p_bbw.set_defaults(func=cmd_bbw)
+    p_bbw.add_argument("--json", action="store_true", help="emit JSON")
+    p_bbw.set_defaults(func=cmd_bbw, _parser=p_bbw)
 
     p_tab = sub.add_parser(
         "adjoint-table", help="contact data and section counts per type"
@@ -278,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--rank", type=int, default=None)
     p_tab.add_argument("--json", action="store_true", help="emit JSON")
     p_tab.add_argument(
-        "--max-classical-rank", type=int, default=7, metavar="R",
-        help="largest classical rank in the table (default 7)",
+        "--max-classical-rank", type=int, metavar="R",
+        help="largest B and D rank in the table (default 7); not with --type",
     )
-    p_tab.set_defaults(func=cmd_adjoint_table)
+    p_tab.set_defaults(func=cmd_adjoint_table, _parser=p_tab)
 
     p_fol = sub.add_parser("fol", help="foliation checks on X in P^n x P^n")
     fol_sub = p_fol.add_subparsers(dest="fol_command", required=True)
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--input", help="form JSON file")
         p.add_argument("--n", type=int, help="the P^n of a --builtin form (default 2)")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, _parser=p)
         return p
 
     fol_parser("check-integrable", cmd_fol_check_integrable)
@@ -311,12 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # reported by the subcommand's parser, so the usage line names it
+        args._parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        # roots, bbw and adjoint-table take this option; fol does not
-        if getattr(args, "max_classical_rank", 1) < 1:
-            raise ValueError("--max-classical-rank must be at least 1")
         return args.func(args)
     except (ValueError, IndexError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

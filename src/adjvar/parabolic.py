@@ -136,7 +136,7 @@ def _match_component(ambient: RootDatum, comp) -> LeviComponent:
     if not matches:
         raise ValueError(f"could not identify the Dynkin type of nodes {comp}")
     ordering, letter = min(matches)
-    datum = build_datum(letter, len(comp), max_classical_rank=max(len(comp), 10))
+    datum = build_datum(letter, len(comp))
     return LeviComponent(datum=datum, ambient_nodes=ordering)
 
 

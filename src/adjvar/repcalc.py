@@ -36,7 +36,7 @@ EXTERIOR = "exterior"
 SYMMETRIC = "symmetric"
 
 
-class DimensionCeilingError(RuntimeError):
+class DimensionCeilingError(ValueError):
     """A requested representation is larger than ``DEFAULT_DIM_CEILING``."""
 
 

@@ -33,8 +33,9 @@ from operator import add, sub
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
 
-#: ranks accepted for the classical families unless the caller raises the bound
-DEFAULT_MAX_CLASSICAL_RANK = 10
+#: largest rank built for A-D: B100 and D100 each take about 0.5 s on one
+#: core of a 2-vCPU machine, C200 about 4 s
+MAX_CLASSICAL_RANK = 100
 
 _VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -383,11 +384,10 @@ def _check_datum(datum: RootDatum) -> None:
         raise ArithmeticError("sum of positive roots is not 2*delta")
 
 
-def build_datum(letter: str, rank: int, max_classical_rank: int = DEFAULT_MAX_CLASSICAL_RANK) -> RootDatum:
+def build_datum(letter: str, rank: int) -> RootDatum:
     """Build the root datum of a simple type, validating (letter, rank).
 
-    Classical families accept ranks up to ``max_classical_rank``;
-    exceptional types have fixed rank.  A rank must be an int; a bool is not
+    Exceptional types have fixed rank.  A rank must be an int; a bool is not
     taken for one (``True`` would share the cache entry of rank 1).
     """
     if not isinstance(letter, str) or (letter := letter.upper()) not in _VALID_RANKS:
@@ -401,9 +401,9 @@ def build_datum(letter: str, rank: int, max_classical_rank: int = DEFAULT_MAX_CL
             f"rank {rank} is invalid for type {letter} "
             "(A: rank>=1, B: >=2, C: >=2, D: >=4, E: 6-8, F: 4, G: 2)"
         )
-    if letter in "ABCD" and rank > max_classical_rank:
+    if letter in "ABCD" and rank > MAX_CLASSICAL_RANK:
         raise InvalidTypeError(
-            f"classical rank {rank} exceeds the configured ceiling {max_classical_rank}"
+            f"classical rank {rank} exceeds the ceiling {MAX_CLASSICAL_RANK}"
         )
     return _build_datum_cached(letter, rank)
 

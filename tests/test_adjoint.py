@@ -120,6 +120,17 @@ def test_g2_contact_data():
     assert ad.Ddual_weight == (3, -2)
 
 
+@pytest.mark.parametrize("letter,rank", [("B", 11), ("D", 11), ("B", 40), ("D", 40)])
+def test_rows_above_rank_ten(letter, rank):
+    # ranks above 10 were refused by a default ceiling of 10
+    row = section4_row(letter, rank)
+    assert row["type"] == f"{letter}{rank}"
+    assert row["dim_X"] == 2 * row["m"] + 1
+    assert row["index"] == row["m"] + 1
+    assert row["h0_O1"] == row["dim_g"] == dim_g(build_datum(letter, rank))
+    assert row["h0_omega2_2"] == {"value": row["dim_g"]}
+
+
 @pytest.mark.parametrize("letter,rank", section4_types(10))
 def test_contact_numerics(letter, rank):
     # recomputes, apart from adjoint_data's own checks: dim X from the
@@ -289,7 +300,7 @@ def test_one_decomposition_per_row(monkeypatch, letter, rank):
 def test_contact_system_from_the_roots_is_freudenthals(letter, rank):
     # oracle: the g_1 roots, shifted by -lambda0, against Freudenthal's
     # weight system of E_{D^vee} over the Levi; the same pass counts dim X
-    ad = adjoint_data(letter, rank, max(rank, 10))
+    ad = adjoint_data(letter, rank)
     dim_x, canon, system = _contact_grading(ad.datum, ad.md.marked_node, ad.lambda0)
     oracle = ambient_weight_system(ad.md, ad.Ddual_weight)
     assert system.highest == oracle.highest == ad.Ddual_weight

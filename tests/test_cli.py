@@ -59,15 +59,59 @@ def test_adjoint_table_type_without_printed_data(capsys):
 
 
 def test_adjoint_table_above_the_default_ceiling(capsys):
-    # rows above rank 10 were built with the default ceiling and exited 2
+    # rows above rank 10 were built with the default ceiling and exited 2;
+    # a single row above rank 10 needed --max-classical-rank as well
     code, out, _ = run(capsys, "adjoint-table", "--max-classical-rank", "11", "--json")
     assert code == 0
     types = [row["type"] for row in json.loads(out)["rows"]]
     assert "B11" in types and "D11" in types and "B12" not in types
-    code, out, _ = run(capsys, "adjoint-table", "--type", "B", "--rank", "11",
-                       "--max-classical-rank", "11", "--json")
+    code, out, _ = run(capsys, "adjoint-table", "--type", "B", "--rank", "11", "--json")
     assert code == 0
     assert [row["type"] for row in json.loads(out)["rows"]] == ["B11"]
+
+
+def test_classical_ranks_to_the_ceiling_answer(capsys):
+    # ranks 11 to 100 exited 2 above a default ceiling of 10
+    code, out, _ = run(capsys, "roots", "--type", "A", "--rank", "100", "--json")
+    assert code == 0 and json.loads(out)["count"] == 5050
+    code, out, _ = run(capsys, "bbw", "--type", "D", "--rank", "11", "--node", "2",
+                       "--weight", "0,1,0,0,0,0,0,0,0,0,0", "--json")
+    assert code == 0 and json.loads(out)["cohomology"]["dim"] == 231
+    code, out, _ = run(capsys, "adjoint-table", "--type", "D", "--rank", "40", "--json")
+    assert code == 0 and [row["type"] for row in json.loads(out)["rows"]] == ["D40"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["roots", "--type", "B", "--rank", "101"],
+     ["bbw", "--type", "A", "--rank", "101", "--node", "1", "--weight", "0"],
+     ["adjoint-table", "--type", "D", "--rank", "101"]],
+)
+def test_classical_rank_above_the_ceiling_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: classical rank 101 exceeds the ceiling 100\n"
+
+
+def test_adjoint_table_extent_above_the_ceiling_exits_2_before_any_row(
+        capsys, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr("adjvar.adjoint.section4_row", no_row)
+    code, out, err = run(capsys, "adjoint-table", "--max-classical-rank", "101")
+    assert code == 2 and out == ""
+    assert err == "error: --max-classical-rank must be between 1 and 100\n"
+
+
+def test_adjoint_table_extent_does_not_go_with_a_single_row(capsys):
+    # it used to raise the ceiling of the --type row, which it now bounds
+    with pytest.raises(SystemExit) as info:
+        main(["adjoint-table", "--type", "B", "--rank", "5",
+              "--max-classical-rank", "12"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --max-classical-rank sets the table's")
 
 
 @pytest.mark.parametrize("argv", [["--rank", "5"], ["--type", "B"]])
@@ -305,18 +349,42 @@ def test_fol_degree_rejects_bad_input(capsys, extra):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["roots", "--type", "E", "--rank", "8"],
-        ["bbw", "--type", "G", "--rank", "2", "--node", "1", "--weight", "1,0"],
-        ["adjoint-table"],
-    ],
+    [["adjoint-table"], ["adjoint-table", "--json"], ["adjoint-table", "--compare-paper"]],
 )
 @pytest.mark.parametrize("ceiling", ["0", "-5"])
 def test_max_classical_rank_below_one_is_rejected(capsys, argv, ceiling):
-    # adjoint-table used to exit 0 with the exceptional rows alone
+    # adjoint-table used to exit 0 with the exceptional rows alone; roots and
+    # bbw no longer take the flag (test_an_unknown_flag_names_its_subcommand)
     code, out, err = run(capsys, *argv, "--max-classical-rank", ceiling)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "--max-classical-rank" in err
+    assert err == "error: --max-classical-rank must be between 1 and 100\n"
+
+
+BBW_G2 = ["bbw", "--type", "G", "--rank", "2", "--node", "1", "--weight", "1,0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fol", "check-integrable", "--builtin", "pencil", "--seed", "7"],
+     ["roots", "--type", "B", "--rank", "5", "--max-classical-rank", "12"],
+     ["roots", "--type", "E", "--rank", "8", "--max-classical-rank", "0"],
+     ["roots", "--type", "E", "--rank", "8", "--max-classical-rank", "-5"],
+     [*BBW_G2, "--max-classical-rank", "0"],
+     [*BBW_G2, "--max-classical-rank", "-5"]],
+    ids=" ".join,
+)
+def test_an_unknown_flag_names_its_subcommand(capsys, argv):
+    # the usage line and the error were the top-level parser's: "usage: adjvar
+    # [-h] ..." and "adjvar: error: ..."; roots and bbw took the ceiling flag
+    command = " ".join(argv[:2] if argv[0] == "fol" else argv[:1])
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: adjvar {command} ")
+    assert err.endswith(
+        f"adjvar {command}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 @pytest.mark.parametrize("exps", [[-1, 1, 1], [1, 1]])

@@ -287,9 +287,12 @@ def test_weight_system_matches_level_by_level(letter, rank, lam, monkeypatch):
 
 
 def test_weight_system_ceiling():
-    # dim V_(10,10,10) of A3 is 1,771,561, above DEFAULT_DIM_CEILING
-    with pytest.raises(DimensionCeilingError):
+    # dim V_(10,10,10) of A3 is 1,771,561, above DEFAULT_DIM_CEILING; the
+    # refusal is a ValueError, which the CLI maps to exit 2 (it was a
+    # RuntimeError, which the CLI does not map)
+    with pytest.raises(DimensionCeilingError) as info:
         weight_system(build_datum("A", 3), (10, 10, 10))
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("letter,rank,lam", [("B", 3, (1, 0, 1)), ("G", 2, (1, 1))])

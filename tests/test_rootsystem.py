@@ -8,8 +8,10 @@ from adjvar.bbw import cohomology
 from adjvar.cli import main
 from adjvar.parabolic import MarkedDatum, is_bundle_weight
 from adjvar.repcalc import EXTERIOR, square_decompose, weight_system, weyl_dim
+import adjvar.rootsystem
 from adjvar.rootsystem import (
     _DIM_FORMULA,
+    MAX_CLASSICAL_RANK,
     InvalidTypeError,
     RootDatum,
     _cartan_matrix,
@@ -86,10 +88,24 @@ def test_a_bool_rank_is_rejected_and_leaves_the_cache_alone(capsys):
     )
 
 
-def test_classical_rank_ceiling():
-    with pytest.raises(InvalidTypeError):
-        build_datum("A", 11)
-    assert build_datum("A", 11, max_classical_rank=12).rank == 11
+def test_classical_rank_ceiling(monkeypatch):
+    # one rank ceiling for A-D, checked before any root is generated; the
+    # uncached builder lets the rank-100 data go when the test ends
+    generated = []
+    monkeypatch.setattr(adjvar.rootsystem, "_generate_positive_roots",
+                        lambda cartan, limit: generated.append(limit)
+                        or _generate_positive_roots(cartan, limit))
+    monkeypatch.setattr(adjvar.rootsystem, "_build_datum_cached",
+                        adjvar.rootsystem._build_datum_cached.__wrapped__)
+    for letter in "ABCD":
+        with pytest.raises(InvalidTypeError, match="exceeds the ceiling 100"):
+            build_datum(letter, MAX_CLASSICAL_RANK + 1)
+    assert generated == []
+    for letter in "ABCD":
+        d = build_datum(letter, MAX_CLASSICAL_RANK)
+        assert (d.letter, d.rank) == (letter, MAX_CLASSICAL_RANK)
+        assert dim_g(d) == DIM_G[letter](MAX_CLASSICAL_RANK)
+    assert len(generated) == 4
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("G", 2), ("E", 6)])
@@ -176,7 +192,7 @@ def test_stored_root_weights_norms_and_form_terms_match_their_definitions(letter
     # product and Freudenthal's recursion, walked down the parent chain,
     # against root_weight and (alpha, alpha) = sum_i c_i d_i m_i, over all
     # nodes, none and each Levi; a datum built afresh walks the same weights
-    d = build_datum(letter, rank, max_classical_rank=12)
+    d = build_datum(letter, rank)
     fresh = RootDatum(d.letter, d.rank, d.cartan, d.symmetrizers, d.positive_roots)
     assert fresh.positive_root_weights == d.positive_root_weights
     assert len(d.positive_root_weights) == len(d.positive_roots)
@@ -203,7 +219,7 @@ def unit(rank, j):
 
 @pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_each_root_is_its_parent_plus_a_simple_root(letter, rank):
-    d = build_datum(letter, rank, max_classical_rank=12)
+    d = build_datum(letter, rank)
     chain = [(0,) * rank] + list(d.positive_roots)  # index 0 is the zero root
     assert len(d.root_parents) == len(d.positive_roots)
     for k, (alpha, (p, j)) in enumerate(zip(d.positive_roots, d.root_parents), 1):
@@ -226,7 +242,7 @@ def test_each_root_is_its_parent_plus_a_simple_root(letter, rank):
 
 @pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_nilradical_sizes_and_neighbours_match_a_direct_count(letter, rank):
-    d = build_datum(letter, rank, max_classical_rank=12)
+    d = build_datum(letter, rank)
     assert d.nilradical_sizes == tuple(
         len([alpha for alpha in d.positive_roots if alpha[i] != 0]) for i in range(rank)
     )
@@ -257,7 +273,7 @@ def test_dimension_formula(letter, rank):
 
 @pytest.mark.parametrize("letter,rank", TYPES_TO_RANK_12)
 def test_symmetrized_cartan_positive_definite(letter, rank):
-    d = build_datum(letter, rank, max_classical_rank=12)
+    d = build_datum(letter, rank)
     # the symmetrizers, found in integers, are coprime positive ints
     assert all(type(x) is int and x > 0 for x in d.symmetrizers)
     assert gcd(*d.symmetrizers) == 1
